@@ -16,7 +16,6 @@ FIXED_POINTS = "fixed-points"
 PERIODIC_ORBIT = "periodic-orbit"
 
 V_FLOOR = 1e-3
-_BISECT_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,7 @@ class FlowMap:
         increments = (inv + np.roll(inv, -1)) * (0.5 / n)
         self.g_nodes = np.concatenate([[0.0], np.cumsum(increments)])  # (n+1,)
         self.winding = float(self.g_nodes[-1])  # +- tau by the sign of v
+        self._rising = np.sign(self.winding) * self.g_nodes  # increasing copy
 
     @property
     def tau(self) -> float:
@@ -97,19 +97,14 @@ class FlowMap:
         return (1.0 - f) * self.g_nodes[i] + f * self.g_nodes[i + 1]
 
     def _solve_g(self, target):
-        """Monotone bisection for G(x) = target on the lifted table."""
-        target = np.asarray(target, dtype=float)
-        theta = target / self.winding
-        reduced = (theta - np.floor(theta)) * self.winding  # same branch as the table
-        sign = 1.0 if self.winding > 0 else -1.0
-        lo = np.zeros_like(reduced)
-        hi = np.ones_like(reduced)
-        for _ in range(_BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            go_right = (self.g(mid) - reduced) * sign < 0.0
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        out = 0.5 * (lo + hi) % 1.0
+        """Exact inverse of G: the target, reduced by the winding onto the
+        table's branch, falls in one cell, where G is linear."""
+        n = self.df.nodes.size
+        theta = np.asarray(target, dtype=float) / self.winding
+        level = (theta - np.floor(theta)) * abs(self.winding)  # sign(v) G(x)
+        i = np.clip(np.searchsorted(self._rising, level, side="right") - 1, 0, n - 1)
+        frac = (level - self._rising[i]) / (self._rising[i + 1] - self._rising[i])
+        out = (i + frac) / n % 1.0
         return out if out.ndim else float(out)
 
     def phi(self, t: float, T: float | None, x):
@@ -153,11 +148,6 @@ def forward_flow(df: DriftField, t: float, T: float, x):
         k4 = rhs(y + h * k3)
         y = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
     return y
-
-
-def inverse_flow(fm: FlowMap, t: float, T: float, y):
-    """Solve G(x) = G(y) + (T - t) by monotone bisection on the G-table."""
-    return fm.phi_inverse(t, T, y)
 
 
 @dataclass(frozen=True)

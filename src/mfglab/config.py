@@ -13,7 +13,9 @@ import numpy as np
 from .coupling import CouplingFunctional
 from .errors import ConfigError
 from .hamiltonians import Mechanical, Potential, QuadraticDrift
+from .lax_oleinik import slice_count
 from .measures import CircleMeasure
+from .mfg import CALIBRATION_FACTOR
 
 VMAX_DEFAULT = 10.0
 
@@ -47,7 +49,6 @@ class RunConfig:
     a_values: list = field(default_factory=lambda: [0.0])
     example_dim: int = 1
     csv_stride: int = 0  # 0 = auto
-    k_test: int = 8      # Fourier modes in the weak-residual test bank
     # tolerances
     tol_c0: float = 0.05
     tol_periodicity: float = 1e-4
@@ -65,7 +66,7 @@ class RunConfig:
         "tol_lipschitz_slack", "tol_convexity", "tol_residual_closed",
         "tol_residual_grid", "tol_converge_final", "tol_converge_slack",
     }
-    _INTS = {"model_dim", "n", "periods", "pairs", "example_dim", "csv_stride", "k_test"}
+    _INTS = {"model_dim", "n", "periods", "pairs", "example_dim", "csv_stride"}
     _LISTS = {"horizons", "a_values"}
 
     @classmethod
@@ -81,14 +82,20 @@ class RunConfig:
                 key = aliases.get(key, key).replace("-", "_")
                 if not hasattr(cfg, key) or key.startswith("_"):
                     raise ConfigError(f"unknown config key [{section}] {key}")
-                if key in cls._LISTS:
-                    value = [float(tok) for tok in raw.replace(",", " ").split()]
-                elif key in cls._INTS:
-                    value = int(raw)
-                elif key in cls._FLOATS:
-                    value = float(raw)
-                else:
-                    value = raw.strip()
+                try:
+                    if key in cls._LISTS:
+                        value = [float(tok) for tok in raw.replace(",", " ").split()]
+                    elif key in cls._INTS:
+                        value = int(raw)
+                    elif key in cls._FLOATS:
+                        value = float(raw)
+                    else:
+                        value = raw.strip()
+                except ValueError:
+                    kind = ("an integer" if key in cls._INTS else
+                            "a list of numbers" if key in cls._LISTS else "a number")
+                    raise ConfigError(f"number invariant violated: [{section}] {key} "
+                                      f"must be {kind}, got {raw!r}") from None
                 setattr(cfg, key, value)
         cfg.validate()
         return cfg
@@ -114,10 +121,23 @@ class RunConfig:
                 )
         if self.window <= 0.0:
             raise ConfigError("window invariant violated: window must be > 0")
-        if any(h <= 0.0 for h in self.horizons) or self.horizon <= 0.0:
-            raise ConfigError("horizon invariant violated: horizons must be > 0")
+        if not self.horizons or any(h <= 0.0 for h in self.horizons) or self.horizon <= 0.0:
+            raise ConfigError("horizon invariant violated: horizons must be nonempty and > 0")
         if self.periods < 1 or self.pairs < 1:
             raise ConfigError("count invariant violated: periods and pairs must be >= 1")
+        on_grid = [("horizon", self.horizon, "dt", self.dt),
+                   *(("horizons entry", h, "dt", self.dt) for h in self.horizons),
+                   ("window", self.window, "dt", self.dt),
+                   ("t_probe", self.t_probe, "dt_probe", self.dt_probe),
+                   ("calibration horizon", CALIBRATION_FACTOR * max(self.horizons),
+                    "dt_probe", self.dt_probe)]
+        for label, t, step_label, step in on_grid:
+            try:
+                slice_count(t, step)
+            except (ValueError, OverflowError):
+                raise ConfigError(f"time-grid invariant violated: {label} = {t:g} is not "
+                                  f"a positive integer multiple of {step_label} = {step:g}"
+                                  ) from None
 
     # -- builders -----------------------------------------------------------
     def build_model(self):

@@ -17,6 +17,7 @@ DENSITY = "density"
 PARTICLES = "particles"
 
 MASS_TOL = 1e-12
+MASS_DRIFT_TOL = 1e-4  # largest renormalisation a push-forward may need
 
 
 class CircleMeasure:
@@ -123,33 +124,50 @@ def wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
     return float(np.sum(seg * np.abs(diff - shift)))
 
 
-def pushforward(fm, m: CircleMeasure, t: float, T: float,
-                mass_drift_tol: float = 1e-4) -> CircleMeasure:
+class TransportTable:
+    """Inverse-flow nodes Phi(t_k, T, .)^-1(x_j) on the n-node grid and the
+    centered-difference Jacobian of that map, one row per time t_k.
+
+    Row k pushes a grid density forward to time t_k, so a table built once
+    serves every measure transported over the same times.
+    """
+
+    def __init__(self, fm, times, T: float, n: int):
+        self.nodes = grid(n)
+        self.xinv = np.array([fm.phi_inverse(float(t), T, self.nodes) for t in times])
+        # the inverse map is an orientation-preserving circle map: consecutive
+        # gaps are small and positive, so %1 picks the right branch
+        self.jac = ((np.roll(self.xinv, -1, axis=1)
+                     - np.roll(self.xinv, 1, axis=1)) % 1.0) * (n / 2.0)
+
+    def masses(self, m: CircleMeasure):
+        """Node masses of the pushed densities, one row per time, each
+        renormalised to unit mass, and each row's renormalisation drift."""
+        values = periodic_interp(self.xinv, m.density_values) * self.jac
+        totals = values.mean(axis=1)
+        drift = np.abs(totals - 1.0)
+        worst = float(np.max(drift))
+        if worst >= MASS_DRIFT_TOL:
+            raise MassDriftError(
+                f"push-forward mass drift {worst:.3g} exceeds {MASS_DRIFT_TOL:.3g}"
+            )
+        values /= (totals * self.nodes.size)[:, None]
+        return values, drift
+
+
+def pushforward(fm, m: CircleMeasure, t: float, T: float) -> CircleMeasure:
     """Push m forward by the characteristic flow, Phi(t, T, .)_# m.
 
-    Particle measures move their atoms; densities use the inverse flow and
-    its centered-difference Jacobian, are renormalised, and carry the
-    renormalisation drift on the result.
+    Particle measures move their atoms; densities take one row of a
+    TransportTable and carry its renormalisation drift on the result.
     """
     if t == T:
         return m
     if m.kind == PARTICLES:
         return CircleMeasure(PARTICLES, fm.phi(t, T, m.positions), m.weights.copy())
-    nodes = m.positions
-    n = m.n
-    xinv = np.asarray(fm.phi_inverse(t, T, nodes), dtype=float)
-    source = periodic_interp(xinv, m.density_values)
-    # the inverse map is an orientation-preserving circle map: consecutive
-    # gaps are small and positive, so %1 picks the right branch
-    jac = ((np.roll(xinv, -1) - np.roll(xinv, 1)) % 1.0) * (n / 2.0)
-    values = source * jac
-    total = float(np.sum(values)) / n
-    drift = abs(total - 1.0)
-    if drift >= mass_drift_tol:
-        raise MassDriftError(
-            f"push-forward mass drift {drift:.3g} exceeds {mass_drift_tol:.3g}"
-        )
-    return CircleMeasure(DENSITY, nodes, values / (total * n), mass_drift=drift)
+    table = TransportTable(fm, [t], T, m.n)
+    masses, drift = table.masses(m)
+    return CircleMeasure(DENSITY, table.nodes, masses[0], mass_drift=drift[0])
 
 
 def invariant_density(df) -> CircleMeasure:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_constant
 from .coupling import CouplingFunctional
-from .errors import DegenerateBacktrackError, MassDriftError
+from .errors import DegenerateBacktrackError
 from .hamiltonians import HamiltonianModel
 from .lax_oleinik import (
     CriticalValueResult,
@@ -29,11 +29,16 @@ from .lax_oleinik import (
 from .measures import (
     DENSITY,
     CircleMeasure,
+    TransportTable,
     invariant_density,
     pushforward,
     wasserstein1,
 )
 from .torus import cumulative_trapezoid, periodic_interp, trapezoid, wrap
+
+# T_cal / T_max: the convergence experiment calibrates the stationary
+# solution's additive constant at a time beyond its largest horizon
+CALIBRATION_FACTOR = 1.5
 
 
 @dataclass
@@ -68,11 +73,6 @@ class MFGSolution:
 
     def measure_at(self, k: int) -> CircleMeasure:
         return CircleMeasure("particles", self.m_positions[k], self.m_weights)
-
-    def coupling_integral(self, t: float) -> float:
-        """Integral of F(m(s)) over [0, t] on the slice grid."""
-        k = self.slice_index(t)
-        return float(cumulative_trapezoid(self.coupling_series, self.dt)[k])
 
 
 def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
@@ -203,46 +203,6 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     )
 
 
-class PeriodicCouplingAverager:
-    """Period averages of F along transported densities, sharing the
-    inverse-flow tables (which depend on the flow only) across measures."""
-
-    def __init__(self, flow: FlowMap, dt: float, mass_drift_tol: float = 1e-4):
-        self.flow = flow
-        self.mass_drift_tol = mass_drift_tol
-        tau = flow.tau
-        self.k_per, self.dt_adj = _steps_per_period(tau, dt)
-        self.nodes = flow.df.nodes
-        n = self.nodes.size
-        times = flow.t_ref - tau + self.dt_adj * np.arange(self.k_per + 1)
-        self.xinv = np.empty((self.k_per + 1, n))
-        for k, t in enumerate(times):
-            self.xinv[k] = flow.phi_inverse(float(t), flow.t_ref, self.nodes)
-        self.jac = ((np.roll(self.xinv, -1, axis=1)
-                     - np.roll(self.xinv, 1, axis=1)) % 1.0) * (n / 2.0)
-
-    def series(self, functional: CouplingFunctional, m: CircleMeasure) -> np.ndarray:
-        """F(m_bar(t_k)) over one period, anchored at the reference time."""
-        values = periodic_interp(self.xinv, m.density_values) * self.jac
-        totals = values.mean(axis=1)
-        drift = float(np.max(np.abs(totals - 1.0)))
-        if drift >= self.mass_drift_tol:
-            raise MassDriftError(
-                f"push-forward mass drift {drift:.3g} exceeds {self.mass_drift_tol:.3g}"
-            )
-        f_nodes = functional.f(self.nodes)
-        return (values @ f_nodes) / (self.nodes.size * totals)
-
-    def average(self, functional: CouplingFunctional, m: CircleMeasure) -> float:
-        return trapezoid(self.series(functional, m), self.dt_adj) / self.flow.tau
-
-
-def period_average_coupling(flow: FlowMap, m_t: CircleMeasure,
-                            functional: CouplingFunctional, dt: float) -> float:
-    """(1/tau) int_0^tau F(Phi(t, T, .)_# m_T) dt on the period grid."""
-    return PeriodicCouplingAverager(flow, dt).average(functional, m_t)
-
-
 @dataclass
 class LipschitzCReport:
     ratios: np.ndarray
@@ -270,17 +230,25 @@ def lipschitz_c_experiment(pairs, model: HamiltonianModel,
     _c0, _u0, df = regime if regime is not None else periodic_regime(
         model, n=n, dt_probe=dt_probe, t_probe=t_probe)
     df.require_periodic()
-    flow = FlowMap(df, t_ref=2.0 * float(df.tau))
+    tau = float(df.tau)
+    flow = FlowMap(df, t_ref=2.0 * tau)
     k1 = flow_lipschitz_constant(df).k1
     bound = functional.lipschitz * k1
-    averager = PeriodicCouplingAverager(flow, dt)
+    k_per, dt_adj = _steps_per_period(tau, dt)
+    table = TransportTable(flow, flow.t_ref - tau + dt_adj * np.arange(k_per + 1),
+                           flow.t_ref, df.nodes.size)
+    f_nodes = functional.f(table.nodes)
+
+    def period_average(m: CircleMeasure) -> float:
+        """(1/tau) int F(Phi(t, T, .)_# m) dt over the period grid ending at T."""
+        return trapezoid(table.masses(m)[0] @ f_nodes, dt_adj) / tau
 
     ratios, dists, gaps = [], [], []
     for m1, m2 in pairs:
         d = wasserstein1(m1, m2)
         if d <= 1e-14:
             continue
-        gap = abs(averager.average(functional, m1) - averager.average(functional, m2))
+        gap = abs(period_average(m1) - period_average(m2))
         ratios.append(gap / d)
         dists.append(d)
         gaps.append(gap)
@@ -318,7 +286,6 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
                                      horizons, window: float = 1.0,
                                      n: int = 512, dt: float = 1e-3,
                                      t_probe: float = 20.0, dt_probe: float = 2e-3,
-                                     calibration_factor: float = 1.5,
                                      regime: tuple | None = None) -> ConvergenceReport:
     """Deviation of finite-horizon solutions from the periodic one over
     the trailing window [T - window, T], for each horizon T.
@@ -336,7 +303,7 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     tau = float(df.tau)
     k_per, dt_p = _steps_per_period(tau, dt)
 
-    t_cal = calibration_factor * horizons[-1]
+    t_cal = CALIBRATION_FACTOR * horizons[-1]
     u0_phi = _evolve_final_slice(phi, t_cal, model, dt_probe) + c0 * t_cal
 
     d1_dev, u_dev = [], []

@@ -9,7 +9,6 @@ from mfglab.characteristics import (
     drift_field,
     flow_lipschitz_constant,
     forward_flow,
-    inverse_flow,
 )
 from mfglab.errors import AmbiguousClassificationError, NotPeriodicRegimeError
 from mfglab.hamiltonians import Mechanical, Potential
@@ -35,6 +34,13 @@ def qd_drift(qd_regime_256):
 def wavy_drift():
     xs = grid(2048)
     return synthetic_drift(1.0 + 0.3 * np.sin(2 * np.pi * xs))
+
+
+@pytest.fixture(scope="module")
+def wavy_negative_drift():
+    """Nonuniform drift winding the other way: a decreasing G-table."""
+    xs = grid(2048)
+    return synthetic_drift(-(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
 
 
 def test_drift_field_quadratic_drift(qd_drift):
@@ -85,8 +91,8 @@ def test_forward_flow_periodic_in_t(qd_drift, wavy_drift):
 
 def test_inverse_flow_rigid_rotation(qd_drift):
     fm = FlowMap(qd_drift)
-    assert circle_distance(inverse_flow(fm, 0.0, 0.5, 0.75), 0.25) < 1e-10
-    assert circle_distance(inverse_flow(fm, 0.7, 0.7, 0.42), 0.42) < 1e-12
+    assert circle_distance(fm.phi_inverse(0.0, 0.5, 0.75), 0.25) < 1e-10
+    assert circle_distance(fm.phi_inverse(0.7, 0.7, 0.42), 0.42) < 1e-12
 
 
 def test_round_trip_rigid(qd_drift):
@@ -94,7 +100,7 @@ def test_round_trip_rigid(qd_drift):
     rng = np.random.default_rng(1)
     for y, t in zip(rng.random(100), 3.0 * rng.random(100)):
         x = forward_flow(qd_drift, 0.0, float(t), float(y))
-        back = inverse_flow(fm, 0.0, float(t), x)
+        back = fm.phi_inverse(0.0, float(t), x)
         assert circle_distance(back, y) < 1e-6
 
 
@@ -103,7 +109,7 @@ def test_round_trip_wavy(wavy_drift):
     rng = np.random.default_rng(2)
     for y, t in zip(rng.random(100), 2.0 * rng.random(100)):
         x = forward_flow(wavy_drift, 0.0, float(t), float(y))
-        back = inverse_flow(fm, 0.0, float(t), x)
+        back = fm.phi_inverse(0.0, float(t), x)
         assert circle_distance(back, y) < 1e-6
 
 
@@ -117,21 +123,30 @@ def test_flow_group_property(wavy_drift):
         assert circle_distance(direct, via) < 1e-6
 
 
-def test_g_based_flow_matches_rk4(wavy_drift):
-    fm = FlowMap(wavy_drift, t_ref=2.0)
-    for x in (0.05, 0.33, 0.78):
-        rk4 = forward_flow(wavy_drift, 0.6, 2.0, x)
-        via_g = fm.phi(0.6, 2.0, x)
-        assert circle_distance(rk4, via_g) < 1e-6
+def test_g_based_flow_matches_rk4(wavy_drift, wavy_negative_drift):
+    for df in (wavy_drift, wavy_negative_drift):
+        fm = FlowMap(df, t_ref=2.0)
+        for x in (0.05, 0.33, 0.78):
+            rk4 = forward_flow(df, 0.6, 2.0, x)
+            via_g = fm.phi(0.6, 2.0, x)
+            assert circle_distance(rk4, via_g) < 1e-6
 
 
-def test_flow_map_invariant_round_trip(wavy_drift):
-    fm = FlowMap(wavy_drift)
+def test_flow_map_invariant_round_trip(wavy_drift, wavy_negative_drift):
     rng = np.random.default_rng(4)
     ys = rng.random(50)
-    imgs = fm.phi(0.0, 1.7, ys)
-    back = fm.phi_inverse(0.0, 1.7, imgs)
-    assert np.max(circle_distance(back, ys)) < 1e-6
+    for df in (wavy_drift, wavy_negative_drift):
+        fm = FlowMap(df)
+        imgs = fm.phi(0.0, 1.7, ys)
+        back = fm.phi_inverse(0.0, 1.7, imgs)
+        assert np.max(circle_distance(back, ys)) < 1e-6
+        # targets exactly on the table's nodes, then on the 0/1 seam from
+        # both sides: after one full winding, and a hair off G = 0
+        assert np.max(circle_distance(fm.phi_inverse(0.4, 0.4, df.nodes), df.nodes)) < 1e-12
+        seam = np.array([0.0, np.nextafter(1.0, 0.0)])
+        for span in (abs(fm.winding), 1e-18):
+            assert np.max(circle_distance(fm.phi_inverse(0.0, span, seam), seam)) < 1e-12
+            assert np.max(circle_distance(fm.phi(0.0, span, seam), seam)) < 1e-12
 
 
 def test_forward_flow_requires_t_before_reference(qd_drift):

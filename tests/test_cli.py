@@ -138,14 +138,32 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "bad_n.ini": "[grid]\nn = 300\ndt = 0.002\n",
         "bad_tol.ini": "[tolerances]\ntol_c0 = -1\n",
         "unknown_key.ini": "[grid]\nresolution = 256\n",
+        "removed_key.ini": "[run]\nk_test = 8\n",
+        "bad_int.ini": "[grid]\nn = abc\n",
+        "bad_list.ini": "[run]\nhorizons = 5 ten 20\n",
+        "off_grid_horizon.ini": "[grid]\ndt = 0.001\n[run]\nhorizon = 0.0015\n",
+        "off_grid_horizons.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                                 "horizons = 3 4.002\n",
+        "off_grid_window.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                               "window = 0.002\n",
+        "off_grid_t_probe.ini": "[run]\ndt_probe = 0.004\nt_probe = 20.002\n",
+        "off_grid_calibration.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                                    "horizons = 0.5\n",
     }
+    named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
+             "off_grid_horizon.ini": "horizon = 0.0015",
+             "off_grid_calibration.ini": "calibration horizon = 0.75"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
         code = main(["critical-value", "--config", str(path), "--out",
                      str(tmp_path / "out")])
         assert code == 2, name
-        assert "invariant" in capsys.readouterr().err or name == "unknown_key.ini"
+        err = capsys.readouterr().err
+        assert "invariant" in err or name in ("unknown_key.ini", "removed_key.ini")
+        assert named.get(name, "") in err, name
+        if name.startswith("off_grid"):
+            assert "time-grid invariant" in err, name
 
 
 def test_config_validation_names_the_invariant():

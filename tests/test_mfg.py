@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
 from mfglab.errors import NotPeriodicRegimeError
 from mfglab.lax_oleinik import evolve
-from mfglab.measures import CircleMeasure, invariant_density, pushforward, wasserstein1
+from mfglab.measures import (
+    CircleMeasure,
+    TransportTable,
+    invariant_density,
+    pushforward,
+    wasserstein1,
+)
 from mfglab.mfg import (
     lipschitz_c_experiment,
     long_time_convergence_experiment,
-    period_average_coupling,
     periodic_solution,
     solve_finite_horizon,
 )
-from mfglab.torus import grid, periodic_gradient
+from mfglab.torus import grid, periodic_gradient, trapezoid
 
 
 N = 256
@@ -167,12 +173,37 @@ def test_lipschitz_experiment_rotated_pairs(qd_model, coupling_cos, qd_regime_25
     assert report.max_ratio <= 1e-9  # period averages coincide under rigid rotation
 
 
-def test_period_average_matches_series(qd_model, coupling_cos, m_cos, qd_regime_256):
-    from mfglab.characteristics import FlowMap
-    _c0, _u0, df = qd_regime_256
-    flow = FlowMap(df, t_ref=2.0)
-    avg = period_average_coupling(flow, m_cos, coupling_cos, DT)
-    assert avg == pytest.approx(0.0, abs=1e-10)
+def test_period_average_matches_series(coupling_cos, m_cos):
+    """On a nonuniform drift the shared transport table reproduces the
+    per-slice push-forwards, and the period averages lipschitz-c compares
+    equal the trapezoid of F along them, the route the convergence
+    experiment takes."""
+    xs = grid(N)
+    v = 1.0 + 0.3 * np.sin(2 * np.pi * xs)
+    df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
+                    tau=float(np.sum(1.0 / v) / N))
+    tau = df.tau
+    flow = FlowMap(df, t_ref=2.0 * tau)
+    k_per = int(round(tau / DT))
+    dt_adj = tau / k_per
+    times = flow.t_ref - tau + dt_adj * np.arange(k_per + 1)
+    bump = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", N)
+
+    rows, _drift = TransportTable(flow, times, flow.t_ref, N).masses(bump)
+    per_slice = np.array([pushforward(flow, bump, float(t), flow.t_ref).weights
+                          for t in times])
+    assert np.max(np.abs(rows - per_slice)) <= 1e-12
+
+    def series_average(m):
+        series = [coupling_cos(pushforward(flow, m, float(t), flow.t_ref)) for t in times]
+        return trapezoid(series, dt_adj) / tau
+
+    pairs = [(m_cos, bump), (bump, CircleMeasure.from_name("lebesgue", N))]
+    report = lipschitz_c_experiment(pairs, None, coupling_cos, n=N, dt=DT,
+                                    regime=(0.0, None, df))
+    expected = np.array([abs(series_average(a) - series_average(b)) for a, b in pairs])
+    assert np.min(expected) > 1e-6  # c(m) depends on m off rigid rotation
+    assert np.max(np.abs(report.gaps - expected)) <= 1e-12
 
 
 def test_periodic_construction_with_nonconstant_drift(coupling_cos):
