@@ -13,7 +13,7 @@ import numpy as np
 from .coupling import CouplingFunctional
 from .errors import ConfigError
 from .hamiltonians import Mechanical, Potential, QuadraticDrift
-from .lax_oleinik import slice_count
+from .lax_oleinik import T_PROBE_MIN, slice_count
 from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
 
@@ -123,6 +123,12 @@ class RunConfig:
             raise ConfigError("window invariant violated: window must be > 0")
         if not self.horizons or any(h <= 0.0 for h in self.horizons) or self.horizon <= 0.0:
             raise ConfigError("horizon invariant violated: horizons must be nonempty and > 0")
+        if self.window > min(self.horizons):
+            raise ConfigError(f"window invariant violated: window = {self.window:g} exceeds "
+                              f"the smallest horizons entry {min(self.horizons):g}")
+        if self.t_probe < T_PROBE_MIN:
+            raise ConfigError(f"t_probe invariant violated: t_probe = {self.t_probe:g} is "
+                              f"below {T_PROBE_MIN:g}")
         if self.periods < 1 or self.pairs < 1:
             raise ConfigError("count invariant violated: periods and pairs must be >= 1")
         on_grid = [("horizon", self.horizon, "dt", self.dt),
@@ -130,7 +136,7 @@ class RunConfig:
                    ("window", self.window, "dt", self.dt),
                    ("t_probe", self.t_probe, "dt_probe", self.dt_probe),
                    ("calibration horizon", CALIBRATION_FACTOR * max(self.horizons),
-                    "dt_probe", self.dt_probe)]
+                    "dt", self.dt)]
         for label, t, step_label, step in on_grid:
             try:
                 slice_count(t, step)

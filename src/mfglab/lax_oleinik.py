@@ -29,6 +29,17 @@ from .torus import (
 )
 
 SOFT_INDICATOR_HEIGHT = 1.0e6
+T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
+
+
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of time t on the uniform slice grid `times`."""
+    k = int(round((t - times[0]) / (times[1] - times[0])))
+    if not 0 <= k < times.size:
+        raise IndexError(f"time {t} outside the sampled range")
+    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not on the slice grid")
+    return k
 
 
 def semiconcavity_upper_bound(values: np.ndarray, dx: float,
@@ -67,12 +78,7 @@ class ValueField:
         return 1.0 / self.nodes.size
 
     def slice_index(self, t: float) -> int:
-        k = int(round((t - self.times[0]) / self.dt))
-        if not 0 <= k < self.times.size:
-            raise IndexError(f"time {t} outside the sampled range")
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the slice grid")
-        return k
+        return time_index(self.times, t)
 
     def slice_at(self, t: float) -> np.ndarray:
         return self.values[self.slice_index(t)]
@@ -184,6 +190,46 @@ def slice_count(t_final: float, dt: float) -> int:
     return steps
 
 
+@dataclass
+class SweepWindow:
+    """Slices w_k for k = start .. start + L of one sweep, and the argmin
+    origin displacements of the L steps between them (None when the sweep
+    was run without origins)."""
+
+    start: int
+    w: np.ndarray                  # (L+1, N)
+    origins: np.ndarray | None     # (L, N)
+
+
+def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
+          with_origins: bool = True) -> tuple[np.ndarray, list]:
+    """Run `steps` Hopf-Lax steps from phi, keeping only what is asked for.
+
+    Each (k0, k1) in `windows`, 0 <= k0 <= k1 <= steps, records the slices
+    w_k0 .. w_k1 and, with_origins, the origins of the steps k0 -> k1; the
+    rest of the evolution is dropped as it goes.  Returns the final slice
+    and one SweepWindow per requested window, in order.
+    """
+    w = np.asarray(phi, dtype=float)
+    records = []
+    for k0, k1 in windows:
+        if not 0 <= k0 <= k1 <= steps:
+            raise ValueError(f"sweep window ({k0}, {k1}) outside 0..{steps}")
+        records.append(SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)),
+                                   np.empty((k1 - k0, w.size)) if with_origins else None))
+    for k in range(steps + 1):
+        live = [rec for rec in records if 0 <= k - rec.start < len(rec.w)]
+        for rec in live:
+            rec.w[k - rec.start] = w
+        if k == steps:
+            break
+        stepping = [rec for rec in live if with_origins and k - rec.start < len(rec.origins)]
+        w, origins = stepper.step(w, want_origins=bool(stepping))
+        for rec in stepping:
+            rec.origins[k - rec.start] = origins
+    return w, records
+
+
 def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
            source=None, vmax: float | None = None,
            strict_boundary: bool = True) -> ValueField:
@@ -196,10 +242,8 @@ def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(t_final, dt)
     stepper = HopfLaxStepper(model, phi.size, dt, vmax, strict_boundary)
-    values = np.empty((steps + 1, phi.size))
-    values[0] = phi
-    for k in range(steps):
-        values[k + 1], _ = stepper.step(values[k])
+    _, (rec,) = sweep(stepper, phi, steps, [(0, steps)], with_origins=False)
+    values = rec.w
     times = dt * np.arange(steps + 1)
     if source is not None:
         samples = source(times) if callable(source) else np.asarray(source, dtype=float)
@@ -254,21 +298,15 @@ def critical_value(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
     oscillation of (w + c0 t) between those two probes as the
     convergence diagnostic.
     """
-    if t_probe < 20.0:
-        raise ValueError("t_probe must be at least 20")
+    if t_probe < T_PROBE_MIN:
+        raise ValueError(f"t_probe must be at least {T_PROBE_MIN:g}")
     steps = slice_count(t_probe, dt)
     half = steps // 2
     k_one = max(1, min(steps, int(round(1.0 / dt))))
     stepper = HopfLaxStepper(model, n, dt, vmax)
-    w = np.zeros(n)
-    w_mid = None
-    c_sc = 0.0
-    for k in range(steps):
-        w, _ = stepper.step(w)
-        if k + 1 == k_one:
-            c_sc = semiconcavity_upper_bound(w, stepper.dx)
-        if k + 1 == half:
-            w_mid = w.copy()
+    w, (one, mid) = sweep(stepper, np.zeros(n), steps, [(k_one, k_one), (half, half)])
+    c_sc = semiconcavity_upper_bound(one.w[0], stepper.dx)
+    w_mid = mid.w[0]
     t_mid = half * dt
     c0 = -(float(np.mean(w)) - float(np.mean(w_mid))) / (t_probe - t_mid)
     shifted = (w + c0 * t_probe) - (w_mid + c0 * t_mid)

@@ -24,10 +24,13 @@ from .lax_oleinik import (
     CriticalValueResult,
     HopfLaxStepper,
     slice_count,
+    sweep,
+    time_index,
     weak_kam_solution,
 )
 from .measures import (
     DENSITY,
+    PARTICLES,
     CircleMeasure,
     TransportTable,
     invariant_density,
@@ -60,10 +63,7 @@ class MFGSolution:
         return float(self.times[1] - self.times[0])
 
     def slice_index(self, t: float) -> int:
-        k = int(round(t / self.dt))
-        if not 0 <= k < self.times.size:
-            raise IndexError(f"time {t} outside the horizon")
-        return k
+        return time_index(self.times, t)
 
     def u_at(self, k: int) -> np.ndarray:
         return self.w[k] + self.shift[k]
@@ -86,18 +86,37 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
     origin chains, and shifts the value field by the integral of F along
     the realised measure path plus c t.
     """
-    if m_t.kind != DENSITY:
-        raise ValueError("the final measure must be absolutely continuous (density)")
+    _require_density(m_t)
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(horizon, dt)
     stepper = HopfLaxStepper(model, phi.size, dt, vmax)
-    w = np.empty((steps + 1, phi.size))
-    w[0] = phi
-    origins = np.empty((steps, phi.size))
-    for k in range(steps):
-        w[k + 1], origins[k] = stepper.step(w[k], want_origins=True)
+    _, (rec,) = sweep(stepper, phi, steps, [(0, steps)])
+    positions, f_series = _backtrack(m_t, rec.origins, stepper, functional)
+    times = dt * np.arange(steps + 1)
+    shift = cumulative_trapezoid(f_series, dt) + c * times
+    return MFGSolution(
+        times=times, nodes=stepper.nodes, w=rec.w, shift=shift,
+        m_positions=positions, m_weights=m_t.weights.copy(), c=float(c),
+        coupling_series=f_series,
+        metadata={"model": type(model).__name__, "coupling": functional.name,
+                  "n": phi.size, "dt": dt, "horizon": horizon},
+    )
 
-    reach = stepper.vmax * dt * (1.0 + 1e-9)
+
+def _require_density(m_t: CircleMeasure) -> None:
+    if m_t.kind != DENSITY:
+        raise ValueError("the final measure must be absolutely continuous (density)")
+
+
+def _backtrack(m_t: CircleMeasure, origins: np.ndarray, stepper: HopfLaxStepper,
+               functional: CouplingFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """Atom positions of m_t carried backward along the argmin chains of
+    the L recorded steps, (L+1, A) with m_t itself last, and F along them.
+
+    Every step checks that the chain stays inside the velocity cutoff.
+    """
+    steps = origins.shape[0]
+    reach = stepper.vmax * stepper.dt * (1.0 + 1e-9)
     positions = np.empty((steps + 1, m_t.n))
     positions[steps] = m_t.positions
     for k in range(steps - 1, -1, -1):
@@ -107,20 +126,8 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
                 "argmin chain left the velocity cutoff during backtracking"
             )
         positions[k] = wrap(positions[k + 1] - disp)
-
-    times = dt * np.arange(steps + 1)
-    f_series = np.array([
-        float(np.sum(m_t.weights * functional.f(positions[k])))
-        for k in range(steps + 1)
-    ])
-    shift = cumulative_trapezoid(f_series, dt) + c * times
-    return MFGSolution(
-        times=times, nodes=stepper.nodes, w=w, shift=shift,
-        m_positions=positions, m_weights=m_t.weights.copy(), c=float(c),
-        coupling_series=f_series,
-        metadata={"model": type(model).__name__, "coupling": functional.name,
-                  "n": phi.size, "dt": dt, "horizon": horizon},
-    )
+    f_series = np.array([float(np.sum(m_t.weights * functional.f(p))) for p in positions])
+    return positions, f_series
 
 
 @dataclass
@@ -271,15 +278,6 @@ class ConvergenceReport:
         return list(zip(self.horizons, self.d1_deviation, self.u_deviation))
 
 
-def _evolve_final_slice(phi: np.ndarray, horizon: float, model: HamiltonianModel,
-                        dt: float, vmax: float | None = None) -> np.ndarray:
-    stepper = HopfLaxStepper(model, phi.size, dt, vmax)
-    w = np.asarray(phi, dtype=float).copy()
-    for _ in range(slice_count(horizon, dt)):
-        w, _ = stepper.step(w)
-    return w
-
-
 def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
                                      model: HamiltonianModel,
                                      functional: CouplingFunctional,
@@ -290,12 +288,21 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     """Deviation of finite-horizon solutions from the periodic one over
     the trailing window [T - window, T], for each horizon T.
 
-    The additive constant of the stationary solution entering u_bar is
-    calibrated from phi itself: u0_phi = w_phi(., T_cal) + c0 T_cal with
-    T_cal beyond the largest horizon, matching the long-time offset of
-    the evolution actually being compared.
+    One Hopf-Lax sweep at dt runs from phi to T_cal = CALIBRATION_FACTOR
+    times the largest horizon, keeping value slices and argmin origins only
+    on the trailing windows; m_T is backtracked, and F integrated, only
+    across them (the u gap is taken relative to the window start, so the
+    earlier path cancels).  The final slice calibrates the additive
+    constant of the stationary solution entering u_bar: u0_phi =
+    w_phi(., T_cal) + c0 T_cal, at dt like the evolution it is compared
+    with.  m_bar depends on t only through the phase T - t, so one
+    transport table over the period and window phases serves every
+    horizon.  dt_probe is the step of the critical-value probe only.
     """
     horizons = sorted(float(T) for T in horizons)
+    _require_density(m_t)
+    if window > horizons[0]:
+        raise ValueError(f"window {window:g} exceeds the smallest horizon {horizons[0]:g}")
     phi = np.asarray(phi, dtype=float)
     c0, _u0, df = regime if regime is not None else periodic_regime(
         model, n=n, dt_probe=dt_probe, t_probe=t_probe)
@@ -304,53 +311,49 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     k_per, dt_p = _steps_per_period(tau, dt)
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
-    u0_phi = _evolve_final_slice(phi, t_cal, model, dt_probe) + c0 * t_cal
+    w_steps = slice_count(window, dt)
+    ends = [slice_count(T, dt) for T in horizons]
+    stepper = HopfLaxStepper(model, phi.size, dt)
+    w_cal, records = sweep(stepper, phi, slice_count(t_cal, dt),
+                           [(end - w_steps, end) for end in ends])
+    u0_phi = w_cal + c0 * t_cal
 
+    # rows: phases T - t over one period (dt_p grid), then over the window
+    # (dt grid); times -phase against T = 0 make each row's phase exact
+    period_phases = dt_p * np.arange(k_per + 1)
+    window_phases = dt * np.arange(w_steps + 1)
+    table = TransportTable(FlowMap(df), -np.concatenate([period_phases, window_phases]),
+                           0.0, m_t.n)
+    masses, _drift = table.masses(m_t)
+    m_bar_window = masses[k_per + 1:]
+    f_period = masses[:k_per + 1] @ functional.f(table.nodes)
+    period_integral = trapezoid(f_period, dt_p)
+    c_mt = c0 - period_integral / tau
+    phase_cum = cumulative_trapezoid(f_period, dt_p)
+
+    def tail_integral(r: float) -> float:
+        """int_{T-r}^{T} F(m_bar) for r >= 0 via tau-periodicity."""
+        whole, part = divmod(r, tau)
+        return whole * period_integral + float(np.interp(part, period_phases, phase_cum))
+
+    tail_window = tail_integral(window)
     d1_dev, u_dev = [], []
-    c_mt = None
-    for horizon in horizons:
-        flow = FlowMap(df, t_ref=horizon)
-        # F along the periodic path over one trailing period
-        period_times = horizon - tau + dt_p * np.arange(k_per + 1)
-        e = np.array([
-            functional(pushforward(flow, m_t, float(t), horizon)) for t in period_times
-        ])
-        period_integral = trapezoid(e, dt_p)
-        c_mt = c0 - period_integral / tau
-        tail_cum = cumulative_trapezoid(e[::-1], dt_p)[::-1]  # int_{t_j}^T over the grid
-
-        def coupling_integral_bar(s: float) -> float:
-            """int_0^s F(m_bar), via tau-periodicity anchored at T."""
-            total = _tail_integral(horizon, tau, period_integral, period_times, tail_cum)
-            return total - _tail_integral(horizon - s, tau, period_integral,
-                                          period_times, tail_cum)
-
-        sol = solve_finite_horizon(phi, m_t, c_mt, horizon, model, functional, dt)
-        k0 = sol.slice_index(horizon - window)
-        m_cum = cumulative_trapezoid(sol.coupling_series, sol.dt)
-        a_m = float(m_cum[k0])
-        a_bar = coupling_integral_bar(horizon - window)
-
+    for rec in records:
+        positions, f_series = _backtrack(m_t, rec.origins, stepper, functional)
+        m_cum = cumulative_trapezoid(f_series, dt)  # int_{T - window}^{t_k} F(m)
         worst_d1 = 0.0
         worst_u = 0.0
-        for k in range(k0, sol.times.size):
-            s = float(sol.times[k])
-            m_bar_s = pushforward(flow, m_t, s, horizon)
-            worst_d1 = max(worst_d1, wasserstein1(sol.measure_at(k), m_bar_s))
-            u_slice = sol.w[k] + float(m_cum[k]) + c_mt * s
-            u_bar_slice = u0_phi + coupling_integral_bar(s) - s * (period_integral / tau)
-            gap = np.max(np.abs((u_slice - a_m) - (u_bar_slice - a_bar)))
-            worst_u = max(worst_u, float(gap))
+        for i in range(w_steps + 1):
+            s = dt * (rec.start + i)
+            j = w_steps - i  # phase T - s on the window grid
+            m_s = CircleMeasure(PARTICLES, positions[i], m_t.weights)
+            worst_d1 = max(worst_d1, wasserstein1(
+                m_s, CircleMeasure(DENSITY, table.nodes, m_bar_window[j])))
+            u_slice = rec.w[i] + float(m_cum[i]) + c_mt * s
+            u_bar_slice = (u0_phi + (tail_window - tail_integral(window_phases[j]))
+                           - s * (period_integral / tau))
+            worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))
         d1_dev.append(worst_d1)
         u_dev.append(worst_u)
     return ConvergenceReport(horizons=horizons, d1_deviation=d1_dev,
                              u_deviation=u_dev, window=window, c_mt=float(c_mt))
-
-
-def _tail_integral(r: float, tau: float, period_integral: float,
-                   period_times: np.ndarray, tail_cum: np.ndarray) -> float:
-    """int_{T-r}^{T} F(m_bar) for r >= 0 via tau-periodicity."""
-    whole, part = divmod(r, tau)
-    offsets = period_times - period_times[0]
-    partial = float(np.interp(tau - part, offsets, tail_cum))
-    return whole * period_integral + partial

@@ -147,12 +147,18 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "off_grid_window.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
                                "window = 0.002\n",
         "off_grid_t_probe.ini": "[run]\ndt_probe = 0.004\nt_probe = 20.002\n",
-        "off_grid_calibration.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+        "off_grid_calibration.ini": "[grid]\ndt = 0.004\n[run]\ndt_probe = 0.002\n"
                                     "horizons = 0.5\n",
+        "window_over_horizon.ini": "[grid]\nn = 64\ndt = 0.004\n[run]\n"
+                                   "dt_probe = 0.004\nhorizons = 0.4\nwindow = 1.0\n",
+        "short_t_probe.ini": "[run]\nt_probe = 2.0\n",
     }
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
-             "off_grid_calibration.ini": "calibration horizon = 0.75"}
+             "off_grid_calibration.ini": "calibration horizon = 0.75 is not a positive "
+                                         "integer multiple of dt = 0.004",
+             "window_over_horizon.ini": "window invariant violated: window = 1",
+             "short_t_probe.ini": "t_probe invariant violated: t_probe = 2"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)

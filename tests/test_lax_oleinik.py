@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import simpson
 
 from mfglab.errors import NotConvergedError, VelocityCutoffError
 from mfglab.lax_oleinik import (
+    HopfLaxStepper,
     alpha_function,
     critical_value,
     evolve,
     hopf_lax_step,
     minimal_action,
+    sweep,
     weak_kam_solution,
 )
 from mfglab.torus import grid, periodic_second_difference
@@ -56,6 +61,53 @@ def test_evolve_semigroup_property(qd_model, smooth_values_128):
     mid = full.slice_at(0.25)
     tail = evolve(mid, 0.15, qd_model, 2e-3)
     assert np.max(np.abs(tail.values[-1] - full.slice_at(0.4))) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)))
+def test_step_value_does_not_depend_on_origins(cosine_model, w):
+    stepper = HopfLaxStepper(cosine_model, 64, 5e-3, strict_boundary=False)
+    with_origins, origins = stepper.step(w, want_origins=True)
+    plain, none = stepper.step(w)
+    assert none is None and origins.shape == w.shape
+    assert np.array_equal(with_origins, plain)
+
+
+SWEEP_STEPS = 40
+_bound = st.integers(0, SWEEP_STEPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows=st.lists(st.tuples(_bound, _bound).map(sorted), max_size=3),
+       with_origins=st.booleans())
+def test_sweep_windows_match_evolve(cosine_model, smooth_values_128, windows,
+                                    with_origins):
+    """Recorded slices equal evolve's bit for bit, and recorded origins
+    equal the step's own origins on those slices."""
+    dt = 2e-3
+    field = evolve(smooth_values_128, SWEEP_STEPS * dt, cosine_model, dt)
+    stepper = HopfLaxStepper(cosine_model, 128, dt)
+    w_end, records = sweep(stepper, smooth_values_128, SWEEP_STEPS, windows,
+                           with_origins)
+    assert np.array_equal(w_end, field.values[-1])
+    assert len(records) == len(windows)
+    for (k0, k1), rec in zip(windows, records):
+        assert rec.start == k0
+        assert np.array_equal(rec.w, field.values[k0:k1 + 1])
+        if not with_origins:
+            assert rec.origins is None
+            continue
+        assert rec.origins.shape == (k1 - k0, 128)
+        for i, k in enumerate(range(k0, k1)):
+            assert np.array_equal(rec.origins[i],
+                                  stepper.step(field.values[k], want_origins=True)[1])
+
+
+def test_sweep_rejects_windows_outside_the_run(qd_model):
+    stepper = HopfLaxStepper(qd_model, 64, 5e-3)
+    for window in ((0, 11), (-1, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            sweep(stepper, np.zeros(64), 10, [window])
 
 
 def test_evolve_monotone(qd_model, smooth_values_128):

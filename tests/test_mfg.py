@@ -3,8 +3,8 @@ import pytest
 
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
-from mfglab.errors import NotPeriodicRegimeError
-from mfglab.lax_oleinik import evolve
+from mfglab.errors import DegenerateBacktrackError, NotPeriodicRegimeError
+from mfglab.lax_oleinik import HopfLaxStepper, evolve, slice_count
 from mfglab.measures import (
     CircleMeasure,
     TransportTable,
@@ -13,12 +13,14 @@ from mfglab.measures import (
     wasserstein1,
 )
 from mfglab.mfg import (
+    CALIBRATION_FACTOR,
+    _backtrack,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
     periodic_solution,
     solve_finite_horizon,
 )
-from mfglab.torus import grid, periodic_gradient, trapezoid
+from mfglab.torus import cumulative_trapezoid, grid, periodic_gradient, trapezoid
 
 
 N = 256
@@ -88,6 +90,16 @@ def test_gradient_decoupling(qd_model, m_cos, coupling_cos):
         assert float(np.max(gap) - np.min(gap)) <= 1e-10
 
 
+def test_backtrack_checks_every_step(qd_model, coupling_cos, m_cos):
+    stepper = HopfLaxStepper(qd_model, N, DT)
+    origins = np.zeros((5, N))
+    positions, _f = _backtrack(m_cos, origins, stepper, coupling_cos)
+    assert np.array_equal(positions[0], m_cos.positions)
+    origins[0] = 1.5 * stepper.vmax * DT  # only the earliest step leaves the cutoff
+    with pytest.raises(DegenerateBacktrackError):
+        _backtrack(m_cos, origins, stepper, coupling_cos)
+
+
 def test_m_path_is_lipschitz_in_time(qd_model, coupling_cos, m_cos):
     sol = solve_finite_horizon(np.zeros(N), m_cos, 0.0, 1.0, qd_model,
                                coupling_cos, DT)
@@ -141,6 +153,10 @@ def test_wrong_constant_forces_linear_growth(qd_model, coupling_cos, m_cos,
     rate2 = gaps[2] - gaps[1]
     assert rate1 == pytest.approx(offset, abs=1e-2)
     assert rate2 == pytest.approx(offset, abs=1e-2)
+    with pytest.raises(ValueError, match="not on the slice grid"):
+        sol.slice_index(1.0005)
+    with pytest.raises(IndexError):
+        sol.slice_index(3.5)
 
 
 def test_initial_data_forcing_of_the_gradient(qd_model, coupling_cos, m_cos):
@@ -243,3 +259,82 @@ def test_long_time_experiment_with_stationary_start(qd_model, coupling_cos,
         n=N, dt=DT, regime=qd_regime_256)
     assert all(d <= 2e-3 for d in report.d1_deviation)   # discretisation floor
     assert all(u <= 5e-3 for u in report.u_deviation)
+    with pytest.raises(ValueError, match="exceeds the smallest horizon"):
+        long_time_convergence_experiment(
+            u0, m_cos, qd_model, coupling_cos, [0.4, 2.0], window=1.0,
+            n=N, dt=DT, regime=qd_regime_256)
+
+
+def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
+                           regime):
+    """The experiment as it ran before the single sweep: one full
+    solve_finite_horizon per horizon, one pushforward per slice, and a
+    separate calibration evolution from phi."""
+    c0, _u0, df = regime
+    tau = float(df.tau)
+    k_per = max(1, int(round(tau / dt)))
+    dt_p = tau / k_per
+    t_cal = CALIBRATION_FACTOR * max(horizons)
+    u0_phi = evolve(phi, t_cal, model, dt).values[-1] + c0 * t_cal
+    d1_dev, u_dev = [], []
+    for horizon in horizons:
+        flow = FlowMap(df, t_ref=horizon)
+        period_times = horizon - tau + dt_p * np.arange(k_per + 1)
+        e = np.array([functional(pushforward(flow, m_t, float(t), horizon))
+                      for t in period_times])
+        period_integral = trapezoid(e, dt_p)
+        c_mt = c0 - period_integral / tau
+        tail_cum = cumulative_trapezoid(e[::-1], dt_p)[::-1]
+        offsets = period_times - period_times[0]
+
+        def tail(r):
+            whole, part = divmod(r, tau)
+            return whole * period_integral + float(np.interp(tau - part, offsets, tail_cum))
+
+        def bar_integral(s):
+            return tail(horizon) - tail(horizon - s)
+
+        sol = solve_finite_horizon(phi, m_t, c_mt, horizon, model, functional, dt)
+        k0 = sol.slice_index(horizon - window)
+        m_cum = cumulative_trapezoid(sol.coupling_series, dt)
+        worst_d1 = worst_u = 0.0
+        for k in range(k0, sol.times.size):
+            s = float(sol.times[k])
+            m_bar = pushforward(flow, m_t, s, horizon)
+            worst_d1 = max(worst_d1, wasserstein1(sol.measure_at(k), m_bar))
+            u = sol.w[k] + m_cum[k] + c_mt * s - m_cum[k0]
+            u_bar = (u0_phi + bar_integral(s) - s * (period_integral / tau)
+                     - bar_integral(horizon - window))
+            worst_u = max(worst_u, float(np.max(np.abs(u - u_bar))))
+        d1_dev.append(worst_d1)
+        u_dev.append(worst_u)
+    return d1_dev, u_dev, c_mt
+
+
+def test_single_sweep_matches_per_horizon_route(coupling_cos, monkeypatch):
+    """A nonuniform drift whose period is off the dt grid (tau = 0.685 at
+    dt = 0.005), so period and window phases lie on different grids."""
+    from mfglab.hamiltonians import Mechanical, Potential
+    from mfglab.mfg import periodic_regime
+
+    n, dt, horizons, window = 256, 5e-3, [1.0, 2.0], 0.25
+    model = Mechanical(1.6, Potential.cosine())
+    regime = periodic_regime(model, n=n, dt_probe=dt, t_probe=20.0)
+    assert np.max(regime[2].v) - np.min(regime[2].v) > 0.5
+    phi = np.cos(2 * np.pi * grid(n))
+    m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.2)", n)
+    d1_ref, u_ref, c_ref = _reference_convergence(
+        phi, m_t, model, coupling_cos, horizons, window, dt, regime)
+
+    calls = []
+    step = HopfLaxStepper.step
+    monkeypatch.setattr(HopfLaxStepper, "step",
+                        lambda self, *a, **k: calls.append(1) or step(self, *a, **k))
+    report = long_time_convergence_experiment(
+        phi, m_t, model, coupling_cos, horizons, window=window, n=n, dt=dt,
+        dt_probe=dt, regime=regime)
+    assert len(calls) == slice_count(CALIBRATION_FACTOR * max(horizons), dt)
+    assert np.max(np.abs(np.subtract(report.d1_deviation, d1_ref))) <= 1e-12
+    assert np.max(np.abs(np.subtract(report.u_deviation, u_ref))) <= 1e-12
+    assert report.c_mt == pytest.approx(c_ref, abs=1e-12)
+    assert min(report.d1_deviation) > 1e-3  # far enough from m_bar to compare
