@@ -113,7 +113,7 @@ def _auto_stride(cfg: RunConfig, n_slices: int) -> int:
     return max(1, n_slices // 100)
 
 
-def run_critical_value(cfg: RunConfig, out: Path, _seed: int) -> int:
+def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     probe = critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
     wk = weak_kam_solution(model, probe=probe)
@@ -127,12 +127,12 @@ def run_critical_value(cfg: RunConfig, out: Path, _seed: int) -> int:
     return 0
 
 
-def run_alpha(cfg: RunConfig, out: Path, _seed: int, a_grid: str | None) -> int:
+def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     if not hasattr(model, "potential"):
         raise ConfigError("the alpha function needs a mechanical model")
-    if a_grid:
-        lo, hi, count = a_grid.split(":")
+    if args.a_grid:
+        lo, hi, count = args.a_grid.split(":")
         a_values = np.linspace(float(lo), float(hi), int(count))
     else:
         a_values = np.asarray(cfg.a_values, dtype=float)
@@ -155,7 +155,7 @@ def run_alpha(cfg: RunConfig, out: Path, _seed: int, a_grid: str | None) -> int:
     return 0 if passed else 1
 
 
-def run_solve(cfg: RunConfig, out: Path, _seed: int) -> int:
+def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
@@ -175,7 +175,7 @@ def run_solve(cfg: RunConfig, out: Path, _seed: int) -> int:
     return 0
 
 
-def run_periodic(cfg: RunConfig, out: Path, _seed: int) -> int:
+def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
@@ -202,10 +202,10 @@ def run_periodic(cfg: RunConfig, out: Path, _seed: int) -> int:
     return 0 if passed else 1
 
 
-def run_lipschitz(cfg: RunConfig, out: Path, seed: int) -> int:
+def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
     report = lipschitz_c_experiment(pairs, model, functional, n=cfg.n, dt=cfg.dt,
@@ -221,7 +221,7 @@ def run_lipschitz(cfg: RunConfig, out: Path, seed: int) -> int:
     return 0 if passed else 1
 
 
-def run_converge(cfg: RunConfig, out: Path, _seed: int) -> int:
+def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
@@ -243,7 +243,7 @@ def run_converge(cfg: RunConfig, out: Path, _seed: int) -> int:
     return 0 if passed else 1
 
 
-def run_wasserstein(cfg: RunConfig, out: Path, _seed: int) -> int:
+def run_wasserstein(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     m1 = cfg.build_measure(cfg.m1)
     m2 = cfg.build_measure(cfg.m2)
     d1 = wasserstein1(m1, m2)
@@ -257,7 +257,8 @@ def run_wasserstein(cfg: RunConfig, out: Path, _seed: int) -> int:
 _GRID_BY_DIM = {1: (256, 256), 2: (48, 48), 3: (24, 24)}
 
 
-def run_verify_example(cfg: RunConfig, out: Path, _seed: int, dim: int) -> int:
+def run_verify_example(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
+    dim = args.n if args.n is not None else cfg.example_dim
     closed = explicit.ExplicitInstance(dim=dim, n_grid=32 if dim >= 3 else 64, n_time=64)
     n_grid, n_time = _GRID_BY_DIM.get(dim, (16, 16))
     sampled = explicit.ExplicitInstance(dim=dim, n_grid=n_grid, n_time=n_time)
@@ -284,15 +285,25 @@ def run_verify_example(cfg: RunConfig, out: Path, _seed: int, dim: int) -> int:
     return 0 if passed else 1
 
 
+RUNNERS = {
+    "critical-value": run_critical_value,
+    "alpha": run_alpha,
+    "solve": run_solve,
+    "periodic": run_periodic,
+    "lipschitz-c": run_lipschitz,
+    "converge": run_converge,
+    "wasserstein": run_wasserstein,
+    "verify-example": run_verify_example,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfglab",
         description="numerical laboratory for first-order mean field games on the circle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["critical-value", "alpha", "solve", "periodic", "lipschitz-c",
-                "converge", "wasserstein", "verify-example"]
-    for name in commands:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the run configuration file")
         p.add_argument("--out", default="out", help="output directory")
@@ -308,23 +319,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "critical-value":
-            code = run_critical_value(cfg, out, args.seed)
-        elif args.command == "alpha":
-            code = run_alpha(cfg, out, args.seed, args.a_grid)
-        elif args.command == "solve":
-            code = run_solve(cfg, out, args.seed)
-        elif args.command == "periodic":
-            code = run_periodic(cfg, out, args.seed)
-        elif args.command == "lipschitz-c":
-            code = run_lipschitz(cfg, out, args.seed)
-        elif args.command == "converge":
-            code = run_converge(cfg, out, args.seed)
-        elif args.command == "wasserstein":
-            code = run_wasserstein(cfg, out, args.seed)
-        else:
-            dim = args.n if args.n is not None else cfg.example_dim
-            code = run_verify_example(cfg, out, args.seed, dim)
+        code = RUNNERS[args.command](cfg, out, args)
         (out / "plot.py").write_text(_PLOT_SCRIPT)
         return code
     except ConfigError as exc:

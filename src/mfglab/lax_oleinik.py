@@ -7,6 +7,12 @@ linearly interpolated w plus a quadratic-in-v interpolation of L, which
 keeps the operator monotone in w up to the refinement error and makes it
 exact for velocity-quadratic Lagrangians on flat data.
 
+A stepper reads the candidate origins through a strided (n, m) view of a
+wrapped copy of w, so a step is a few whole-array numpy calls with no
+index gather; the sub-grid value is read from the same window.  The
+wrapped copy and the cost table are scratch buffers that every step
+overwrites, so one stepper must not be shared across threads.
+
 Long-horizon runs of the same operator give the minimal action between
 points, the critical value of the Hamiltonian, its stationary solution,
 and the alpha function of shifted mechanical models.
@@ -24,7 +30,6 @@ from .torus import (
     cumulative_trapezoid,
     grid,
     periodic_gradient,
-    periodic_interp,
     periodic_second_difference,
 )
 
@@ -101,7 +106,11 @@ class ValueField:
 
 
 class HopfLaxStepper:
-    """Precomputed one-step Hopf-Lax operator for a fixed (model, n, dt)."""
+    """Precomputed one-step Hopf-Lax operator for a fixed (model, n, dt).
+
+    Not thread-safe: every step overwrites the stepper's scratch buffers.
+    The arrays a step returns are fresh and stay valid after later steps.
+    """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float, vmax: float | None = None,
                  strict_boundary: bool = True):
@@ -126,10 +135,20 @@ class HopfLaxStepper:
                 "velocity window smaller than one grid cell; "
                 "increase dt, n or the velocity cutoff"
             )
+        self.cells = cells
         self.offsets = np.arange(-cells, cells + 1)          # ascending signed cells
         self.velocities = self.offsets * (self.dx / self.dt)
-        self.cost_l = self.dt * model.lagrangian_table(self.nodes, self.velocities)
-        self.gather = (np.arange(self.n)[None, :] - self.offsets[:, None]) % self.n
+        m = self.offsets.size
+        # (n, m): row j holds dt L(x_j, v_i) over the offsets i
+        self.cost_l = np.ascontiguousarray(
+            (self.dt * model.lagrangian_table(self.nodes, self.velocities)).T)
+        # wrapped[i] = w[(i - cells) % n]; row j of the window holds w at the
+        # origins j - offsets, i.e. wrapped[j + 2 cells - i] for offset i
+        self._wrapped = np.empty(self.n + 2 * cells)
+        self._window = np.lib.stride_tricks.sliding_window_view(self._wrapped, m)[:, ::-1]
+        self._cost = np.empty((self.n, m))
+        self._row_start = np.arange(self.n) * m               # flat index of (j, 0)
+        self._origin_index = np.arange(self.n) + 2 * cells    # wrapped index of (j, 0)
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -137,48 +156,43 @@ class HopfLaxStepper:
         Displacement d(x) means the minimising origin was y = x - d at the
         earlier slice.  Ties go to the smallest signed displacement.
         """
-        cost = w[self.gather] + self.cost_l
-        k = np.argmin(cost, axis=0)
-        m = self.offsets.size
+        n, c, m = self.n, self.cells, self.offsets.size
+        wrapped = self._wrapped
+        wrapped[c:c + n] = w
+        wrapped[:c] = wrapped[n:n + c]
+        wrapped[c + n:] = wrapped[c:2 * c]
+        cost = np.add(self._window, self.cost_l, out=self._cost)
+        k = cost.argmin(axis=1)
         if (self.strict_boundary and self.boundary_is_cutoff
-                and (np.any(k == 0) or np.any(k == m - 1))):
+                and (k.min() == 0 or k.max() == m - 1)):
             raise VelocityCutoffError(
                 "Hopf-Lax argmin sits on the velocity search boundary"
             )
-        jj = np.arange(self.n)
-        ck = cost[k, jj]
+        # the argmin and its two neighbours, clamped to the window
+        k3 = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, m - 1)))
+        flat = k3 + self._row_start
+        cm, ck, cp = cost.take(flat)
+        lm, lk, lp = self.cost_l.take(flat)
+        wm, wk, wp = wrapped.take(self._origin_index - k3)
+
         interior = (k > 0) & (k < m - 1)
-        km = np.where(interior, k - 1, k)
-        kp = np.where(interior, k + 1, k)
-        cm = cost[km, jj]
-        cp = cost[kp, jj]
         denom = cp - 2.0 * ck + cm
         safe = interior & (denom > 1e-300)
         delta = np.where(safe, 0.5 * (cm - cp) / np.where(safe, denom, 1.0), 0.0)
-        delta = np.clip(delta, -0.5, 0.5)
+        delta = np.minimum(np.maximum(delta, -0.5), 0.5)
 
-        disp = (self.offsets[k] + delta) * self.dx
-        w_ref = periodic_interp(self.nodes - disp, w)
-        lm = self.cost_l[km, jj]
-        lk = self.cost_l[k, jj]
-        lp = self.cost_l[kp, jj]
+        # w is linear between the argmin origin and its neighbour on the
+        # side of delta, which holds the refined origin x - disp
+        w_ref = wk + np.abs(delta) * (np.where(delta > 0.0, wp, wm) - wk)
         l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
         refined = w_ref + l_ref
         use = safe & (refined < ck)
         w_next = np.where(use, refined, ck)
         if not want_origins:
             return w_next, None
-        origins = np.where(use, disp, self.offsets[k] * self.dx)
+        shift = self.offsets[k]
+        origins = np.where(use, (shift + delta) * self.dx, shift * self.dx)
         return w_next, origins
-
-
-def hopf_lax_step(w_t: np.ndarray, dt: float, model: HamiltonianModel,
-                  vmax: float | None = None) -> np.ndarray:
-    """Single application of the Hopf-Lax operator to one value slice."""
-    w_t = np.asarray(w_t, dtype=float)
-    stepper = HopfLaxStepper(model, w_t.size, dt, vmax)
-    out, _ = stepper.step(w_t)
-    return out
 
 
 def slice_count(t_final: float, dt: float) -> int:

@@ -6,23 +6,23 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import simpson
 
 from mfglab.errors import NotConvergedError, VelocityCutoffError
+from mfglab.hamiltonians import Mechanical, Potential, QuadraticDrift, TabulatedConvex
 from mfglab.lax_oleinik import (
     HopfLaxStepper,
     alpha_function,
     critical_value,
     evolve,
-    hopf_lax_step,
     minimal_action,
     sweep,
     weak_kam_solution,
 )
-from mfglab.torus import grid, periodic_second_difference
+from mfglab.torus import grid, periodic_interp, periodic_second_difference
 
 
 def test_step_preserves_rest_state(free_model, qd_model):
     for model in (free_model, qd_model):
         for dt in (1e-3, 1e-2):
-            out = hopf_lax_step(np.zeros(128), dt, model)
+            out = HopfLaxStepper(model, 128, dt).step(np.zeros(128))[0]
             assert np.max(np.abs(out)) < 1e-14
 
 
@@ -30,7 +30,7 @@ def test_step_matches_fine_grid_hopf_lax(free_model):
     n, dt = 512, 0.1
     xs = grid(n)
     phi = np.cos(2 * np.pi * xs)
-    out = hopf_lax_step(phi, dt, free_model)
+    out = HopfLaxStepper(free_model, n, dt).step(phi)[0]
     zf = grid(10 * n)
     dist = np.abs((xs[:, None] - zf[None, :] + 0.5) % 1.0 - 0.5)
     brute = np.min(np.cos(2 * np.pi * zf)[None, :] + dist**2 / (2 * dt), axis=1)
@@ -40,8 +40,19 @@ def test_step_matches_fine_grid_hopf_lax(free_model):
 def test_step_raises_on_window_boundary(qd_model):
     xs = grid(128)
     steep = 5.0 * np.cos(2 * np.pi * xs)  # slopes ~ 31 exceed the cutoff 10
-    with pytest.raises(VelocityCutoffError):
-        hopf_lax_step(steep, 2e-3, qd_model)
+    # a steep rise and a gentle fall hit one side of the window only
+    ramp = 2.0 * np.interp(xs, [0.0, 0.1, 1.0], [0.0, 1.0, 0.0])
+    for w in (steep, ramp, ramp[::-1]):
+        with pytest.raises(VelocityCutoffError):
+            HopfLaxStepper(qd_model, 128, 2e-3).step(w)[0]
+
+
+def test_step_ties_go_to_the_smallest_displacement(free_model):
+    stepper = HopfLaxStepper(free_model, 64, 5e-3)
+    w = np.zeros(64)
+    w[10] = 1.0  # node 10 reaches its neighbours 9 and 11 at equal cost
+    origins = stepper.step(w, want_origins=True)[1]
+    assert origins[10] == -stepper.dx
 
 
 def test_evolve_constant_source(free_model):
@@ -71,6 +82,145 @@ def test_step_value_does_not_depend_on_origins(cosine_model, w):
     plain, none = stepper.step(w)
     assert none is None and origins.shape == w.shape
     assert np.array_equal(with_origins, plain)
+
+
+def _reference_step(stepper, w, want_origins=False):
+    """The step as an (m, n) index gather with periodic_interp re-scoring;
+    the oracle the windowed HopfLaxStepper.step must reproduce."""
+    offsets, n, dx = stepper.offsets, stepper.n, stepper.dx
+    cost_l = stepper.cost_l.T
+    gather = (np.arange(n)[None, :] - offsets[:, None]) % n
+    cost = w[gather] + cost_l
+    k = np.argmin(cost, axis=0)
+    m = offsets.size
+    if (stepper.strict_boundary and stepper.boundary_is_cutoff
+            and (np.any(k == 0) or np.any(k == m - 1))):
+        raise VelocityCutoffError("Hopf-Lax argmin sits on the velocity search boundary")
+    jj = np.arange(n)
+    ck = cost[k, jj]
+    interior = (k > 0) & (k < m - 1)
+    km = np.where(interior, k - 1, k)
+    kp = np.where(interior, k + 1, k)
+    cm = cost[km, jj]
+    cp = cost[kp, jj]
+    denom = cp - 2.0 * ck + cm
+    safe = interior & (denom > 1e-300)
+    delta = np.where(safe, 0.5 * (cm - cp) / np.where(safe, denom, 1.0), 0.0)
+    delta = np.clip(delta, -0.5, 0.5)
+    disp = (offsets[k] + delta) * dx
+    w_ref = periodic_interp(stepper.nodes - disp, w)
+    lm = cost_l[km, jj]
+    lk = cost_l[k, jj]
+    lp = cost_l[kp, jj]
+    l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
+    refined = w_ref + l_ref
+    use = safe & (refined < ck)
+    w_next = np.where(use, refined, ck)
+    if not want_origins:
+        return w_next, None
+    return w_next, np.where(use, disp, offsets[k] * dx)
+
+
+def _tabulated_model():
+    xs = grid(64)
+    ps = np.linspace(-12.0, 12.0, 481)
+    return TabulatedConvex(0.5 * ps[None, :] ** 2
+                           + 0.3 * np.cos(2 * np.pi * xs)[:, None], 12.0)
+
+
+_ORACLE_MODELS = {
+    "quadratic-drift": QuadraticDrift(1),
+    "cosine-shifted": Mechanical(1.6, Potential.cosine()),
+    "tabulated": _tabulated_model(),
+}
+# (n, dt): window of 3, 2 and 6 cells against the velocity cutoff, and one
+# window clamped to the half circle, whose boundary may hold the argmin
+_ORACLE_GRIDS = ((64, 5e-3), (128, 2e-3), (96, 6.5e-3), (64, 0.2))
+
+
+def _stepper(model_name, grid_index, strict):
+    n, dt = _ORACLE_GRIDS[grid_index]
+    return HopfLaxStepper(_ORACLE_MODELS[model_name], n, dt, strict_boundary=strict)
+
+
+def _field(data, n):
+    """Random field: a smooth wave plus node noise of a drawn amplitude."""
+    noise = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    amp = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0]))
+    wave = data.draw(st.floats(-2.0, 2.0))
+    return wave * np.cos(2 * np.pi * grid(n)) + amp * noise
+
+
+def _discrete_min_plus(stepper, w):
+    """min over offsets of w(x - offset dx) + dt L, by brute force."""
+    return np.min([np.roll(w, off) + stepper.cost_l[:, i]
+                   for i, off in enumerate(stepper.offsets)], axis=0)
+
+
+def _step_or_error(step, stepper, w):
+    try:
+        return step(stepper, w, want_origins=True)
+    except VelocityCutoffError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
+       grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
+       strict=st.booleans(), data=st.data())
+def test_step_matches_gather_reference(model_name, grid_index, strict, data):
+    """Values agree with the gather oracle to round-off, the velocity-cutoff
+    error is raised in exactly the same cases, and origins are bit-equal
+    except where the refined value ties the discrete minimum to round-off:
+    there the two round-offs may take different sides of the tie."""
+    stepper = _stepper(model_name, grid_index, strict)
+    if grid_index == len(_ORACLE_GRIDS) - 1:
+        assert not stepper.boundary_is_cutoff
+    w = _field(data, stepper.n)
+    new = _step_or_error(HopfLaxStepper.step, stepper, w)
+    ref = _step_or_error(_reference_step, stepper, w)
+    assert (new is None) == (ref is None)
+    if new is None:
+        return
+    tol = 1e-12 * (1.0 + np.max(np.abs(w)))
+    assert np.max(np.abs(new[0] - ref[0])) <= tol
+    moved = new[1] != ref[1]
+    disc = _discrete_min_plus(stepper, w)[moved]
+    assert np.all(np.abs(new[0][moved] - disc) <= tol)
+    assert np.all(np.abs(new[1][moved] - ref[1][moved]) <= 0.5 * stepper.dx)
+
+
+def test_step_results_outlive_the_next_step(cosine_model):
+    stepper = HopfLaxStepper(cosine_model, 128, 2e-3)
+    xs = grid(128)
+    w_next, origins = stepper.step(0.3 * np.cos(2 * np.pi * xs), want_origins=True)
+    kept = w_next.copy(), origins.copy()
+    stepper.step(0.3 * np.sin(2 * np.pi * xs), want_origins=True)
+    assert np.array_equal(w_next, kept[0]) and np.array_equal(origins, kept[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)),
+       c=st.floats(-100.0, 100.0))
+def test_step_commutes_with_constants(w, c):
+    stepper = _stepper("cosine-shifted", 0, False)
+    gap = stepper.step(w + c)[0] - stepper.step(w)[0] - c
+    assert np.max(np.abs(gap)) <= 1e-12 * (1.0 + abs(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)),
+       bump=arrays(np.float64, 64, elements=st.floats(0.0, 1.0)),
+       model_name=st.sampled_from(sorted(_ORACLE_MODELS)))
+def test_step_monotone_up_to_its_refinement(w, bump, model_name):
+    """step(w + bump) >= step(w) - r with r = disc(w + bump) - step(w + bump)
+    the refinement's own gain; plain monotonicity fails on rough w."""
+    stepper = _stepper(model_name, 0, False)
+    lower = stepper.step(w)[0]
+    upper = stepper.step(w + bump)[0]
+    r = _discrete_min_plus(stepper, w + bump) - upper
+    assert np.min(r) >= 0.0
+    assert np.min(upper - lower + r) >= -1e-12 * (1.0 + np.max(np.abs(w)))
 
 
 SWEEP_STEPS = 40
