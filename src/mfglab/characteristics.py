@@ -31,10 +31,6 @@ class DriftField:
     def dx(self) -> float:
         return 1.0 / self.nodes.size
 
-    def velocity(self, x):
-        """Drift at arbitrary positions by periodic linear interpolation."""
-        return periodic_interp(x, self.v)
-
     def require_periodic(self) -> None:
         if self.classification != PERIODIC_ORBIT:
             raise NotPeriodicRegimeError(
@@ -85,10 +81,6 @@ class FlowMap:
         self.winding = float(self.g_nodes[-1])  # +- tau by the sign of v
         self._rising = np.sign(self.winding) * self.g_nodes  # increasing copy
 
-    @property
-    def tau(self) -> float:
-        return float(self.df.tau)
-
     def g(self, x):
         """Piecewise-linear G on [0, 1)."""
         t = (np.asarray(x, dtype=float) % 1.0) * self.df.nodes.size
@@ -124,30 +116,39 @@ class FlowMap:
                 fh.write(f"{x:.17g},{self.g_nodes[j]:.17g},{self.df.v[j]:.17g}\n")
 
 
-def forward_flow(df: DriftField, t: float, T: float, x):
-    """RK4 integration of x' = v(x) from time T backward to time t."""
-    df.require_periodic()
-    if t > T:
-        raise ValueError("forward_flow needs t <= T")
-    span = T - t
-    x = np.asarray(x, dtype=float)
-    if span == 0.0:
-        return x % 1.0
-    vmax = float(np.max(np.abs(df.v)))
-    steps = max(1, int(np.ceil(span * vmax / (0.25 * df.dx))))
-    h = span / steps
-
-    def rhs(y):
-        return -df.velocity(y)
-
-    y = x % 1.0
+def _rk4(v: np.ndarray, y, h, steps):
+    """steps RK4 steps of size h of y' = -v(y), v interpolated periodically
+    between its node values, each step wrapped onto [0, 1)."""
     for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
+        k1 = -periodic_interp(y, v)
+        k2 = -periodic_interp(y + 0.5 * h * k1, v)
+        k3 = -periodic_interp(y + 0.5 * h * k2, v)
+        k4 = -periodic_interp(y + h * k3, v)
         y = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
     return y
+
+
+def forward_flow(df: DriftField, t, T: float, x):
+    """RK4 integration of x' = v(x) from time T backward to time t; an array
+    of times t gives one row per time, each bit-equal to a scalar call."""
+    df.require_periodic()
+    t = np.asarray(t, dtype=float)
+    if np.any(t > T):
+        raise ValueError("forward_flow needs t <= T")
+    span = T - np.atleast_1d(t)
+    x = np.asarray(x, dtype=float)
+    vmax = np.max(np.abs(df.v))
+    # no step for a zero span, at least one otherwise
+    steps = np.maximum(span > 0.0, np.ceil(span * vmax / (0.25 * df.dx)).astype(int))
+    h = span / np.maximum(steps, 1)
+    if t.ndim == 0:
+        return _rk4(df.v, x % 1.0, h[0], steps[0])
+    order = np.argsort(-steps, kind="stable")
+    ends, h = np.append(steps[order], 0), h[order].reshape((-1,) + (1,) * x.ndim)
+    y = np.broadcast_to(x % 1.0, span.shape + x.shape).copy()
+    for a in range(span.size, 0, -1):  # the a longest rows take their next steps
+        y[:a] = _rk4(df.v, y[:a], h[:a], ends[a - 1] - ends[a])
+    return y[np.argsort(order)]
 
 
 @dataclass(frozen=True)
@@ -169,15 +170,12 @@ def flow_lipschitz_constant(df: DriftField, n_points: int = 24,
     tau = float(df.tau)
     xs = grid(n_points)
     times = t_ref - tau + tau * np.arange(n_times) / (n_times - 1)
-    k1 = 0.0
-    for t in times:
-        imgs = forward_flow(df, float(t), t_ref, xs)
-        for i in range(n_points):
-            base = circle_distance(xs[i], xs[i + 1:])
-            moved = circle_distance(imgs[i], imgs[i + 1:])
-            keep = base >= df.dx
-            if np.any(keep):
-                k1 = max(k1, float(np.max(moved[keep] / base[keep])))
+    imgs = forward_flow(df, times, t_ref, xs)  # (n_times, n_points)
+    first, second = np.triu_indices(n_points, 1)
+    base = circle_distance(xs[first], xs[second])
+    keep = base >= df.dx
+    moved = circle_distance(imgs[:, first[keep]], imgs[:, second[keep]])
+    k1 = float(np.max(moved / base[keep], initial=0.0))
     dv = np.abs(np.diff(np.concatenate([df.v, df.v[:1]])))
     k2 = float(np.max(dv) / df.dx)
     return FlowLipschitzReport(k1=k1, k2=k2, gronwall_bound=float(np.exp(tau * k2)))

@@ -127,13 +127,26 @@ def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> 
     return 0
 
 
+def _parse_a_grid(text: str) -> np.ndarray:
+    """The --a-grid flag lo:hi:count as count evenly spaced shifts."""
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ConfigError(f"a-grid invariant violated: --a-grid must be lo:hi:count "
+                          f"with an integer count, got {text!r}") from None
+    if count < 1 or not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"a-grid invariant violated: --a-grid needs finite lo, hi "
+                          f"and count >= 1, got {text!r}")
+    return np.linspace(lo, hi, count)
+
+
 def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     if not hasattr(model, "potential"):
         raise ConfigError("the alpha function needs a mechanical model")
     if args.a_grid:
-        lo, hi, count = args.a_grid.split(":")
-        a_values = np.linspace(float(lo), float(hi), int(count))
+        a_values = _parse_a_grid(args.a_grid)
     else:
         a_values = np.asarray(cfg.a_values, dtype=float)
     alphas = np.array([
@@ -259,8 +272,18 @@ _GRID_BY_DIM = {1: (256, 256), 2: (48, 48), 3: (24, 24)}
 
 def run_verify_example(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dim = args.n if args.n is not None else cfg.example_dim
-    closed = explicit.ExplicitInstance(dim=dim, n_grid=32 if dim >= 3 else 64, n_time=64)
+    if dim < 1:
+        raise ConfigError(f"dimension invariant violated: the torus dimension must be "
+                          f">= 1, got {dim}")
+    closed_grid = 32 if dim >= 3 else 64
     n_grid, n_time = _GRID_BY_DIM.get(dim, (16, 16))
+    side = max(closed_grid, n_grid)
+    # every side is >= 2, so a dimension past 24 is too large without the power
+    if dim > 24 or side ** dim > explicit.MAX_GRID_POINTS:
+        raise ConfigError(f"grid-size invariant violated: dimension {dim} needs a "
+                          f"{side}^{dim} tensor grid, more than "
+                          f"{explicit.MAX_GRID_POINTS} points")
+    closed = explicit.ExplicitInstance(dim=dim, n_grid=closed_grid, n_time=64)
     sampled = explicit.ExplicitInstance(dim=dim, n_grid=n_grid, n_time=n_time)
     results = {
         "hjb_closed": explicit.hjb_residual(closed, closed_form=True),

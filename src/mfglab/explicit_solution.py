@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+MAX_GRID_POINTS = 2**24  # largest tensor grid an instance may sample
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class ExplicitInstance:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if self.n_grid ** self.dim > 2**24:
+        if self.n_grid ** self.dim > MAX_GRID_POINTS:
             raise ValueError("tensor grid too large; reduce n_grid or dim")
         if self.n_grid < 8 or self.n_time < 8:
             raise ValueError("need at least 8 samples per axis")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassDriftError
-from .torus import grid, periodic_interp, trapezoid, wrap
+from .torus import grid, interp_stencil, periodic_interp, trapezoid, wrap
 
 DENSITY = "density"
 PARTICLES = "particles"
@@ -125,8 +125,8 @@ def wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
 
 
 class TransportTable:
-    """Inverse-flow nodes Phi(t_k, T, .)^-1(x_j) on the n-node grid and the
-    centered-difference Jacobian of that map, one row per time t_k.
+    """Interpolation stencils of the inverse-flow nodes Phi(t_k, T, .)^-1(x_j)
+    on the n-node grid and their centered-difference Jacobian, one row per t_k.
 
     Row k pushes a grid density forward to time t_k, so a table built once
     serves every measure transported over the same times.
@@ -134,16 +134,18 @@ class TransportTable:
 
     def __init__(self, fm, times, T: float, n: int):
         self.nodes = grid(n)
-        self.xinv = np.array([fm.phi_inverse(float(t), T, self.nodes) for t in times])
+        xinv = np.array([fm.phi_inverse(float(t), T, self.nodes) for t in times])
         # the inverse map is an orientation-preserving circle map: consecutive
         # gaps are small and positive, so %1 picks the right branch
-        self.jac = ((np.roll(self.xinv, -1, axis=1)
-                     - np.roll(self.xinv, 1, axis=1)) % 1.0) * (n / 2.0)
+        self.jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
+        self._cell, self._frac = interp_stencil(xinv, n)
 
     def masses(self, m: CircleMeasure):
         """Node masses of the pushed densities, one row per time, each
         renormalised to unit mass, and each row's renormalisation drift."""
-        values = periodic_interp(self.xinv, m.density_values) * self.jac
+        d = m.density_values
+        values = ((1.0 - self._frac) * d[self._cell]
+                  + self._frac * np.roll(d, -1)[self._cell]) * self.jac
         totals = values.mean(axis=1)
         drift = np.abs(totals - 1.0)
         worst = float(np.max(drift))

@@ -26,13 +26,19 @@ def grid(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) / n
 
 
+def interp_stencil(xq, n: int):
+    """Left node index and fraction of each query on the n-node periodic
+    grid: xq lies between nodes i and (i + 1) % n, a fraction f past i."""
+    t = (np.asarray(xq, dtype=float) % 1.0) * n
+    floor = np.floor(t)
+    return floor.astype(int) % n, t - floor
+
+
 def periodic_interp(xq, values: np.ndarray):
     """Linear interpolation of node values on the uniform periodic grid."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    t = (np.asarray(xq, dtype=float) % 1.0) * n
-    i0 = np.floor(t).astype(int) % n
-    frac = t - np.floor(t)
+    i0, frac = interp_stencil(xq, n)
     i1 = (i0 + 1) % n
     return (1.0 - frac) * values[i0] + frac * values[i1]
 

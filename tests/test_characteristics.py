@@ -160,10 +160,49 @@ def test_lipschitz_constant_rigid(qd_drift):
     assert rep.gronwall_bound == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lipschitz_constant_gronwall_bound(wavy_drift):
+def _reference_k1(df, n_points=24, n_times=9, t_ref=0.0):
+    """K1 as flow_lipschitz_constant measured it before it batched its
+    times: one scalar forward_flow call per time, one pass per point."""
+    tau = float(df.tau)
+    xs = grid(n_points)
+    times = t_ref - tau + tau * np.arange(n_times) / (n_times - 1)
+    k1 = 0.0
+    for t in times:
+        imgs = forward_flow(df, float(t), t_ref, xs)
+        for i in range(n_points):
+            base = circle_distance(xs[i], xs[i + 1:])
+            moved = circle_distance(imgs[i], imgs[i + 1:])
+            keep = base >= df.dx
+            if np.any(keep):
+                k1 = max(k1, float(np.max(moved[keep] / base[keep])))
+    return k1
+
+
+def test_lipschitz_constant_gronwall_bound(wavy_drift, wavy_negative_drift):
     rep = flow_lipschitz_constant(wavy_drift)
     assert rep.k1 <= rep.gronwall_bound + 1e-6
     assert rep.k1 >= 1.0 - 1e-9  # some pair must spread at least rigidly over a period
+    for df in (wavy_drift, wavy_negative_drift):
+        assert flow_lipschitz_constant(df, n_times=3).k1 == _reference_k1(df, n_times=3)
+
+
+def test_forward_flow_batched_times_match_scalar_calls(wavy_drift, wavy_negative_drift):
+    rng = np.random.default_rng(5)
+    xs = rng.random(17)
+    # unsorted, with a repeated time and a zero-span row (t == T)
+    times = np.array([1.8, 1.97, 2.0, 1.7, 1.97, 1.9])
+    for df in (wavy_drift, wavy_negative_drift):
+        rows = forward_flow(df, times, 2.0, xs)
+        assert rows.shape == (times.size, xs.size)
+        for row, t in zip(rows, times):
+            assert np.array_equal(row, forward_flow(df, float(t), 2.0, xs))
+        assert np.array_equal(rows[2], xs % 1.0)
+        single = forward_flow(df, 1.7, 2.0, 0.25)
+        assert np.shape(single) == () and single == forward_flow(df, times[3:4], 2.0, 0.25)[0]
+        assert forward_flow(df, 1.7, 2.0, xs).shape == xs.shape
+        for late in (0, 3, 5):
+            with pytest.raises(ValueError):
+                forward_flow(df, np.where(np.arange(times.size) == late, 2.5, times), 2.0, xs)
 
 
 def test_flow_csv_export(tmp_path, qd_drift):

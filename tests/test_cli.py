@@ -172,6 +172,22 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             assert "time-grid invariant" in err, name
 
 
+def test_malformed_flags_exit_2(tmp_path, capsys):
+    mech = tmp_path / "mech.ini"
+    mech.write_text("[model]\nfamily = mechanical\npotential = cosine\n"
+                    "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n")
+    out = tmp_path / "out"
+    for grid in ("1:2", "a:b:3", "0:1:2.5", "0:1:-3", "0:1:0"):
+        code = main(["alpha", "--config", str(mech), f"--a-grid={grid}", "--out", str(out)])
+        assert code == 2, grid
+        assert "a-grid invariant" in capsys.readouterr().err, grid
+        assert not (out / "alpha.csv").exists()
+    for dim, invariant in (("0", "dimension"), ("-1", "dimension"), ("5", "grid-size"),
+                           ("1000000000", "grid-size")):
+        assert main(["verify-example", f"--n={dim}", "--out", str(out)]) == 2, dim
+        assert f"{invariant} invariant" in capsys.readouterr().err, dim
+
+
 def test_config_validation_names_the_invariant():
     cfg = RunConfig()
     cfg.n = 300

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mfglab.characteristics import FlowMap
+from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.errors import MassDriftError
 from mfglab.measures import (
     CircleMeasure,
     TestFunctionBank,
+    TransportTable,
     continuity_residual,
     invariant_density,
     pushforward,
     random_fourier_density,
     wasserstein1,
 )
-from mfglab.torus import circle_distance, grid
+from mfglab.torus import circle_distance, grid, periodic_interp
 
 
 def lp_wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
@@ -167,6 +168,37 @@ class _BrokenFlow:
 
     def phi(self, t, T, x):
         return x
+
+
+def _reference_masses(fm, times, T, m):
+    """The push-forward as the table computed it before it fixed its
+    stencils: interpolate the density at the inverse-flow nodes, times the
+    centered-difference Jacobian, then renormalise each row."""
+    n = m.n
+    xinv = np.array([fm.phi_inverse(float(t), T, grid(n)) for t in times])
+    jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
+    values = periodic_interp(xinv, m.density_values) * jac
+    totals = values.mean(axis=1)
+    values /= (totals * n)[:, None]
+    return values, np.abs(totals - 1.0)
+
+
+def test_transport_table_matches_interpolation_at_inverse_nodes():
+    n = 256
+    xs = grid(n)
+    m = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", n)
+    for sign in (1.0, -1.0):
+        v = sign * (1.0 + 0.3 * np.sin(2 * np.pi * xs))
+        df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
+                        tau=float(np.sum(1.0 / np.abs(v)) / n))
+        fm = FlowMap(df, t_ref=1.0)
+        times = 1.0 - df.tau * np.arange(40) / 39
+        masses, drift = TransportTable(fm, times, 1.0, n).masses(m)
+        ref, ref_drift = _reference_masses(fm, times, 1.0, m)
+        assert np.array_equal(masses, ref) and np.array_equal(drift, ref_drift)
+        one = pushforward(fm, m, 0.37, 1.0)  # a one-row table
+        ref, ref_drift = _reference_masses(fm, [0.37], 1.0, m)
+        assert np.array_equal(one.weights, ref[0]) and one.mass_drift == ref_drift[0]
 
 
 def test_pushforward_mass_drift_error():
