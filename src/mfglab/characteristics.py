@@ -1,6 +1,7 @@
 """Drift fields v(x) = dH/dp(x, Du0), the fixed-point/periodic-orbit
 dichotomy on the circle, characteristic flows and the closed-form inverse
-through the cumulative crossing-time table G."""
+through the cumulative crossing-time table G.  The drift is autonomous, so
+every flow takes one time argument, the time-to-go s = T - t >= 0."""
 
 from __future__ import annotations
 
@@ -66,14 +67,13 @@ class FlowMap:
     """Characteristic flow of a periodic drift via its G-table.
 
     G(x) = integral of 1/v is strictly monotone, so both flow directions
-    reduce to solving G(x*) = G(x) -+ (T - t) on the lifted table; the
-    winding G(1) - G(0) equals the period up to sign.
+    over a time-to-go s reduce to solving G(x*) = G(x) -+ s on the lifted
+    table; the winding G(1) - G(0) equals the period up to sign.
     """
 
-    def __init__(self, df: DriftField, t_ref: float = 0.0):
+    def __init__(self, df: DriftField):
         df.require_periodic()
         self.df = df
-        self.t_ref = float(t_ref)
         n = df.nodes.size
         inv = 1.0 / df.v
         increments = (inv + np.roll(inv, -1)) * (0.5 / n)
@@ -99,15 +99,13 @@ class FlowMap:
         out = (i + frac) / n % 1.0
         return out if out.ndim else float(out)
 
-    def phi(self, t: float, T: float | None, x):
-        """Position at time t of the characteristic sitting at x at time T."""
-        T = self.t_ref if T is None else T
-        return self._solve_g(self.g(x) - (T - t))
+    def phi(self, s: float, x):
+        """Position a time-to-go s earlier of the characteristic at x."""
+        return self._solve_g(self.g(x) - s)
 
-    def phi_inverse(self, t: float, T: float | None, y):
-        """Inverse map: G(x) = G(y) + (T - t), reduced by the winding."""
-        T = self.t_ref if T is None else T
-        return self._solve_g(self.g(y) + (T - t))
+    def phi_inverse(self, s: float, y):
+        """Inverse map: G(x) = G(y) + s, reduced by the winding."""
+        return self._solve_g(self.g(y) + s)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -128,20 +126,20 @@ def _rk4(v: np.ndarray, y, h, steps):
     return y
 
 
-def forward_flow(df: DriftField, t, T: float, x):
-    """RK4 integration of x' = v(x) from time T backward to time t; an array
-    of times t gives one row per time, each bit-equal to a scalar call."""
+def forward_flow(df: DriftField, s, x):
+    """RK4 integration of x' = v(x) backward over the time-to-go s >= 0; an
+    array of spans gives one row per span, each bit-equal to a scalar call."""
     df.require_periodic()
-    t = np.asarray(t, dtype=float)
-    if np.any(t > T):
-        raise ValueError("forward_flow needs t <= T")
-    span = T - np.atleast_1d(t)
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0.0):
+        raise ValueError("forward_flow needs a time-to-go s >= 0")
+    span = np.atleast_1d(s)
     x = np.asarray(x, dtype=float)
     vmax = np.max(np.abs(df.v))
     # no step for a zero span, at least one otherwise
     steps = np.maximum(span > 0.0, np.ceil(span * vmax / (0.25 * df.dx)).astype(int))
     h = span / np.maximum(steps, 1)
-    if t.ndim == 0:
+    if s.ndim == 0:
         return _rk4(df.v, x % 1.0, h[0], steps[0])
     order = np.argsort(-steps, kind="stable")
     ends, h = np.append(steps[order], 0), h[order].reshape((-1,) + (1,) * x.ndim)
@@ -159,18 +157,18 @@ class FlowLipschitzReport:
 
 
 def flow_lipschitz_constant(df: DriftField, n_points: int = 24,
-                            n_times: int = 9, t_ref: float = 0.0) -> FlowLipschitzReport:
+                            n_times: int = 9) -> FlowLipschitzReport:
     """Measured contraction/expansion constant of the flow over one period.
 
-    K1 = max over sampled pairs and t in [T - tau, T] of
-    d(Phi(t,T,x), Phi(t,T,y)) / d(x,y); pairs closer than one grid cell
+    K1 = max over sampled pairs and time-to-go s in [0, tau] of
+    d(Phi_s(x), Phi_s(y)) / d(x,y); pairs closer than one grid cell
     are skipped.  Also reports the Gronwall bound e^(tau K2).
     """
     df.require_periodic()
     tau = float(df.tau)
     xs = grid(n_points)
-    times = t_ref - tau + tau * np.arange(n_times) / (n_times - 1)
-    imgs = forward_flow(df, times, t_ref, xs)  # (n_times, n_points)
+    spans = tau - tau * np.arange(n_times) / (n_times - 1)
+    imgs = forward_flow(df, spans, xs)  # (n_times, n_points)
     first, second = np.triu_indices(n_points, 1)
     base = circle_distance(xs[first], xs[second])
     keep = base >= df.dx

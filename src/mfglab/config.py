@@ -71,8 +71,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls()
@@ -105,8 +108,14 @@ class RunConfig:
         if n < 64 or n > 4096 or (n & (n - 1)) != 0:
             raise ConfigError("grid invariant violated: n must be a power of two in [64, 4096]")
         for name in sorted(self._FLOATS):
-            if name.startswith("tol_") and getattr(self, name) <= 0.0:
+            if name.startswith("tol_") and not getattr(self, name) > 0.0:  # NaN too
                 raise ConfigError(f"tolerance invariant violated: {name} must be > 0")
+        if not (np.isfinite(self.vmax) and self.vmax > 0.0):
+            raise ConfigError(f"velocity invariant violated: vmax must be finite and > 0, "
+                              f"got {self.vmax:g}")
+        if self.model_dim != 1:
+            raise ConfigError(f"dimension invariant violated: the grid scheme is 1-d, "
+                              f"dim must be 1, got {self.model_dim}")
         dx = 1.0 / n
         for label, dt in (("dt", self.dt), ("dt_probe", self.dt_probe)):
             if dt < dx / self.vmax:
@@ -147,13 +156,16 @@ class RunConfig:
 
     # -- builders -----------------------------------------------------------
     def build_model(self):
-        if self.family in ("quadratic-drift", "quadratic_drift"):
-            model = QuadraticDrift(self.model_dim)
-        elif self.family == "mechanical":
-            model = Mechanical(self.shift, Potential.from_name(self.potential))
-        else:
-            raise ConfigError(f"unknown model family {self.family!r}")
-        model.validate()
+        try:
+            if self.family in ("quadratic-drift", "quadratic_drift"):
+                model = QuadraticDrift(self.model_dim)
+            elif self.family == "mechanical":
+                model = Mechanical(self.shift, Potential.from_name(self.potential))
+            else:
+                raise ConfigError(f"unknown model family {self.family!r}")
+            model.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return model
 
     def build_coupling(self) -> CouplingFunctional:

@@ -78,10 +78,6 @@ class CouplingFunctional:
         raise ValueError(f"unknown coupling id {name!r}")
 
 
-def evaluate(functional: CouplingFunctional, m: CircleMeasure) -> float:
-    return functional(m)
-
-
 def monotonicity_defect(functional: CouplingFunctional, m1: CircleMeasure,
                         m2: CircleMeasure) -> float:
     """int (F(m1) - F(m2)) d(m1 - m2), computed literally as the value gap

@@ -369,11 +369,6 @@ class TabulatedConvex(HamiltonianModel):
             raise ValueError("tabulated Hamiltonian grows too slowly at the momentum cutoff")
 
 
-def lagrangian(model: HamiltonianModel, x, v):
-    """Legendre dual L(x, v) = sup_p <v, p> - H(x, p) with its maximiser."""
-    return model.lagrangian(x, v)
-
-
 def hamilton_flow(model: HamiltonianModel, start, t_span, dt: float) -> Trajectory:
     """Fixed-step RK4 trajectory of x' = dH/dp, p' = -dH/dx.
 

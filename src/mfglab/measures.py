@@ -1,7 +1,7 @@
 """Probability measures on the circle: grid densities and weighted
 particle clouds, the exact circular Wasserstein-1 distance through shifted
-cumulative functions, push-forward under characteristic flows, and the
-weak-form continuity-equation residual."""
+cumulative functions, push-forward under characteristic flows over a
+time-to-go s = T - t, and the weak-form continuity-equation residual."""
 
 from __future__ import annotations
 
@@ -125,23 +125,24 @@ def wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
 
 
 class TransportTable:
-    """Interpolation stencils of the inverse-flow nodes Phi(t_k, T, .)^-1(x_j)
-    on the n-node grid and their centered-difference Jacobian, one row per t_k.
+    """Interpolation stencils of the inverse-flow nodes Phi_{s_k}^-1(x_j) on
+    the n-node grid and their centered-difference Jacobian, one row per
+    time-to-go s_k.
 
-    Row k pushes a grid density forward to time t_k, so a table built once
-    serves every measure transported over the same times.
+    Row k pushes a grid density over the span s_k, so a table built once
+    serves every measure transported over the same spans.
     """
 
-    def __init__(self, fm, times, T: float, n: int):
+    def __init__(self, fm, spans, n: int):
         self.nodes = grid(n)
-        xinv = np.array([fm.phi_inverse(float(t), T, self.nodes) for t in times])
+        xinv = np.array([fm.phi_inverse(float(s), self.nodes) for s in spans])
         # the inverse map is an orientation-preserving circle map: consecutive
         # gaps are small and positive, so %1 picks the right branch
         self.jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
         self._cell, self._frac = interp_stencil(xinv, n)
 
     def masses(self, m: CircleMeasure):
-        """Node masses of the pushed densities, one row per time, each
+        """Node masses of the pushed densities, one row per span, each
         renormalised to unit mass, and each row's renormalisation drift."""
         d = m.density_values
         values = ((1.0 - self._frac) * d[self._cell]
@@ -157,17 +158,17 @@ class TransportTable:
         return values, drift
 
 
-def pushforward(fm, m: CircleMeasure, t: float, T: float) -> CircleMeasure:
-    """Push m forward by the characteristic flow, Phi(t, T, .)_# m.
+def pushforward(fm, m: CircleMeasure, s: float) -> CircleMeasure:
+    """Push m by the characteristic flow over the time-to-go s, Phi_s # m.
 
     Particle measures move their atoms; densities take one row of a
     TransportTable and carry its renormalisation drift on the result.
     """
-    if t == T:
+    if s == 0:
         return m
     if m.kind == PARTICLES:
-        return CircleMeasure(PARTICLES, fm.phi(t, T, m.positions), m.weights.copy())
-    table = TransportTable(fm, [t], T, m.n)
+        return CircleMeasure(PARTICLES, fm.phi(s, m.positions), m.weights.copy())
+    table = TransportTable(fm, [s], m.n)
     masses, drift = table.masses(m)
     return CircleMeasure(DENSITY, table.nodes, masses[0], mass_drift=drift[0])
 

@@ -7,7 +7,8 @@ minimising characteristics of that evolution.  This module builds the
 finite-horizon weak solution, the time-periodic solution with its
 constant c(m_T), and the two experiments quantifying how c(m_T) depends
 on the final measure and how finite-horizon solutions approach the
-periodic regime.
+periodic regime.  Each periodic computation carries m_T by one
+TransportTable over the time-to-go spans T - t it needs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .measures import (
     CircleMeasure,
     TransportTable,
     invariant_density,
-    pushforward,
+    pushforward,  # not called here: perfbench's tracer self-test rebinds this alias
     wasserstein1,
 )
 from .torus import cumulative_trapezoid, periodic_interp, trapezoid, wrap
@@ -137,7 +138,6 @@ class PeriodicSolution:
     times: np.ndarray
     nodes: np.ndarray
     tau: float
-    t_ref: float
     c0: float
     c_mt: float
     u0: np.ndarray
@@ -152,17 +152,23 @@ class PeriodicSolution:
     metadata: dict = field(default_factory=dict)
 
 
-def _steps_per_period(tau: float, dt: float) -> tuple[int, float]:
-    k = max(1, int(round(tau / dt)))
-    return k, tau / k
-
-
 def periodic_regime(model: HamiltonianModel, n: int = 512, dt_probe: float = 2e-3,
                     t_probe: float = 20.0, probe: CriticalValueResult | None = None
                     ) -> tuple[float, np.ndarray, DriftField]:
     """Critical value, stationary solution and drift field in one sweep."""
     wk = weak_kam_solution(model, t_probe=t_probe, n=n, dt=dt_probe, probe=probe)
     return wk.c0, wk.u0, drift_field(wk.u0, model)
+
+
+def _period_grid(model, n, dt, t_probe, dt_probe, regime):
+    """The periodic regime (c0, u0, df), computed unless given, its period
+    tau, and the period grid: k steps of tau / k, the step nearest dt."""
+    c0, u0, df = regime if regime is not None else periodic_regime(
+        model, n=n, dt_probe=dt_probe, t_probe=t_probe)
+    df.require_periodic()
+    tau = float(df.tau)
+    k = max(1, int(round(tau / dt)))
+    return c0, u0, df, tau, k, tau / k
 
 
 def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
@@ -173,21 +179,21 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     """Periodic construction: m_bar rides the stationary characteristics
     and u_bar = u0 + int_0^t F(m_bar) - (t/tau) int_0^tau F(m_bar).
 
-    The reference time is an integer number of periods so the final slice
-    reproduces m_T exactly; c(m_T) = c0 minus the period average of F.
+    The slices span an integer number of periods and slice k lies a
+    time-to-go (K - k) dt_adj before the last, so the final slice reproduces
+    m_T to round-off; c(m_T) = c0 minus the period average of F.
     """
-    c0, u0, df = regime if regime is not None else periodic_regime(
-        model, n=n, dt_probe=dt_probe, t_probe=t_probe)
-    df.require_periodic()
-    tau = float(df.tau)
-    k_per, dt_adj = _steps_per_period(tau, dt)
+    _require_density(m_t)
+    c0, u0, df, tau, k_per, dt_adj = _period_grid(model, n, dt, t_probe, dt_probe, regime)
     steps = periods * k_per
-    t_ref = periods * tau
     times = dt_adj * np.arange(steps + 1)
-    flow = FlowMap(df, t_ref=t_ref)
+    flow = FlowMap(df)
 
-    m_bar = [pushforward(flow, m_t, float(t), t_ref) for t in times]
-    f_series = np.array([functional(m) for m in m_bar])
+    table = TransportTable(flow, dt_adj * np.arange(steps, -1, -1), m_t.n)
+    masses, drift = table.masses(m_t)
+    m_bar = [CircleMeasure(DENSITY, table.nodes, row, mass_drift=d)
+             for row, d in zip(masses, drift)]
+    f_series = masses @ functional.f(table.nodes)
     period_integral = trapezoid(f_series[: k_per + 1], dt_adj)
     c_mt = c0 - period_integral / tau
     u_bar = u0[None, :] + (cumulative_trapezoid(f_series, dt_adj)
@@ -199,7 +205,7 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     m_star = invariant_density(df)
     nontriviality_gap = max(wasserstein1(m, m_bar[0]) for m in m_bar)
     return PeriodicSolution(
-        times=times, nodes=df.nodes, tau=tau, t_ref=t_ref, c0=c0, c_mt=c_mt,
+        times=times, nodes=df.nodes, tau=tau, c0=c0, c_mt=c_mt,
         u0=u0, u_bar=u_bar, m_bar=m_bar, coupling_series=f_series,
         drift=df, flow=flow, m_star=m_star,
         periodicity_defect=periodicity_defect,
@@ -234,20 +240,14 @@ def lipschitz_c_experiment(pairs, model: HamiltonianModel,
     c0 cancels in the gap, so only the period averages of F along the two
     transported paths are compared; identical pairs are excluded.
     """
-    _c0, _u0, df = regime if regime is not None else periodic_regime(
-        model, n=n, dt_probe=dt_probe, t_probe=t_probe)
-    df.require_periodic()
-    tau = float(df.tau)
-    flow = FlowMap(df, t_ref=2.0 * tau)
+    _c0, _u0, df, tau, k_per, dt_adj = _period_grid(model, n, dt, t_probe, dt_probe, regime)
     k1 = flow_lipschitz_constant(df).k1
     bound = functional.lipschitz * k1
-    k_per, dt_adj = _steps_per_period(tau, dt)
-    table = TransportTable(flow, flow.t_ref - tau + dt_adj * np.arange(k_per + 1),
-                           flow.t_ref, df.nodes.size)
+    table = TransportTable(FlowMap(df), dt_adj * np.arange(k_per + 1), df.nodes.size)
     f_nodes = functional.f(table.nodes)
 
     def period_average(m: CircleMeasure) -> float:
-        """(1/tau) int F(Phi(t, T, .)_# m) dt over the period grid ending at T."""
+        """(1/tau) int F(Phi_s # m) ds over the period grid of spans."""
         return trapezoid(table.masses(m)[0] @ f_nodes, dt_adj) / tau
 
     ratios, dists, gaps = [], [], []
@@ -295,8 +295,8 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     earlier path cancels).  The final slice calibrates the additive
     constant of the stationary solution entering u_bar: u0_phi =
     w_phi(., T_cal) + c0 T_cal, at dt like the evolution it is compared
-    with.  m_bar depends on t only through the phase T - t, so one
-    transport table over the period and window phases serves every
+    with.  m_bar depends on t only through the time-to-go T - t, so one
+    transport table over the period and window spans serves every
     horizon.  dt_probe is the step of the critical-value probe only.
     """
     horizons = sorted(float(T) for T in horizons)
@@ -304,11 +304,7 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     if window > horizons[0]:
         raise ValueError(f"window {window:g} exceeds the smallest horizon {horizons[0]:g}")
     phi = np.asarray(phi, dtype=float)
-    c0, _u0, df = regime if regime is not None else periodic_regime(
-        model, n=n, dt_probe=dt_probe, t_probe=t_probe)
-    df.require_periodic()
-    tau = float(df.tau)
-    k_per, dt_p = _steps_per_period(tau, dt)
+    c0, _u0, df, tau, k_per, dt_p = _period_grid(model, n, dt, t_probe, dt_probe, regime)
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     w_steps = slice_count(window, dt)
@@ -318,23 +314,22 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
                            [(end - w_steps, end) for end in ends])
     u0_phi = w_cal + c0 * t_cal
 
-    # rows: phases T - t over one period (dt_p grid), then over the window
-    # (dt grid); times -phase against T = 0 make each row's phase exact
-    period_phases = dt_p * np.arange(k_per + 1)
-    window_phases = dt * np.arange(w_steps + 1)
-    table = TransportTable(FlowMap(df), -np.concatenate([period_phases, window_phases]),
-                           0.0, m_t.n)
+    # rows: spans T - t over one period (dt_p grid), then over the window (dt grid)
+    period_spans = dt_p * np.arange(k_per + 1)
+    window_spans = dt * np.arange(w_steps + 1)
+    table = TransportTable(FlowMap(df), np.concatenate([period_spans, window_spans]),
+                           m_t.n)
     masses, _drift = table.masses(m_t)
     m_bar_window = masses[k_per + 1:]
     f_period = masses[:k_per + 1] @ functional.f(table.nodes)
     period_integral = trapezoid(f_period, dt_p)
     c_mt = c0 - period_integral / tau
-    phase_cum = cumulative_trapezoid(f_period, dt_p)
+    span_cum = cumulative_trapezoid(f_period, dt_p)
 
     def tail_integral(r: float) -> float:
         """int_{T-r}^{T} F(m_bar) for r >= 0 via tau-periodicity."""
         whole, part = divmod(r, tau)
-        return whole * period_integral + float(np.interp(part, period_phases, phase_cum))
+        return whole * period_integral + float(np.interp(part, period_spans, span_cum))
 
     tail_window = tail_integral(window)
     d1_dev, u_dev = [], []
@@ -345,12 +340,12 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
         worst_u = 0.0
         for i in range(w_steps + 1):
             s = dt * (rec.start + i)
-            j = w_steps - i  # phase T - s on the window grid
+            j = w_steps - i  # time-to-go T - s on the window grid
             m_s = CircleMeasure(PARTICLES, positions[i], m_t.weights)
             worst_d1 = max(worst_d1, wasserstein1(
                 m_s, CircleMeasure(DENSITY, table.nodes, m_bar_window[j])))
             u_slice = rec.w[i] + float(m_cum[i]) + c_mt * s
-            u_bar_slice = (u0_phi + (tail_window - tail_integral(window_phases[j]))
+            u_bar_slice = (u0_phi + (tail_window - tail_integral(window_spans[j]))
                            - s * (period_integral / tau))
             worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))
         d1_dev.append(worst_d1)

@@ -97,7 +97,7 @@ def test_criterion_2_periodic_solution_reproduction(periodic_run):
     m_gap = 0.0
     for k, t in enumerate(ps.times):
         target = CircleMeasure.from_density_values(
-            1.0 + np.cos(2 * np.pi * (xs + t - ps.t_ref)))
+            1.0 + np.cos(2 * np.pi * (xs + t - ps.times[-1])))
         m_gap = max(m_gap, wasserstein1(ps.m_bar[k], target))
     ok = c_ok and u_gap <= 1e-2 and m_gap <= 5e-3 and elapsed < 30.0
     report(2, "periodic-solution reproduction", ok,
@@ -210,20 +210,20 @@ def test_criterion_9_flow_identities(qd_regime):
     rng = np.random.default_rng(9)
     round_trip = 0.0
     for y, t in zip(rng.random(100), 3.0 * rng.random(100)):
-        x = forward_flow(df, 0.0, float(t), float(y))
+        x = forward_flow(df, float(t), float(y))
         round_trip = max(round_trip, float(circle_distance(
-            fm.phi_inverse(0.0, float(t), x), y)))
+            fm.phi_inverse(float(t), x), y)))
     group = 0.0
     for x in rng.random(30):
         s, t, big_t = np.sort(3.0 * rng.random(3))
-        direct = forward_flow(df, float(s), float(big_t), float(x))
-        via = forward_flow(df, float(s), float(t),
-                           forward_flow(df, float(t), float(big_t), float(x)))
+        direct = forward_flow(df, float(big_t - s), float(x))
+        via = forward_flow(df, float(t - s),
+                           forward_flow(df, float(big_t - t), float(x)))
         group = max(group, float(circle_distance(direct, via)))
     m_star = invariant_density(df)
     stationarity = max(
-        wasserstein1(pushforward(fm, m_star, float(t), 1.0), m_star)
-        for t in (0.0, 0.25, 0.77))
+        wasserstein1(pushforward(fm, m_star, s), m_star)
+        for s in (1.0, 0.75, 0.23))
     ok = round_trip <= 1e-6 and group <= 1e-6 and stationarity <= 1e-4
     report(9, "flow identities", ok,
            f"round_trip={round_trip:.2e} group={group:.2e} "

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfglab.characteristics import (
     FIXED_POINTS,
@@ -73,34 +75,34 @@ def test_drift_field_ambiguous_band():
 
 
 def test_forward_flow_rigid_rotation(qd_drift):
-    out = forward_flow(qd_drift, 0.0, 0.5, 0.25)
+    out = forward_flow(qd_drift, 0.5, 0.25)
     assert circle_distance(out, 0.75) < 1e-12
 
 
 def test_forward_flow_identity_at_reference(qd_drift):
-    assert forward_flow(qd_drift, 1.3, 1.3, 0.4) == pytest.approx(0.4)
+    assert forward_flow(qd_drift, 0.0, 0.4) == pytest.approx(0.4)
 
 
 def test_forward_flow_periodic_in_t(qd_drift, wavy_drift):
     for df in (qd_drift, wavy_drift):
         tau = df.tau
         for y in (0.1, 0.37, 0.9):
-            lap = forward_flow(df, 0.0, tau, y)
+            lap = forward_flow(df, tau, y)
             assert circle_distance(lap, y) < 1e-6
 
 
 def test_inverse_flow_rigid_rotation(qd_drift):
     fm = FlowMap(qd_drift)
-    assert circle_distance(fm.phi_inverse(0.0, 0.5, 0.75), 0.25) < 1e-10
-    assert circle_distance(fm.phi_inverse(0.7, 0.7, 0.42), 0.42) < 1e-12
+    assert circle_distance(fm.phi_inverse(0.5, 0.75), 0.25) < 1e-10
+    assert circle_distance(fm.phi_inverse(0.0, 0.42), 0.42) < 1e-12
 
 
 def test_round_trip_rigid(qd_drift):
     fm = FlowMap(qd_drift)
     rng = np.random.default_rng(1)
     for y, t in zip(rng.random(100), 3.0 * rng.random(100)):
-        x = forward_flow(qd_drift, 0.0, float(t), float(y))
-        back = fm.phi_inverse(0.0, float(t), x)
+        x = forward_flow(qd_drift, float(t), float(y))
+        back = fm.phi_inverse(float(t), x)
         assert circle_distance(back, y) < 1e-6
 
 
@@ -108,8 +110,8 @@ def test_round_trip_wavy(wavy_drift):
     fm = FlowMap(wavy_drift)
     rng = np.random.default_rng(2)
     for y, t in zip(rng.random(100), 2.0 * rng.random(100)):
-        x = forward_flow(wavy_drift, 0.0, float(t), float(y))
-        back = fm.phi_inverse(0.0, float(t), x)
+        x = forward_flow(wavy_drift, float(t), float(y))
+        back = fm.phi_inverse(float(t), x)
         assert circle_distance(back, y) < 1e-6
 
 
@@ -117,18 +119,36 @@ def test_flow_group_property(wavy_drift):
     rng = np.random.default_rng(3)
     for x in rng.random(20):
         s, t, T = np.sort(2.0 * rng.random(3))
-        direct = forward_flow(wavy_drift, float(s), float(T), float(x))
-        via = forward_flow(wavy_drift, float(s), float(t),
-                           forward_flow(wavy_drift, float(t), float(T), float(x)))
+        direct = forward_flow(wavy_drift, float(T - s), float(x))
+        via = forward_flow(wavy_drift, float(t - s),
+                           forward_flow(wavy_drift, float(T - t), float(x)))
         assert circle_distance(direct, via) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def wavy_flow_maps(wavy_drift, wavy_negative_drift):
+    return {1.0: FlowMap(wavy_drift), -1.0: FlowMap(wavy_negative_drift)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.floats(0.0, 1.0, exclude_max=True), s1=st.floats(0.0, 1.5),
+       s2=st.floats(0.0, 1.5), sign=st.sampled_from([1.0, -1.0]))
+@example(y=0.0, s1=0.0, s2=0.0, sign=-1.0)
+def test_flow_map_group_property(wavy_flow_maps, y, s1, s2, sign):
+    """The exact flow composes over spans up to 3 (about three periods),
+    and phi undoes phi_inverse, for both drift signs."""
+    fm = wavy_flow_maps[sign]
+    composed = fm.phi_inverse(s1, fm.phi_inverse(s2, y))
+    assert circle_distance(fm.phi_inverse(s1 + s2, y), composed) <= 1e-12
+    assert circle_distance(fm.phi(s1, fm.phi_inverse(s1, y)), y) <= 1e-12
 
 
 def test_g_based_flow_matches_rk4(wavy_drift, wavy_negative_drift):
     for df in (wavy_drift, wavy_negative_drift):
-        fm = FlowMap(df, t_ref=2.0)
+        fm = FlowMap(df)
         for x in (0.05, 0.33, 0.78):
-            rk4 = forward_flow(df, 0.6, 2.0, x)
-            via_g = fm.phi(0.6, 2.0, x)
+            rk4 = forward_flow(df, 1.4, x)
+            via_g = fm.phi(1.4, x)
             assert circle_distance(rk4, via_g) < 1e-6
 
 
@@ -137,21 +157,21 @@ def test_flow_map_invariant_round_trip(wavy_drift, wavy_negative_drift):
     ys = rng.random(50)
     for df in (wavy_drift, wavy_negative_drift):
         fm = FlowMap(df)
-        imgs = fm.phi(0.0, 1.7, ys)
-        back = fm.phi_inverse(0.0, 1.7, imgs)
+        imgs = fm.phi(1.7, ys)
+        back = fm.phi_inverse(1.7, imgs)
         assert np.max(circle_distance(back, ys)) < 1e-6
         # targets exactly on the table's nodes, then on the 0/1 seam from
         # both sides: after one full winding, and a hair off G = 0
-        assert np.max(circle_distance(fm.phi_inverse(0.4, 0.4, df.nodes), df.nodes)) < 1e-12
+        assert np.max(circle_distance(fm.phi_inverse(0.0, df.nodes), df.nodes)) < 1e-12
         seam = np.array([0.0, np.nextafter(1.0, 0.0)])
         for span in (abs(fm.winding), 1e-18):
-            assert np.max(circle_distance(fm.phi_inverse(0.0, span, seam), seam)) < 1e-12
-            assert np.max(circle_distance(fm.phi(0.0, span, seam), seam)) < 1e-12
+            assert np.max(circle_distance(fm.phi_inverse(span, seam), seam)) < 1e-12
+            assert np.max(circle_distance(fm.phi(span, seam), seam)) < 1e-12
 
 
 def test_forward_flow_requires_t_before_reference(qd_drift):
     with pytest.raises(ValueError):
-        forward_flow(qd_drift, 2.0, 1.0, 0.5)
+        forward_flow(qd_drift, -1.0, 0.5)
 
 
 def test_lipschitz_constant_rigid(qd_drift):
@@ -160,15 +180,15 @@ def test_lipschitz_constant_rigid(qd_drift):
     assert rep.gronwall_bound == pytest.approx(1.0, abs=1e-12)
 
 
-def _reference_k1(df, n_points=24, n_times=9, t_ref=0.0):
+def _reference_k1(df, n_points=24, n_times=9):
     """K1 as flow_lipschitz_constant measured it before it batched its
-    times: one scalar forward_flow call per time, one pass per point."""
+    spans: one scalar forward_flow call per span, one pass per point."""
     tau = float(df.tau)
     xs = grid(n_points)
-    times = t_ref - tau + tau * np.arange(n_times) / (n_times - 1)
+    spans = tau - tau * np.arange(n_times) / (n_times - 1)
     k1 = 0.0
-    for t in times:
-        imgs = forward_flow(df, float(t), t_ref, xs)
+    for s in spans:
+        imgs = forward_flow(df, float(s), xs)
         for i in range(n_points):
             base = circle_distance(xs[i], xs[i + 1:])
             moved = circle_distance(imgs[i], imgs[i + 1:])
@@ -189,20 +209,20 @@ def test_lipschitz_constant_gronwall_bound(wavy_drift, wavy_negative_drift):
 def test_forward_flow_batched_times_match_scalar_calls(wavy_drift, wavy_negative_drift):
     rng = np.random.default_rng(5)
     xs = rng.random(17)
-    # unsorted, with a repeated time and a zero-span row (t == T)
-    times = np.array([1.8, 1.97, 2.0, 1.7, 1.97, 1.9])
+    # unsorted, with a repeated span and a zero span
+    spans = np.array([0.2, 0.03, 0.0, 0.3, 0.03, 0.1])
     for df in (wavy_drift, wavy_negative_drift):
-        rows = forward_flow(df, times, 2.0, xs)
-        assert rows.shape == (times.size, xs.size)
-        for row, t in zip(rows, times):
-            assert np.array_equal(row, forward_flow(df, float(t), 2.0, xs))
+        rows = forward_flow(df, spans, xs)
+        assert rows.shape == (spans.size, xs.size)
+        for row, s in zip(rows, spans):
+            assert np.array_equal(row, forward_flow(df, float(s), xs))
         assert np.array_equal(rows[2], xs % 1.0)
-        single = forward_flow(df, 1.7, 2.0, 0.25)
-        assert np.shape(single) == () and single == forward_flow(df, times[3:4], 2.0, 0.25)[0]
-        assert forward_flow(df, 1.7, 2.0, xs).shape == xs.shape
+        single = forward_flow(df, 0.3, 0.25)
+        assert np.shape(single) == () and single == forward_flow(df, spans[3:4], 0.25)[0]
+        assert forward_flow(df, 0.3, xs).shape == xs.shape
         for late in (0, 3, 5):
             with pytest.raises(ValueError):
-                forward_flow(df, np.where(np.arange(times.size) == late, 2.5, times), 2.0, xs)
+                forward_flow(df, np.where(np.arange(spans.size) == late, -0.5, spans), xs)
 
 
 def test_flow_csv_export(tmp_path, qd_drift):

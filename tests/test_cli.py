@@ -137,6 +137,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "dt_small.ini": "[grid]\nn = 256\ndt = 1e-5\n",
         "bad_n.ini": "[grid]\nn = 300\ndt = 0.002\n",
         "bad_tol.ini": "[tolerances]\ntol_c0 = -1\n",
+        "nan_tol.ini": "[tolerances]\ntol_periodicity = nan\n",
         "unknown_key.ini": "[grid]\nresolution = 256\n",
         "removed_key.ini": "[run]\nk_test = 8\n",
         "bad_int.ini": "[grid]\nn = abc\n",
@@ -152,13 +153,34 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "window_over_horizon.ini": "[grid]\nn = 64\ndt = 0.004\n[run]\n"
                                    "dt_probe = 0.004\nhorizons = 0.4\nwindow = 1.0\n",
         "short_t_probe.ini": "[run]\nt_probe = 2.0\n",
+        "no_section.ini": "n = 256\n",
+        "duplicate_key.ini": "[grid]\nn = 256\nn = 512\n",
+        "unknown_potential.ini": "[model]\nfamily = mechanical\npotential = foo\n",
+        "bad_potential_args.ini": "[model]\nfamily = mechanical\n"
+                                  "potential = double-well(a,1)\n",
+        "vmax_zero.ini": "[grid]\nvmax = 0\n",
+        "vmax_nan.ini": "[grid]\nvmax = nan\n",
+        "vmax_negative.ini": "[grid]\nvmax = -5\n",
+        "dim_two.ini": "[model]\nfamily = quadratic-drift\ndim = 2\n",
     }
+    unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "no_section.ini",
+                         "duplicate_key.ini", "unknown_potential.ini",
+                         "bad_potential_args.ini")
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
              "off_grid_calibration.ini": "calibration horizon = 0.75 is not a positive "
                                          "integer multiple of dt = 0.004",
              "window_over_horizon.ini": "window invariant violated: window = 1",
-             "short_t_probe.ini": "t_probe invariant violated: t_probe = 2"}
+             "short_t_probe.ini": "t_probe invariant violated: t_probe = 2",
+             "no_section.ini": "malformed config file",
+             "duplicate_key.ini": "malformed config file",
+             "unknown_potential.ini": "unknown potential id",
+             "bad_potential_args.ini": "could not convert",
+             "vmax_zero.ini": "velocity invariant violated",
+             "vmax_nan.ini": "velocity invariant violated",
+             "vmax_negative.ini": "velocity invariant violated",
+             "dim_two.ini": "dimension invariant violated",
+             "nan_tol.ini": "tolerance invariant violated: tol_periodicity"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -166,10 +188,14 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                      str(tmp_path / "out")])
         assert code == 2, name
         err = capsys.readouterr().err
-        assert "invariant" in err or name in ("unknown_key.ini", "removed_key.ini")
+        assert "invariant" in err or name in unnamed_invariant
         assert named.get(name, "") in err, name
         if name.startswith("off_grid"):
             assert "time-grid invariant" in err, name
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xec\x80[grid]\n")
+    assert main(["critical-value", "--config", str(binary), "--out", str(tmp_path / "out")]) == 2
+    assert "malformed config file" in capsys.readouterr().err
 
 
 def test_malformed_flags_exit_2(tmp_path, capsys):

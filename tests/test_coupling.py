@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mfglab.coupling import CouplingFunctional, evaluate, monotonicity_defect
+from mfglab.coupling import CouplingFunctional, monotonicity_defect
 from mfglab.measures import CircleMeasure, random_fourier_density, wasserstein1
 from mfglab.torus import grid
 
 
 def test_cosine_coupling_on_uniform_measure(coupling_cos):
     lebesgue = CircleMeasure.from_name("lebesgue", 512)
-    assert abs(evaluate(coupling_cos, lebesgue)) <= 1e-12
+    assert abs(coupling_cos(lebesgue)) <= 1e-12
 
 
 def test_cosine_coupling_on_rotated_density(coupling_cos):
@@ -16,7 +16,7 @@ def test_cosine_coupling_on_rotated_density(coupling_cos):
     xs = grid(n)
     for theta in (0.0, 0.13, 0.4, 0.77):
         m = CircleMeasure.from_density_values(1.0 + np.cos(2 * np.pi * (xs + theta)))
-        assert evaluate(coupling_cos, m) == pytest.approx(
+        assert coupling_cos(m) == pytest.approx(
             2 * np.pi * np.cos(2 * np.pi * theta), abs=1e-6)
 
 
@@ -24,7 +24,7 @@ def test_constant_coupling_is_constant():
     const = CouplingFunctional.constant(2.5)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert evaluate(const, random_fourier_density(128, rng)) \
+        assert const(random_fourier_density(128, rng)) \
             == pytest.approx(2.5, abs=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_lipschitz_certification(coupling_cos):
     for _ in range(200):
         m1 = random_fourier_density(256, rng)
         m2 = random_fourier_density(256, rng)
-        gap = abs(evaluate(coupling_cos, m1) - evaluate(coupling_cos, m2))
+        gap = abs(coupling_cos(m1) - coupling_cos(m2))
         if gap > coupling_cos.lipschitz * wasserstein1(m1, m2) + 1e-12:
             violations += 1
     assert violations == 0
@@ -63,8 +63,8 @@ def test_linearity_in_the_measure(coupling_cos):
     m2 = random_fourier_density(128, rng)
     for lam in (0.0, 0.3, 0.5, 0.9, 1.0):
         mix = CircleMeasure.from_masses(lam * m1.weights + (1 - lam) * m2.weights)
-        expected = lam * evaluate(coupling_cos, m1) + (1 - lam) * evaluate(coupling_cos, m2)
-        assert evaluate(coupling_cos, mix) == pytest.approx(expected, abs=1e-12)
+        expected = lam * coupling_cos(m1) + (1 - lam) * coupling_cos(m2)
+        assert coupling_cos(mix) == pytest.approx(expected, abs=1e-12)
 
 
 def test_from_name_ids():

@@ -9,7 +9,6 @@ from mfglab.hamiltonians import (
     QuadraticDrift,
     TabulatedConvex,
     hamilton_flow,
-    lagrangian,
 )
 from mfglab.torus import circle_distance, grid
 
@@ -21,32 +20,32 @@ def make_table(n_x=64, n_p=201, cutoff=10.0):
 
 
 def test_legendre_quadratic_drift_at_minus_one():
-    lval, pstar = lagrangian(QuadraticDrift(1), 0.3, -1.0)
+    lval, pstar = QuadraticDrift(1).lagrangian(0.3, -1.0)
     assert lval == pytest.approx(0.0, abs=1e-15)
     assert pstar == pytest.approx(0.0, abs=1e-15)
 
 
 def test_legendre_free_rest():
-    lval, pstar = lagrangian(Mechanical(), 0.7, 0.0)
+    lval, pstar = Mechanical().lagrangian(0.7, 0.0)
     assert lval == 0.0
     assert pstar == 0.0
 
 
 def test_legendre_cosine_example(cosine_model):
-    lval, pstar = lagrangian(cosine_model, 0.0, 1.0)
+    lval, pstar = cosine_model.lagrangian(0.0, 1.0)
     assert lval == pytest.approx(-0.5, abs=1e-15)
     assert pstar == pytest.approx(1.0, abs=1e-15)
 
 
 def test_velocity_cutoff_errors():
     with pytest.raises(VelocityCutoffError):
-        lagrangian(Mechanical(), 0.0, 11.0)
+        Mechanical().lagrangian(0.0, 11.0)
 
 
 def test_tabulated_legendre_matches_closed_form():
     tab = make_table()
     for x, v in [(0.0, 1.0), (0.25, -2.0), (0.6, 0.5)]:
-        lval, pstar = lagrangian(tab, x, v)
+        lval, pstar = tab.lagrangian(x, v)
         assert lval == pytest.approx(0.5 * v**2 - np.cos(2 * np.pi * x), abs=1e-3)
         assert pstar == pytest.approx(v, abs=1e-3)
 
@@ -54,7 +53,7 @@ def test_tabulated_legendre_matches_closed_form():
 def test_tabulated_momentum_boundary_error():
     tab = make_table(cutoff=2.0)
     with pytest.raises(MomentumCutoffError):
-        lagrangian(tab, 0.0, 2.5)  # maximiser p* = v lies beyond the table edge
+        tab.lagrangian(0.0, 2.5)  # maximiser p* = v lies beyond the table edge
 
 
 def test_legendre_duality_recovers_h():

@@ -110,16 +110,16 @@ def test_w1_metrizes_weak_convergence():
 def test_pushforward_identity_at_reference(rotation_flow):
     _df, fm = rotation_flow
     m = CircleMeasure.from_name("one-plus-cosine", 256)
-    assert pushforward(fm, m, 0.7, 0.7) is m
+    assert pushforward(fm, m, 0.0) is m
 
 
 def test_pushforward_density_rigid_rotation(rotation_flow):
     _df, fm = rotation_flow
     n = 256
     m = CircleMeasure.from_name("one-plus-cosine", n)
-    out = pushforward(fm, m, 0.0, 0.3)
+    out = pushforward(fm, m, 0.3)
     xs = grid(n)
-    target = 1.0 + np.cos(2 * np.pi * (xs + 0.0 - 0.3))
+    target = 1.0 + np.cos(2 * np.pi * (xs - 0.3))
     assert np.max(np.abs(out.density_values - target)) < 1e-4
     assert out.mass_drift < 1e-4
 
@@ -127,7 +127,7 @@ def test_pushforward_density_rigid_rotation(rotation_flow):
 def test_pushforward_particles_rigid_rotation(rotation_flow):
     _df, fm = rotation_flow
     m = CircleMeasure.from_particles([0.1, 0.6], [0.25, 0.75])
-    out = pushforward(fm, m, 0.0, 0.25)
+    out = pushforward(fm, m, 0.25)
     assert np.max(circle_distance(out.positions, [0.35, 0.85])) < 1e-9
     assert np.allclose(out.weights, m.weights)
 
@@ -135,7 +135,7 @@ def test_pushforward_particles_rigid_rotation(rotation_flow):
 def test_pushforward_fixes_invariant_density(rotation_flow):
     df, fm = rotation_flow
     m_star = invariant_density(df)
-    moved = pushforward(fm, m_star, 0.0, 0.77)
+    moved = pushforward(fm, m_star, 0.77)
     assert wasserstein1(moved, m_star) <= 1e-4
 
 
@@ -144,8 +144,8 @@ def test_pushforward_is_flow_action(rotation_flow):
     atoms = CircleMeasure.from_particles(np.random.default_rng(8).random(200))
     dens = CircleMeasure.from_name("one-plus-cosine", 512)
     for m in (atoms, dens):
-        one_hop = pushforward(fm, m, 0.2, 1.0)
-        two_hops = pushforward(fm, pushforward(fm, m, 0.6, 1.0), 0.2, 0.6)
+        one_hop = pushforward(fm, m, 0.8)
+        two_hops = pushforward(fm, pushforward(fm, m, 0.4), 0.4)
         assert wasserstein1(one_hop, two_hops) <= 1e-6
 
 
@@ -153,29 +153,29 @@ def test_pushforward_lipschitz_path(rotation_flow):
     _df, fm = rotation_flow
     m = CircleMeasure.from_name("one-plus-cosine", 256)
     max_speed = 1.0
-    for s, t in [(0.9, 1.0), (0.5, 1.0), (0.0, 0.25)]:
-        moved_s = pushforward(fm, m, s, 1.0)
-        moved_t = pushforward(fm, m, t, 1.0)
-        assert wasserstein1(moved_s, moved_t) <= max_speed * abs(t - s) + 1e-6
+    for a, b in [(0.1, 0.0), (0.5, 0.0), (1.0, 0.75)]:
+        moved_a = pushforward(fm, m, a)
+        moved_b = pushforward(fm, m, b)
+        assert wasserstein1(moved_a, moved_b) <= max_speed * abs(a - b) + 1e-6
 
 
 class _BrokenFlow:
     """Inverse map with a fold; its Jacobian is not mass-preserving."""
 
-    def phi_inverse(self, t, T, y):
+    def phi_inverse(self, s, y):
         y = np.asarray(y, dtype=float)
         return (0.3 * np.abs(np.sin(2 * np.pi * y))) % 1.0
 
-    def phi(self, t, T, x):
+    def phi(self, s, x):
         return x
 
 
-def _reference_masses(fm, times, T, m):
+def _reference_masses(fm, spans, m):
     """The push-forward as the table computed it before it fixed its
     stencils: interpolate the density at the inverse-flow nodes, times the
     centered-difference Jacobian, then renormalise each row."""
     n = m.n
-    xinv = np.array([fm.phi_inverse(float(t), T, grid(n)) for t in times])
+    xinv = np.array([fm.phi_inverse(float(s), grid(n)) for s in spans])
     jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
     values = periodic_interp(xinv, m.density_values) * jac
     totals = values.mean(axis=1)
@@ -191,20 +191,20 @@ def test_transport_table_matches_interpolation_at_inverse_nodes():
         v = sign * (1.0 + 0.3 * np.sin(2 * np.pi * xs))
         df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
                         tau=float(np.sum(1.0 / np.abs(v)) / n))
-        fm = FlowMap(df, t_ref=1.0)
-        times = 1.0 - df.tau * np.arange(40) / 39
-        masses, drift = TransportTable(fm, times, 1.0, n).masses(m)
-        ref, ref_drift = _reference_masses(fm, times, 1.0, m)
+        fm = FlowMap(df)
+        spans = df.tau * np.arange(40) / 39
+        masses, drift = TransportTable(fm, spans, n).masses(m)
+        ref, ref_drift = _reference_masses(fm, spans, m)
         assert np.array_equal(masses, ref) and np.array_equal(drift, ref_drift)
-        one = pushforward(fm, m, 0.37, 1.0)  # a one-row table
-        ref, ref_drift = _reference_masses(fm, [0.37], 1.0, m)
+        one = pushforward(fm, m, 0.63)  # a one-row table
+        ref, ref_drift = _reference_masses(fm, [0.63], m)
         assert np.array_equal(one.weights, ref[0]) and one.mass_drift == ref_drift[0]
 
 
 def test_pushforward_mass_drift_error():
     m = CircleMeasure.from_name("one-plus-cosine", 128)
     with pytest.raises(MassDriftError):
-        pushforward(_BrokenFlow(), m, 0.0, 1.0)
+        pushforward(_BrokenFlow(), m, 1.0)
 
 
 def test_continuity_residual_uniform_transport():
@@ -221,7 +221,7 @@ def test_continuity_residual_rotating_density(rotation_flow):
     n, steps, horizon = 256, 1000, 1.0
     m_t = CircleMeasure.from_name("one-plus-cosine", n)
     times = horizon * np.arange(steps + 1) / steps
-    path = [pushforward(fm, m_t, float(t), horizon) for t in times]
+    path = [pushforward(fm, m_t, float(horizon - t)) for t in times]
     bank = TestFunctionBank(k_max=8)
     res = continuity_residual(path, lambda x, t: np.full_like(x, -1.0), bank, horizon)
     assert res <= 1e-3
@@ -236,7 +236,7 @@ def test_continuity_residual_detects_perturbation(rotation_flow):
     wobble = 1.0 + 0.1 * np.sin(2 * np.pi * xs)
     path = []
     for t in times:
-        clean = pushforward(fm, m_t, float(t), horizon)
+        clean = pushforward(fm, m_t, float(horizon - t))
         path.append(CircleMeasure.from_density_values(clean.density_values * wobble))
     bank = TestFunctionBank(k_max=8)
     res = continuity_residual(path, lambda x, t: np.full_like(x, -1.0), bank, horizon)

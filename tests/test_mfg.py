@@ -199,19 +199,18 @@ def test_period_average_matches_series(coupling_cos, m_cos):
     df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
                     tau=float(np.sum(1.0 / v) / N))
     tau = df.tau
-    flow = FlowMap(df, t_ref=2.0 * tau)
+    flow = FlowMap(df)
     k_per = int(round(tau / DT))
     dt_adj = tau / k_per
-    times = flow.t_ref - tau + dt_adj * np.arange(k_per + 1)
+    spans = dt_adj * np.arange(k_per + 1)
     bump = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", N)
 
-    rows, _drift = TransportTable(flow, times, flow.t_ref, N).masses(bump)
-    per_slice = np.array([pushforward(flow, bump, float(t), flow.t_ref).weights
-                          for t in times])
+    rows, _drift = TransportTable(flow, spans, N).masses(bump)
+    per_slice = np.array([pushforward(flow, bump, float(s)).weights for s in spans])
     assert np.max(np.abs(rows - per_slice)) <= 1e-12
 
     def series_average(m):
-        series = [coupling_cos(pushforward(flow, m, float(t), flow.t_ref)) for t in times]
+        series = [coupling_cos(pushforward(flow, m, float(s))) for s in spans]
         return trapezoid(series, dt_adj) / tau
 
     pairs = [(m_cos, bump), (bump, CircleMeasure.from_name("lebesgue", N))]
@@ -220,6 +219,45 @@ def test_period_average_matches_series(coupling_cos, m_cos):
     expected = np.array([abs(series_average(a) - series_average(b)) for a, b in pairs])
     assert np.min(expected) > 1e-6  # c(m) depends on m off rigid rotation
     assert np.max(np.abs(report.gaps - expected)) <= 1e-12
+
+
+def _reference_periodic(m_t, functional, regime, dt, periods):
+    """The periodic construction as it ran before the single table: one
+    pushforward per slice, its time taken against the reference time
+    periods * tau, and F evaluated measure by measure."""
+    c0, u0, df = regime
+    tau = float(df.tau)
+    k_per = max(1, int(round(tau / dt)))
+    dt_adj = tau / k_per
+    t_ref = periods * tau
+    times = dt_adj * np.arange(periods * k_per + 1)
+    flow = FlowMap(df)
+    m_bar = [pushforward(flow, m_t, t_ref - float(t)) for t in times]
+    f_series = np.array([functional(m) for m in m_bar])
+    period_integral = trapezoid(f_series[: k_per + 1], dt_adj)
+    u_bar = u0[None, :] + (cumulative_trapezoid(f_series, dt_adj)
+                           - times * (period_integral / tau))[:, None]
+    return m_bar, f_series, c0 - period_integral / tau, u_bar
+
+
+def test_single_table_matches_per_slice_route(coupling_cos):
+    """A nonuniform drift whose period is off the dt grid: every slice of
+    the one transport table matches its own push-forward."""
+    xs = grid(N)
+    v = -(1.0 + 0.3 * np.sin(2 * np.pi * xs))
+    df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
+                    tau=float(np.sum(1.0 / np.abs(v)) / N))
+    regime = (0.25, 0.1 * np.cos(2 * np.pi * xs), df)
+    m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", N)
+    m_ref, f_ref, c_ref, u_ref = _reference_periodic(m_t, coupling_cos, regime, DT, 2)
+    ps = periodic_solution(m_t, None, coupling_cos, n=N, dt=DT, regime=regime)
+    assert len(ps.m_bar) == len(m_ref)
+    assert max(float(np.max(np.abs(m.weights - r.weights)))
+               for m, r in zip(ps.m_bar, m_ref)) <= 1e-12
+    assert np.max(np.abs(ps.coupling_series - f_ref)) <= 1e-12
+    assert ps.c_mt == pytest.approx(c_ref, abs=1e-12)
+    assert np.max(np.abs(ps.u_bar - u_ref)) <= 1e-12
+    assert np.max(np.abs(f_ref - f_ref[0])) > 1e-3  # F varies along the path
 
 
 def test_periodic_construction_with_nonconstant_drift(coupling_cos):
@@ -245,8 +283,8 @@ def test_periodic_construction_with_nonconstant_drift(coupling_cos):
     rep = flow_lipschitz_constant(df)
     assert 1.0 <= rep.k1 <= rep.gronwall_bound + 1e-6
     m_star = invariant_density(df)
-    moved = max(wasserstein1(pushforward(ps.flow, m_star, t, ps.t_ref), m_star)
-                for t in (0.3, 1.1))
+    moved = max(wasserstein1(pushforward(ps.flow, m_star, s), m_star)
+                for s in (0.3, 1.1))
     assert moved <= 1e-4
 
 
@@ -278,9 +316,9 @@ def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
     u0_phi = evolve(phi, t_cal, model, dt).values[-1] + c0 * t_cal
     d1_dev, u_dev = [], []
     for horizon in horizons:
-        flow = FlowMap(df, t_ref=horizon)
+        flow = FlowMap(df)
         period_times = horizon - tau + dt_p * np.arange(k_per + 1)
-        e = np.array([functional(pushforward(flow, m_t, float(t), horizon))
+        e = np.array([functional(pushforward(flow, m_t, horizon - float(t)))
                       for t in period_times])
         period_integral = trapezoid(e, dt_p)
         c_mt = c0 - period_integral / tau
@@ -300,7 +338,7 @@ def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
         worst_d1 = worst_u = 0.0
         for k in range(k0, sol.times.size):
             s = float(sol.times[k])
-            m_bar = pushforward(flow, m_t, s, horizon)
+            m_bar = pushforward(flow, m_t, horizon - s)
             worst_d1 = max(worst_d1, wasserstein1(sol.measure_at(k), m_bar))
             u = sol.w[k] + m_cum[k] + c_mt * s - m_cum[k0]
             u_bar = (u0_phi + bar_integral(s) - s * (period_integral / tau)
