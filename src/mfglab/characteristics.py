@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import AmbiguousClassificationError, NotPeriodicRegimeError
 from .hamiltonians import HamiltonianModel
-from .torus import circle_distance, grid, periodic_gradient, periodic_interp
+from .torus import circle_distance, grid, periodic_gradient, wrap
 
 FIXED_POINTS = "fixed-points"
 PERIODIC_ORBIT = "periodic-orbit"
@@ -117,33 +117,54 @@ class FlowMap:
 def _rk4(v: np.ndarray, y, h, steps):
     """steps RK4 steps of size h of y' = -v(y), v interpolated periodically
     between its node values, each step wrapped onto [0, 1)."""
+    n = float(v.size)
+    # the negated drift, padded past the seam: a point wrapped to 1.0 reads
+    # node n with weight 1, and node i + 1 needs no wrap
+    rate = -np.concatenate((v, v[:2]))
+    ahead = rate[1:]
+    half, sixth = 0.5 * h, h / 6.0
+
+    def slope(z):
+        t = wrap(z) * n
+        cell = np.floor(t)
+        i = cell.astype(np.intp)
+        frac = t - cell
+        return (1.0 - frac) * rate.take(i) + frac * ahead.take(i)
+
     for _ in range(steps):
-        k1 = -periodic_interp(y, v)
-        k2 = -periodic_interp(y + 0.5 * h * k1, v)
-        k3 = -periodic_interp(y + 0.5 * h * k2, v)
-        k4 = -periodic_interp(y + h * k3, v)
-        y = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
+        k1 = slope(y)
+        k2 = slope(y + half * k1)
+        k3 = slope(y + half * k2)
+        k4 = slope(y + h * k3)
+        y = wrap(y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return y
 
 
 def forward_flow(df: DriftField, s, x):
-    """RK4 integration of x' = v(x) backward over the time-to-go s >= 0; an
-    array of spans gives one row per span, each bit-equal to a scalar call."""
+    """RK4 integration of x' = v(x) backward over the time-to-go s >= 0.
+
+    A 1-D array of spans gives one row per span, each bit-equal to a
+    scalar call: of all the points x, or, when x is (R, P) with R the
+    number of spans, of row r of x for span r.
+    """
     df.require_periodic()
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("forward_flow needs a time-to-go s >= 0")
     span = np.atleast_1d(s)
-    x = np.asarray(x, dtype=float)
+    x = wrap(x)
     vmax = np.max(np.abs(df.v))
     # no step for a zero span, at least one otherwise
     steps = np.maximum(span > 0.0, np.ceil(span * vmax / (0.25 * df.dx)).astype(int))
     h = span / np.maximum(steps, 1)
     if s.ndim == 0:
-        return _rk4(df.v, x % 1.0, h[0], steps[0])
+        return _rk4(df.v, x, h[0], steps[0])
     order = np.argsort(-steps, kind="stable")
-    ends, h = np.append(steps[order], 0), h[order].reshape((-1,) + (1,) * x.ndim)
-    y = np.broadcast_to(x % 1.0, span.shape + x.shape).copy()
+    if x.ndim > 1 and x.shape[0] == span.size:  # one row of points per span
+        y = x[order]
+    else:
+        y = np.broadcast_to(x, span.shape + x.shape).copy()
+    ends, h = np.append(steps[order], 0), h[order].reshape((-1,) + (1,) * (y.ndim - 1))
     for a in range(span.size, 0, -1):  # the a longest rows take their next steps
         y[:a] = _rk4(df.v, y[:a], h[:a], ends[a - 1] - ends[a])
     return y[np.argsort(order)]

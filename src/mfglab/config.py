@@ -20,6 +20,20 @@ from .mfg import CALIBRATION_FACTOR
 VMAX_DEFAULT = 10.0
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """configparser's multi-line message as one line that names the line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no [section] header before {exc.line.strip()!r}"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, text = exc.errors[0]  # text is already a repr
+        return f"line {lineno}: cannot parse {text}"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: duplicate key [{exc.section}] {exc.option}"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    return " ".join(str(exc).split())
+
+
 @dataclass
 class RunConfig:
     # model
@@ -74,7 +88,9 @@ class RunConfig:
         parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path)
-        except (configparser.Error, UnicodeDecodeError) as exc:
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}, {_syntax_error(exc)}") from None
+        except UnicodeDecodeError as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")

@@ -10,6 +10,10 @@ exact for velocity-quadratic Lagrangians on flat data.
 A stepper reads the candidate origins through a strided (n, m) view of a
 wrapped copy of w, so a step is a few whole-array numpy calls with no
 index gather; the sub-grid value is read from the same window.  The
+refinement's Lagrangian terms 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm) at
+every (node, offset) are static tables built with the stepper, and one
+lookup of the argmin's offset in a table of interior offsets gives both the
+velocity-cutoff check and the lanes that may take the refinement.  The
 wrapped copy and the cost table are scratch buffers that every step
 overwrites, so one stepper must not be shared across threads.
 
@@ -147,8 +151,20 @@ class HopfLaxStepper:
         self._wrapped = np.empty(self.n + 2 * cells)
         self._window = np.lib.stride_tricks.sliding_window_view(self._wrapped, m)[:, ::-1]
         self._cost = np.empty((self.n, m))
-        self._row_start = np.arange(self.n) * m               # flat index of (j, 0)
-        self._origin_index = np.arange(self.n) + 2 * cells    # wrapped index of (j, 0)
+        # the refinement's neighbour terms of cost_l at each (j, k), edges
+        # clamped: 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm); scaling by 0.5 is
+        # exact, so delta times a term equals 0.5 delta (lp - lm) bit for bit
+        padded = np.pad(self.cost_l, ((0, 0), (1, 1)), mode="edge")
+        lm, lk, lp = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
+        self._slope = 0.5 * (lp - lm)
+        self._curvature = 0.5 * (lp - 2.0 * lk + lm)
+        self._interior = np.ones(m, dtype=bool)              # offsets inside the window
+        self._interior[[0, -1]] = False
+        rows = np.arange(self.n)
+        # flat indices of (j, k - 1), (j, k), (j, k + 1) at k = 0, and the
+        # wrapped indices of the origins of those three offsets
+        self._flat3 = rows * m + np.array([[-1], [0], [1]])
+        self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -156,42 +172,45 @@ class HopfLaxStepper:
         Displacement d(x) means the minimising origin was y = x - d at the
         earlier slice.  Ties go to the smallest signed displacement.
         """
-        n, c, m = self.n, self.cells, self.offsets.size
+        n, c = self.n, self.cells
         wrapped = self._wrapped
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
         cost = np.add(self._window, self.cost_l, out=self._cost)
         k = cost.argmin(axis=1)
-        if (self.strict_boundary and self.boundary_is_cutoff
-                and (k.min() == 0 or k.max() == m - 1)):
+        interior = self._interior[k]
+        if self.strict_boundary and self.boundary_is_cutoff and not interior.all():
             raise VelocityCutoffError(
                 "Hopf-Lax argmin sits on the velocity search boundary"
             )
-        # the argmin and its two neighbours, clamped to the window
-        k3 = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, m - 1)))
-        flat = k3 + self._row_start
-        cm, ck, cp = cost.take(flat)
-        lm, lk, lp = self.cost_l.take(flat)
-        wm, wk, wp = wrapped.take(self._origin_index - k3)
+        # the argmin and its two neighbours; on the window's edge a
+        # neighbour is clipped or read from the next row, and such a lane
+        # never takes the refinement
+        flat3 = self._flat3 + k
+        flat = flat3[1]
+        cm, ck, cp = cost.take(flat3, mode="clip")
+        wm, wk, wp = wrapped.take(self._origin3 - k, mode="clip")
 
-        interior = (k > 0) & (k < m - 1)
         denom = cp - 2.0 * ck + cm
         safe = interior & (denom > 1e-300)
-        delta = np.where(safe, 0.5 * (cm - cp) / np.where(safe, denom, 1.0), 0.0)
-        delta = np.minimum(np.maximum(delta, -0.5), 0.5)
+        delta = np.zeros(n)
+        np.divide(0.5 * (cm - cp), denom, out=delta, where=safe)
+        np.minimum(np.maximum(delta, -0.5, out=delta), 0.5, out=delta)
 
         # w is linear between the argmin origin and its neighbour on the
         # side of delta, which holds the refined origin x - disp
         w_ref = wk + np.abs(delta) * (np.where(delta > 0.0, wp, wm) - wk)
-        l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
+        l_ref = (self.cost_l.take(flat) + delta * self._slope.take(flat)
+                 + delta**2 * self._curvature.take(flat))
         refined = w_ref + l_ref
-        use = safe & (refined < ck)
-        w_next = np.where(use, refined, ck)
+        # a lane off the refinement has delta = 0 and refined == ck; numpy's
+        # minimum returns its second operand on a tie, so ck is kept there
+        w_next = np.minimum(refined, ck)
         if not want_origins:
             return w_next, None
         shift = self.offsets[k]
-        origins = np.where(use, (shift + delta) * self.dx, shift * self.dx)
+        origins = np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
         return w_next, origins
 
 
@@ -231,16 +250,17 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
             raise ValueError(f"sweep window ({k0}, {k1}) outside 0..{steps}")
         records.append(SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)),
                                    np.empty((k1 - k0, w.size)) if with_origins else None))
+    bounds = [(rec, k0, k1) for rec, (k0, k1) in zip(records, windows)]
     for k in range(steps + 1):
-        live = [rec for rec in records if 0 <= k - rec.start < len(rec.w)]
-        for rec in live:
-            rec.w[k - rec.start] = w
+        for rec, k0, k1 in bounds:
+            if k0 <= k <= k1:
+                rec.w[k - k0] = w
         if k == steps:
             break
-        stepping = [rec for rec in live if with_origins and k - rec.start < len(rec.origins)]
+        stepping = [(rec, k0) for rec, k0, k1 in bounds if with_origins and k0 <= k < k1]
         w, origins = stepper.step(w, want_origins=bool(stepping))
-        for rec in stepping:
-            rec.origins[k - rec.start] = origins
+        for rec, k0 in stepping:
+            rec.origins[k - k0] = origins
     return w, records
 
 

@@ -135,11 +135,14 @@ class TransportTable:
 
     def __init__(self, fm, spans, n: int):
         self.nodes = grid(n)
-        xinv = np.array([fm.phi_inverse(float(s), self.nodes) for s in spans])
+        xinv = np.empty((len(spans), n))
+        for row, s in zip(xinv, spans):
+            row[:] = fm.phi_inverse(float(s), self.nodes)
+        # the stencil's temporaries come and go before the Jacobian is held
+        self._cell, self._frac = interp_stencil(xinv, n)
         # the inverse map is an orientation-preserving circle map: consecutive
         # gaps are small and positive, so %1 picks the right branch
         self.jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
-        self._cell, self._frac = interp_stencil(xinv, n)
 
     def masses(self, m: CircleMeasure):
         """Node masses of the pushed densities, one row per span, each

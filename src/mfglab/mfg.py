@@ -38,7 +38,7 @@ from .measures import (
     pushforward,  # not called here: perfbench's tracer self-test rebinds this alias
     wasserstein1,
 )
-from .torus import cumulative_trapezoid, periodic_interp, trapezoid, wrap
+from .torus import cumulative_trapezoid, grid, periodic_interp, trapezoid, wrap
 
 # T_cal / T_max: the convergence experiment calibrates the stationary
 # solution's additive constant at a time beyond its largest horizon
@@ -189,11 +189,13 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     times = dt_adj * np.arange(steps + 1)
     flow = FlowMap(df)
 
-    table = TransportTable(flow, dt_adj * np.arange(steps, -1, -1), m_t.n)
-    masses, drift = table.masses(m_t)
-    m_bar = [CircleMeasure(DENSITY, table.nodes, row, mass_drift=d)
+    nodes = grid(m_t.n)
+    # the table is dropped as soon as it has pushed m_t, before m_bar and
+    # u_bar are built
+    masses, drift = TransportTable(flow, dt_adj * np.arange(steps, -1, -1), m_t.n).masses(m_t)
+    m_bar = [CircleMeasure(DENSITY, nodes, row, mass_drift=d)
              for row, d in zip(masses, drift)]
-    f_series = masses @ functional.f(table.nodes)
+    f_series = masses @ functional.f(nodes)
     period_integral = trapezoid(f_series[: k_per + 1], dt_adj)
     c_mt = c0 - period_integral / tau
     u_bar = u0[None, :] + (cumulative_trapezoid(f_series, dt_adj)

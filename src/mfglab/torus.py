@@ -8,7 +8,9 @@ import numpy as np
 
 def wrap(x):
     """Reduce positions to the fundamental domain [0, 1)."""
-    return np.asarray(x, dtype=float) % 1.0
+    x = np.asarray(x, dtype=float)
+    # bit-equal to x % 1.0, which numpy computes by a slower divmod
+    return x - np.floor(x)
 
 
 def signed_gap(x, y):
@@ -29,7 +31,7 @@ def grid(n: int) -> np.ndarray:
 def interp_stencil(xq, n: int):
     """Left node index and fraction of each query on the n-node periodic
     grid: xq lies between nodes i and (i + 1) % n, a fraction f past i."""
-    t = (np.asarray(xq, dtype=float) % 1.0) * n
+    t = wrap(xq) * n
     floor = np.floor(t)
     return floor.astype(int) % n, t - floor
 

@@ -8,6 +8,7 @@ from mfglab.characteristics import (
     PERIODIC_ORBIT,
     DriftField,
     FlowMap,
+    _rk4,
     drift_field,
     flow_lipschitz_constant,
     forward_flow,
@@ -15,7 +16,7 @@ from mfglab.characteristics import (
 from mfglab.errors import AmbiguousClassificationError, NotPeriodicRegimeError
 from mfglab.hamiltonians import Mechanical, Potential
 from mfglab.lax_oleinik import weak_kam_solution
-from mfglab.torus import circle_distance, grid
+from mfglab.torus import circle_distance, grid, periodic_interp, wrap
 
 
 def synthetic_drift(v_values) -> DriftField:
@@ -100,29 +101,36 @@ def test_inverse_flow_rigid_rotation(qd_drift):
 def test_round_trip_rigid(qd_drift):
     fm = FlowMap(qd_drift)
     rng = np.random.default_rng(1)
-    for y, t in zip(rng.random(100), 3.0 * rng.random(100)):
-        x = forward_flow(qd_drift, float(t), float(y))
+    ys, ts = rng.random(100), 3.0 * rng.random(100)
+    xs = forward_flow(qd_drift, ts, ys[:, None])[:, 0]  # one point per span
+    for y, t, x in zip(ys, ts, xs):
         back = fm.phi_inverse(float(t), x)
         assert circle_distance(back, y) < 1e-6
+    assert xs[0] == forward_flow(qd_drift, float(ts[0]), float(ys[0]))
 
 
 def test_round_trip_wavy(wavy_drift):
     fm = FlowMap(wavy_drift)
     rng = np.random.default_rng(2)
-    for y, t in zip(rng.random(100), 2.0 * rng.random(100)):
-        x = forward_flow(wavy_drift, float(t), float(y))
+    ys, ts = rng.random(100), 2.0 * rng.random(100)
+    xs = forward_flow(wavy_drift, ts, ys[:, None])[:, 0]  # one point per span
+    for y, t, x in zip(ys, ts, xs):
         back = fm.phi_inverse(float(t), x)
         assert circle_distance(back, y) < 1e-6
+    for i in (0, 1):
+        assert xs[i] == forward_flow(wavy_drift, float(ts[i]), float(ys[i]))
 
 
 def test_flow_group_property(wavy_drift):
     rng = np.random.default_rng(3)
-    for x in rng.random(20):
-        s, t, T = np.sort(2.0 * rng.random(3))
-        direct = forward_flow(wavy_drift, float(T - s), float(x))
-        via = forward_flow(wavy_drift, float(t - s),
-                           forward_flow(wavy_drift, float(T - t), float(x)))
-        assert circle_distance(direct, via) < 1e-6
+    xs = rng.random(20)
+    s, t, T = np.sort(2.0 * rng.random((20, 3)), axis=1).T
+    direct = forward_flow(wavy_drift, T - s, xs[:, None])[:, 0]
+    halfway = forward_flow(wavy_drift, T - t, xs[:, None])
+    via = forward_flow(wavy_drift, t - s, halfway)[:, 0]
+    for a, b in zip(direct, via):
+        assert circle_distance(a, b) < 1e-6
+    assert halfway[0, 0] == forward_flow(wavy_drift, float(T[0] - t[0]), float(xs[0]))
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +231,64 @@ def test_forward_flow_batched_times_match_scalar_calls(wavy_drift, wavy_negative
         for late in (0, 3, 5):
             with pytest.raises(ValueError):
                 forward_flow(df, np.where(np.arange(spans.size) == late, -0.5, spans), xs)
+
+
+def test_forward_flow_per_row_points_match_scalar_calls(wavy_drift, wavy_negative_drift):
+    rng = np.random.default_rng(6)
+    spans = np.array([0.2, 0.03, 0.0, 0.3, 0.03, 0.1])  # unsorted, a repeat, a zero
+    points = rng.random((spans.size, 5))
+    points[1, :2] = 0.0, np.nextafter(1.0, 0.0)  # the 0/1 seam
+    for df in (wavy_drift, wavy_negative_drift):
+        rows = forward_flow(df, spans, points)
+        assert rows.shape == points.shape
+        for row, s, x in zip(rows, spans, points):
+            assert np.array_equal(row, forward_flow(df, float(s), x))
+        assert np.array_equal(rows[2], points[2])
+        single = forward_flow(df, spans, points[:, :1])
+        assert single.shape == (spans.size, 1) and np.array_equal(single[:, 0], rows[:, 0])
+
+
+def _interp_rk4(v, y, h, steps):
+    """The RK4 kernel as periodic_interp of the node drift at every stage,
+    negated per stage: the oracle _rk4 must reproduce bit for bit."""
+    for _ in range(steps):
+        k1 = -periodic_interp(y, v)
+        k2 = -periodic_interp(y + 0.5 * h * k1, v)
+        k3 = -periodic_interp(y + 0.5 * h * k2, v)
+        k4 = -periodic_interp(y + h * k3, v)
+        y = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, -np.nextafter(0.0, 1.0), -1.0, np.nextafter(1.0, 0.0), -1e-17, -2.5]))
+def test_wrap_bit_equals_float_remainder(x):
+    """wrap's x - floor(x) is numpy's x % 1.0 bit for bit, signed zeros
+    and the tiny negatives that round up to 1.0 included."""
+    assert wrap(x).tobytes() == (np.asarray(x) % 1.0).tobytes()
+    row = np.array([x, -x, x / 3.0])
+    assert wrap(row).tobytes() == (row % 1.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [96, 2048])
+def test_rk4_bit_equals_interpolating_kernel(n):
+    """Points on the 0/1 seam, on nodes and at random, for both drift signs
+    and one h per row, over steps long enough to cross the seam."""
+    rng = np.random.default_rng(7)
+    xs = grid(n)
+    # a hair below 0 wraps to exactly 1.0, the one point that reads node n
+    seam = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(0.0, 1.0),
+                     -np.nextafter(0.0, 1.0), xs[1]])
+    y = np.concatenate((seam, rng.random(11)))
+    for sign in (1.0, -1.0):
+        v = sign * (1.0 + 0.3 * np.sin(2 * np.pi * xs))
+        assert np.array_equal(_rk4(v, y, 1e-3, 40), _interp_rk4(v, y, 1e-3, 40))
+        h = np.array([[1e-3], [3e-4], [1e-7]])
+        rows = np.tile(y, (3, 1))
+        assert np.array_equal(_rk4(v, rows, h, 40), _interp_rk4(v, rows, h, 40))
+        for y0 in seam:
+            assert _rk4(v, y0, 2e-3, 3) == _interp_rk4(v, y0, 2e-3, 3)
 
 
 def test_flow_csv_export(tmp_path, qd_drift):

@@ -198,6 +198,28 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     assert "malformed config file" in capsys.readouterr().err
 
 
+def test_config_syntax_errors_are_one_line(tmp_path, capsys):
+    """A file configparser cannot read exits 2 with one stderr line that
+    names the file and the offending line."""
+    cases = {
+        "no_section.ini": ("n = 256\n", "line 1: no [section] header before 'n = 256'"),
+        "duplicate_key.ini": ("[grid]\nn = 256\nn = 512\n",
+                              "line 3: duplicate key [grid] n"),
+        "duplicate_section.ini": ("[grid]\nn = 256\n[grid]\n",
+                                  "line 3: duplicate section [grid]"),
+        "no_value.ini": ("[grid]\nn = 256\n= 5\n", "line 3: cannot parse"),
+    }
+    for name, (text, where) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["critical-value", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert f"malformed config file {path}, {where}" in err, err
+
+
 def test_malformed_flags_exit_2(tmp_path, capsys):
     mech = tmp_path / "mech.ini"
     mech.write_text("[model]\nfamily = mechanical\npotential = cosine\n"

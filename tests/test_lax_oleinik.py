@@ -190,6 +190,74 @@ def test_step_matches_gather_reference(model_name, grid_index, strict, data):
     assert np.all(np.abs(new[1][moved] - ref[1][moved]) <= 0.5 * stepper.dx)
 
 
+def _windowed_step(stepper, w, want_origins=False):
+    """The one-pass windowed step before its refinement terms were tabled:
+    the per-step clamped neighbour gather and np.where selection, kept as
+    the oracle the current step must reproduce bit for bit."""
+    n, c, m = stepper.n, stepper.cells, stepper.offsets.size
+    wrapped = np.concatenate((w[n - c:], w, w[:c]))
+    window = np.lib.stride_tricks.sliding_window_view(wrapped, m)[:, ::-1]
+    cost = window + stepper.cost_l
+    k = cost.argmin(axis=1)
+    if (stepper.strict_boundary and stepper.boundary_is_cutoff
+            and (k.min() == 0 or k.max() == m - 1)):
+        raise VelocityCutoffError("Hopf-Lax argmin sits on the velocity search boundary")
+    k3 = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, m - 1)))
+    flat = k3 + np.arange(n) * m
+    cm, ck, cp = cost.take(flat)
+    lm, lk, lp = stepper.cost_l.take(flat)
+    wm, wk, wp = wrapped.take(np.arange(n) + 2 * c - k3)
+    interior = (k > 0) & (k < m - 1)
+    denom = cp - 2.0 * ck + cm
+    safe = interior & (denom > 1e-300)
+    delta = np.where(safe, 0.5 * (cm - cp) / np.where(safe, denom, 1.0), 0.0)
+    delta = np.minimum(np.maximum(delta, -0.5), 0.5)
+    w_ref = wk + np.abs(delta) * (np.where(delta > 0.0, wp, wm) - wk)
+    l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
+    refined = w_ref + l_ref
+    use = safe & (refined < ck)
+    w_next = np.where(use, refined, ck)
+    if not want_origins:
+        return w_next, None
+    shift = stepper.offsets[k]
+    return w_next, np.where(use, (shift + delta) * stepper.dx, shift * stepper.dx)
+
+
+def _bit_equal(a, b):
+    """Equal arrays down to the sign of zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
+       grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
+       strict=st.booleans(), data=st.data())
+def test_step_bit_equals_windowed_oracle(model_name, grid_index, strict, data):
+    """Values and origins bit-equal the frozen windowed step, with and
+    without origins, and the velocity-cutoff error comes in the same cases."""
+    stepper = _stepper(model_name, grid_index, strict)
+    w = _field(data, stepper.n)
+    new = _step_or_error(HopfLaxStepper.step, stepper, w)
+    ref = _step_or_error(_windowed_step, stepper, w)
+    assert (new is None) == (ref is None)
+    if new is None:
+        return
+    assert _bit_equal(new[0], ref[0]) and _bit_equal(new[1], ref[1])
+    assert _bit_equal(stepper.step(w)[0], ref[0])
+
+
+@pytest.mark.parametrize("model_name", sorted(_ORACLE_MODELS))
+def test_sweep_from_rest_bit_equals_windowed_oracle(model_name):
+    """500 steps from phi = 0, whose flat start puts ties in the argmin and
+    in the refinement, step by step against the frozen windowed step."""
+    stepper = _stepper(model_name, 1, True)
+    w_new = w_ref = np.zeros(stepper.n)
+    for _ in range(500):
+        w_new, origins_new = stepper.step(w_new, want_origins=True)
+        w_ref, origins_ref = _windowed_step(stepper, w_ref, want_origins=True)
+        assert _bit_equal(w_new, w_ref) and _bit_equal(origins_new, origins_ref)
+
+
 def test_step_results_outlive_the_next_step(cosine_model):
     stepper = HopfLaxStepper(cosine_model, 128, 2e-3)
     xs = grid(128)
