@@ -22,11 +22,9 @@ from .errors import (
 from .explicit_solution import ExplicitInstance, hjb_residual, transport_residual
 from .hamiltonians import (
     Mechanical,
-    PhasePoint,
     Potential,
     QuadraticDrift,
     TabulatedConvex,
-    hamilton_flow,
 )
 from .lax_oleinik import (
     HopfLaxStepper,
@@ -34,13 +32,10 @@ from .lax_oleinik import (
     alpha_function,
     critical_value,
     evolve,
-    minimal_action,
     weak_kam_solution,
 )
 from .measures import (
     CircleMeasure,
-    TestFunctionBank,
-    continuity_residual,
     invariant_density,
     pushforward,
     wasserstein1,
@@ -72,26 +67,21 @@ __all__ = [
     "NotConvergedError",
     "NotPeriodicRegimeError",
     "PeriodicSolution",
-    "PhasePoint",
     "Potential",
     "QuadraticDrift",
     "TabulatedConvex",
-    "TestFunctionBank",
     "ValueField",
     "VelocityCutoffError",
     "alpha_function",
-    "continuity_residual",
     "critical_value",
     "drift_field",
     "evolve",
     "flow_lipschitz_constant",
     "forward_flow",
-    "hamilton_flow",
     "hjb_residual",
     "invariant_density",
     "lipschitz_c_experiment",
     "long_time_convergence_experiment",
-    "minimal_action",
     "monotonicity_defect",
     "periodic_solution",
     "pushforward",

@@ -39,25 +39,24 @@ class DriftField:
             )
 
 
-def drift_field(u0: np.ndarray, model: HamiltonianModel,
-                v_floor: float = V_FLOOR) -> DriftField:
+def drift_field(u0: np.ndarray, model: HamiltonianModel) -> DriftField:
     """Build v(x) = dH/dp(x, Du0(x)) and classify the regime.
 
-    Periodic orbit requires a sign-constant drift with min |v| >= v_floor;
-    a minimum inside (v_floor/2, v_floor) is refused as ambiguous.
+    Periodic orbit requires a sign-constant drift with min |v| >= V_FLOOR;
+    a minimum inside (V_FLOOR/2, V_FLOOR) is refused as ambiguous.
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
     nodes = grid(n)
     v = np.asarray(model.dh_dp(nodes, periodic_gradient(u0, 1.0 / n)), dtype=float)
     min_abs = float(np.min(np.abs(v)))
-    if v_floor / 2.0 < min_abs < v_floor:
+    if V_FLOOR / 2.0 < min_abs < V_FLOOR:
         raise AmbiguousClassificationError(
             f"min |v| = {min_abs:.3g} falls in the guard band "
-            f"({v_floor / 2.0:.3g}, {v_floor:.3g})"
+            f"({V_FLOOR / 2.0:.3g}, {V_FLOOR:.3g})"
         )
     sign_constant = bool(np.all(v > 0.0) or np.all(v < 0.0))
-    if sign_constant and min_abs >= v_floor:
+    if sign_constant and min_abs >= V_FLOOR:
         tau = float(np.sum(1.0 / np.abs(v)) / n)
         return DriftField(nodes=nodes, v=v, classification=PERIODIC_ORBIT, tau=tau)
     return DriftField(nodes=nodes, v=v, classification=FIXED_POINTS, tau=None)

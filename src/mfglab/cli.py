@@ -24,6 +24,7 @@ from .measures import random_fourier_density, wasserstein1
 from .mfg import (
     lipschitz_c_experiment,
     long_time_convergence_experiment,
+    periodic_regime,
     periodic_solution,
     solve_finite_horizon,
 )
@@ -113,6 +114,12 @@ def _auto_stride(cfg: RunConfig, n_slices: int) -> int:
     return max(1, n_slices // 100)
 
 
+def _regime(cfg: RunConfig, model) -> tuple:
+    """The periodic regime (c0, u0, drift) from a probe held to tol_c0."""
+    probe = critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
+    return periodic_regime(model, probe=probe)
+
+
 def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     probe = critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
@@ -193,8 +200,7 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     ps = periodic_solution(m_t, model, functional, n=cfg.n, dt=cfg.dt,
-                           periods=cfg.periods, t_probe=cfg.t_probe,
-                           dt_probe=cfg.dt_probe)
+                           periods=cfg.periods, regime=_regime(cfg, model))
     stride = _auto_stride(cfg, ps.times.size)
     _write_csv(out / "ubar.csv", "t,x,u",
                ((ps.times[k], x, u) for k in range(0, ps.times.size, stride)
@@ -222,8 +228,8 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
     report = lipschitz_c_experiment(pairs, model, functional, n=cfg.n, dt=cfg.dt,
-                                    t_probe=cfg.t_probe, dt_probe=cfg.dt_probe,
-                                    tolerance=cfg.tol_lipschitz_slack)
+                                    tolerance=cfg.tol_lipschitz_slack,
+                                    regime=_regime(cfg, model))
     _write_csv(out / "ratios.csv", "d1,gap,ratio",
                zip(report.distances, report.gaps, report.ratios))
     passed = report.violations == 0
@@ -240,8 +246,7 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     m_t = cfg.build_measure(cfg.m_t)
     report = long_time_convergence_experiment(
         cfg.build_phi(), m_t, model, functional, cfg.horizons,
-        window=cfg.window, n=cfg.n, dt=cfg.dt,
-        t_probe=cfg.t_probe, dt_probe=cfg.dt_probe)
+        window=cfg.window, n=cfg.n, dt=cfg.dt, regime=_regime(cfg, model))
     table = [[T, d, u] for T, d, u in report.rows()]
     _write_csv(out / "converge.csv", "horizon,d1_deviation,u_deviation", table)
     slack = 1.0 + cfg.tol_converge_slack

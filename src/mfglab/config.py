@@ -129,6 +129,10 @@ class RunConfig:
         if not (np.isfinite(self.vmax) and self.vmax > 0.0):
             raise ConfigError(f"velocity invariant violated: vmax must be finite and > 0, "
                               f"got {self.vmax:g}")
+        for name in sorted(self._FLOATS | self._LISTS):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"number invariant violated: {name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if self.model_dim != 1:
             raise ConfigError(f"dimension invariant violated: the grid scheme is 1-d, "
                               f"dim must be 1, got {self.model_dim}")
@@ -174,7 +178,7 @@ class RunConfig:
     def build_model(self):
         try:
             if self.family in ("quadratic-drift", "quadratic_drift"):
-                model = QuadraticDrift(self.model_dim)
+                model = QuadraticDrift()
             elif self.family == "mechanical":
                 model = Mechanical(self.shift, Potential.from_name(self.potential))
             else:

@@ -112,11 +112,3 @@ def transport_residual(inst: ExplicitInstance, closed_form: bool = True) -> floa
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst
 
-
-def stationary_residuals(inst: ExplicitInstance) -> tuple[float, float]:
-    """Residuals of the stationary pair u = 0, m = 1 (both vanish)."""
-    s = inst.coordinate_sum()
-    forcing = float(np.mean(4.0 * np.pi * np.cos(TWO_PI * s) * np.ones_like(s)))
-    hjb = abs(0.0 - forcing)
-    transport = 0.0  # all derivatives of a constant pair vanish identically
-    return hjb, transport

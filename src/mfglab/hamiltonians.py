@@ -1,7 +1,7 @@
 """Tonelli Hamiltonians on the circle: closed-form families, a tabulated
-family, Legendre transforms and the Hamilton-flow integrator.
+family and Legendre transforms.
 
-All models expose H and its partial derivatives plus the Legendre dual
+All models expose H and its momentum derivative plus the Legendre dual
 L(x, v) = sup_p <v, p> - H(x, p).  Closed families use exact formulas;
 the tabulated family differentiates its own table and maximises by
 golden-section search.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentumCutoffError, VelocityCutoffError
-from .torus import grid, periodic_gradient, periodic_interp, wrap
+from .torus import grid, periodic_interp, wrap
 
 MOMENTUM_CUTOFF = 10.0
 VELOCITY_CUTOFF = 10.0
@@ -45,33 +45,27 @@ def golden_section_max(f, lo, hi, iterations: int = 60):
 class Potential:
     """Periodic potential V on the circle, closed-form or sampled."""
 
-    def __init__(self, name, fn=None, slope_fn=None, samples=None):
+    def __init__(self, name, fn=None, samples=None):
         self.name = name
         self._fn = fn
-        self._slope_fn = slope_fn
         self._samples = None
-        self._slope_samples = None
         if samples is not None:
             samples = np.asarray(samples, dtype=float)
             if samples.ndim != 1 or samples.size < 4:
                 raise ValueError("potential samples must be a 1-d array, >= 4 points")
             self._samples = samples
-            dx = 1.0 / samples.size
-            self._slope_samples = periodic_gradient(samples, dx)
         if fn is not None and abs(float(fn(0.0)) - float(fn(1.0))) > 1e-12:
             raise ValueError(f"potential '{name}' is not periodic: V(0) != V(1)")
 
     @classmethod
     def zero(cls):
-        return cls("zero", fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   slope_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        return cls("zero", fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
     @classmethod
     def cosine(cls):
         return cls(
             "cosine",
             fn=lambda x: np.cos(2.0 * np.pi * np.asarray(x, dtype=float)),
-            slope_fn=lambda x: -2.0 * np.pi * np.sin(2.0 * np.pi * np.asarray(x, dtype=float)),
         )
 
     @classmethod
@@ -83,14 +77,7 @@ class Potential:
             x = np.asarray(x, dtype=float)
             return -amp * np.sin(np.pi * x) ** 2 * np.sin(np.pi * (x - xs)) ** 2
 
-        def slope_fn(x):
-            x = np.asarray(x, dtype=float)
-            return -amp * np.pi * (
-                np.sin(2.0 * np.pi * x) * np.sin(np.pi * (x - xs)) ** 2
-                + np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * (x - xs))
-            )
-
-        return cls(f"double-well({xs},{amp})", fn=fn, slope_fn=slope_fn)
+        return cls(f"double-well({xs},{amp})", fn=fn)
 
     @classmethod
     def from_samples(cls, samples, closed: bool = False):
@@ -123,37 +110,10 @@ class Potential:
             return self._fn(wrap(x))
         return periodic_interp(x, self._samples)
 
-    def slope(self, x):
-        if self._slope_fn is not None:
-            return self._slope_fn(wrap(x))
-        return periodic_interp(x, self._slope_samples)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point (x, p) in phase space; positions live on the circle."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", wrap(np.atleast_1d(np.asarray(self.x, dtype=float))))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
-        if self.x.shape != self.p.shape:
-            raise ValueError("x and p must have matching shapes")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    t: np.ndarray
-    x: np.ndarray  # (K+1, d), wrapped mod 1
-    p: np.ndarray  # (K+1, d)
-
 
 class HamiltonianModel:
-    """Shared interface: H, its p/x derivatives and the Legendre dual."""
+    """Shared interface: H, its momentum derivative and the Legendre dual."""
 
-    dim = 1
     momentum_cutoff = MOMENTUM_CUTOFF
     velocity_cutoff = VELOCITY_CUTOFF
 
@@ -161,9 +121,6 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def dh_dp(self, x, p):
-        raise NotImplementedError
-
-    def dh_dx(self, x, p):
         raise NotImplementedError
 
     def lagrangian(self, x, v):
@@ -221,9 +178,6 @@ class Mechanical(HamiltonianModel):
     def dh_dp(self, x, p):
         return np.asarray(p, dtype=float) + self.shift
 
-    def dh_dx(self, x, p):
-        return self.potential.slope(x) + np.zeros_like(np.asarray(p, dtype=float))
-
     def lagrangian(self, x, v):
         """L(x, v) = v^2/2 - a v - V(x); maximiser p* = v - a."""
         _check_velocity(v, self.velocity_cutoff)
@@ -240,41 +194,23 @@ class Mechanical(HamiltonianModel):
 
 @dataclass(frozen=True)
 class QuadraticDrift(HamiltonianModel):
-    """H(x, p) = sum_i (p_i^2 / 2 - p_i) on the n-torus."""
-
-    n: int = 1
-
-    @property
-    def dim(self):  # type: ignore[override]
-        return self.n
+    """H(x, p) = p^2 / 2 - p on the circle."""
 
     def h(self, x, p):
         p = np.asarray(p, dtype=float)
-        comp = 0.5 * p**2 - p
-        return comp if self.n == 1 else comp.sum(axis=-1)
+        return 0.5 * p**2 - p
 
     def dh_dp(self, x, p):
         return np.asarray(p, dtype=float) - 1.0
 
-    def dh_dx(self, x, p):
-        return np.zeros_like(np.asarray(p, dtype=float))
-
     def lagrangian(self, x, v):
-        """L(v) = sum_i (v_i + 1)^2 / 2; maximiser p*_i = v_i + 1."""
+        """L(v) = (v + 1)^2 / 2; maximiser p* = v + 1."""
         _check_velocity(v, self.velocity_cutoff)
         v = np.asarray(v, dtype=float)
-        comp = 0.5 * (v + 1.0) ** 2
-        lval = comp if self.n == 1 else comp.sum(axis=-1)
+        lval = 0.5 * (v + 1.0) ** 2
         return lval, v + 1.0
 
-    def validate(self, n_x: int = 33, n_p: int = 41,
-                 slope_min: float = SUPERLINEAR_SLOPE_MIN) -> None:
-        # identical in every coordinate: validate the scalar member
-        HamiltonianModel.validate(QuadraticDrift(1), n_x, n_p, slope_min)
-
     def lagrangian_table(self, xs, vs):
-        if self.n != 1:
-            raise ValueError("the grid scheme only supports the 1-d member of this family")
         vs = np.asarray(vs, dtype=float)
         _check_velocity(vs, self.velocity_cutoff)
         kinetic = 0.5 * (vs + 1.0) ** 2
@@ -284,8 +220,8 @@ class QuadraticDrift(HamiltonianModel):
 class TabulatedConvex(HamiltonianModel):
     """H given by samples on the (x, p) grid T^1 x [-P, P].
 
-    Derivatives use central differences with step equal to the table
-    spacing; the Legendre dual maximises p |-> v p - H(x, p) by
+    dH/dp uses central differences with step equal to the table spacing;
+    the Legendre dual maximises p |-> v p - H(x, p) by
     golden-section search.
     """
 
@@ -296,7 +232,6 @@ class TabulatedConvex(HamiltonianModel):
         self.h_values = h_values
         self.momentum_cutoff = float(momentum_cutoff)
         self.n_x, self.n_p = h_values.shape
-        self.dx = 1.0 / self.n_x
         self.dp = 2.0 * self.momentum_cutoff / (self.n_p - 1)
 
     def h(self, x, p):
@@ -325,11 +260,6 @@ class TabulatedConvex(HamiltonianModel):
         pm = np.clip(p - h, -self.momentum_cutoff, self.momentum_cutoff)
         pp = np.clip(p + h, -self.momentum_cutoff, self.momentum_cutoff)
         return (self.h(x, pp) - self.h(x, pm)) / (pp - pm)
-
-    def dh_dx(self, x, p):
-        h = self.dx
-        x = np.asarray(x, dtype=float)
-        return (self.h(x + h, p) - self.h(x - h, p)) / (2.0 * h)
 
     def lagrangian(self, x, v):
         _check_velocity(v, self.velocity_cutoff)
@@ -367,39 +297,3 @@ class TabulatedConvex(HamiltonianModel):
         top = np.minimum(self.h_values[:, -1], self.h_values[:, 0]) / self.momentum_cutoff
         if not np.all(top >= slope_min):
             raise ValueError("tabulated Hamiltonian grows too slowly at the momentum cutoff")
-
-
-def hamilton_flow(model: HamiltonianModel, start, t_span, dt: float) -> Trajectory:
-    """Fixed-step RK4 trajectory of x' = dH/dp, p' = -dH/dx.
-
-    The span must be an integer number of steps; positions are wrapped
-    mod 1 at every sample.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    steps_f = (t1 - t0) / dt
-    steps = int(round(steps_f))
-    if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, abs(steps_f)):
-        raise ValueError("t_span length must be a positive integer multiple of dt")
-    if not isinstance(start, PhasePoint):
-        start = PhasePoint(*start)
-    x = start.x.copy()
-    p = start.p.copy()
-    ts = t0 + dt * np.arange(steps + 1)
-    xs = np.empty((steps + 1,) + x.shape)
-    ps = np.empty_like(xs)
-    xs[0], ps[0] = x, p
-
-    def rhs(x, p):
-        return model.dh_dp(x, p), -model.dh_dx(x, p)
-
-    for k in range(steps):
-        k1x, k1p = rhs(x, p)
-        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
-        x = wrap(x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x))
-        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        xs[k + 1], ps[k + 1] = x, p
-    return Trajectory(t=ts, x=xs, p=ps)

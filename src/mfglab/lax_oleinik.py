@@ -13,13 +13,15 @@ index gather; the sub-grid value is read from the same window.  The
 refinement's Lagrangian terms 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm) at
 every (node, offset) are static tables built with the stepper, and one
 lookup of the argmin's offset in a table of interior offsets gives both the
-velocity-cutoff check and the lanes that may take the refinement.  The
-wrapped copy and the cost table are scratch buffers that every step
-overwrites, so one stepper must not be shared across threads.
+velocity-cutoff check and the lanes that may take the refinement.  An
+argmin on the window's edge raises whenever that edge is the velocity
+cutoff, not the antipode.  The wrapped copy and the cost table are scratch
+buffers that every step overwrites, so one stepper must not be shared
+across threads.
 
-Long-horizon runs of the same operator give the minimal action between
-points, the critical value of the Hamiltonian, its stationary solution,
-and the alpha function of shifted mechanical models.
+Long-horizon runs of the same operator give the critical value of the
+Hamiltonian, its stationary solution, and the alpha function of shifted
+mechanical models.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .torus import (
     periodic_second_difference,
 )
 
-SOFT_INDICATOR_HEIGHT = 1.0e6
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
 
 
@@ -51,20 +52,19 @@ def time_index(times: np.ndarray, t: float) -> int:
     return k
 
 
-def semiconcavity_upper_bound(values: np.ndarray, dx: float,
-                              guard_radius: int = 2) -> float:
+def semiconcavity_upper_bound(values: np.ndarray, dx: float) -> float:
     """Largest centered second difference away from concave kinks.
 
     A semiconcave function keeps its upper curvature bound across kinks,
     but the discrete argmin refinement leaves O(jump/dx) spikes on the
-    nodes flanking a kink; those neighbourhoods are excluded.
+    nodes flanking a kink; the two nodes on each side are excluded.
     """
     d2 = periodic_second_difference(np.asarray(values, dtype=float), dx)
     scale = max(1.0, 5.0 * float(np.median(np.abs(d2))))
     concave = np.where(d2 < -scale)[0]
     mask = np.ones(d2.size, dtype=bool)
     for j in concave:
-        mask[(j + np.arange(-guard_radius, guard_radius + 1)) % d2.size] = False
+        mask[(j + np.arange(-2, 3)) % d2.size] = False
     if not np.any(mask):
         return float(np.max(d2))
     return float(np.max(d2[mask]))
@@ -96,10 +96,8 @@ class ValueField:
         w = self.values[k]
         return float(np.max(np.abs(np.roll(w, -1) - w)) / self.dx)
 
-    def semiconcavity_constant(self, k: int, exclude_kink_artifacts: bool = True) -> float:
-        if exclude_kink_artifacts:
-            return semiconcavity_upper_bound(self.values[k], self.dx)
-        return float(np.max(periodic_second_difference(self.values[k], self.dx)))
+    def semiconcavity_constant(self, k: int) -> float:
+        return semiconcavity_upper_bound(self.values[k], self.dx)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -116,14 +114,12 @@ class HopfLaxStepper:
     The arrays a step returns are fresh and stay valid after later steps.
     """
 
-    def __init__(self, model: HamiltonianModel, n: int, dt: float, vmax: float | None = None,
-                 strict_boundary: bool = True):
+    def __init__(self, model: HamiltonianModel, n: int, dt: float, vmax: float | None = None):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.model = model
         self.n = int(n)
         self.dt = float(dt)
-        self.strict_boundary = bool(strict_boundary)
         self.vmax = float(model.velocity_cutoff if vmax is None else vmax)
         self.dx = 1.0 / self.n
         self.nodes = grid(self.n)
@@ -180,7 +176,7 @@ class HopfLaxStepper:
         cost = np.add(self._window, self.cost_l, out=self._cost)
         k = cost.argmin(axis=1)
         interior = self._interior[k]
-        if self.strict_boundary and self.boundary_is_cutoff and not interior.all():
+        if self.boundary_is_cutoff and not interior.all():
             raise VelocityCutoffError(
                 "Hopf-Lax argmin sits on the velocity search boundary"
             )
@@ -265,8 +261,7 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
 
 
 def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
-           source=None, vmax: float | None = None,
-           strict_boundary: bool = True) -> ValueField:
+           source=None) -> ValueField:
     """Iterate the Hopf-Lax step from phi up to t_final.
 
     `source` is an x-independent forcing s(t) (callable or array sampled on
@@ -275,7 +270,7 @@ def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
     """
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(t_final, dt)
-    stepper = HopfLaxStepper(model, phi.size, dt, vmax, strict_boundary)
+    stepper = HopfLaxStepper(model, phi.size, dt)
     _, (rec,) = sweep(stepper, phi, steps, [(0, steps)], with_origins=False)
     values = rec.w
     times = dt * np.arange(steps + 1)
@@ -285,26 +280,6 @@ def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
             raise ValueError("source samples must match the slice grid")
         values += cumulative_trapezoid(samples, dt)[:, None]
     return ValueField(times=times, nodes=stepper.nodes, values=values)
-
-
-def minimal_action(model: HamiltonianModel, x: float, y: float, t: float,
-                   n: int = 512, dt: float = 2e-3,
-                   big: float = SOFT_INDICATOR_HEIGHT) -> float:
-    """Minimal action h_t(x, y) between grid-snapped endpoints.
-
-    Computed by evolving a soft indicator (0 at x, `big` elsewhere) and
-    reading the slice at y; an O(grid spacing) approximation of the exact
-    infimum over curves.
-    """
-    if t < dt:
-        raise ValueError("t must be at least one time step")
-    phi = np.full(n, big)
-    phi[int(round((x % 1.0) * n)) % n] = 0.0
-    # the indicator cliff saturates the window at the plateau edge, which is
-    # harmless for endpoints whose optimal speed stays below the cutoff
-    field = evolve(phi, t, model, dt, strict_boundary=False)
-    j = int(round((y % 1.0) * n)) % n
-    return float(field.values[-1, j])
 
 
 @dataclass
@@ -323,8 +298,7 @@ class CriticalValueResult:
 
 
 def critical_value(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
-                   dt: float = 2e-3, tol_c0: float = 0.05,
-                   vmax: float | None = None) -> CriticalValueResult:
+                   dt: float = 2e-3, tol_c0: float = 0.05) -> CriticalValueResult:
     """Critical value from the long-time slope of the semigroup.
 
     Runs the semigroup from phi = 0, estimates c0 from the drop of the
@@ -337,7 +311,7 @@ def critical_value(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
     steps = slice_count(t_probe, dt)
     half = steps // 2
     k_one = max(1, min(steps, int(round(1.0 / dt))))
-    stepper = HopfLaxStepper(model, n, dt, vmax)
+    stepper = HopfLaxStepper(model, n, dt)
     w, (one, mid) = sweep(stepper, np.zeros(n), steps, [(k_one, k_one), (half, half)])
     c_sc = semiconcavity_upper_bound(one.w[0], stepper.dx)
     w_mid = mid.w[0]
@@ -369,9 +343,8 @@ class WeakKamResult:
         return float(np.max(self.residuals[keep]))
 
 
-def weak_kam_solution(model: HamiltonianModel, c0: float | None = None,
-                      t_probe: float = 50.0, n: int = 512, dt: float = 2e-3,
-                      tol_c0: float = 0.05, probe: CriticalValueResult | None = None
+def weak_kam_solution(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
+                      dt: float = 2e-3, probe: CriticalValueResult | None = None
                       ) -> WeakKamResult:
     """Stationary solution u0 as the long-time limit w(., t) + c0 t.
 
@@ -380,9 +353,8 @@ def weak_kam_solution(model: HamiltonianModel, c0: float | None = None,
     -max(C_sc, 1) are concave kinks and are masked out of the report.
     """
     if probe is None:
-        probe = critical_value(model, t_probe, n, dt, tol_c0)
-    if c0 is None:
-        c0 = probe.c0
+        probe = critical_value(model, t_probe, n, dt)
+    c0 = probe.c0
     u0 = probe.w_final + c0 * probe.t_probe
     u0 = u0 - float(np.min(u0))
     dx = 1.0 / probe.n

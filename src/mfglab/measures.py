@@ -1,17 +1,16 @@
 """Probability measures on the circle: grid densities and weighted
 particle clouds, the exact circular Wasserstein-1 distance through shifted
-cumulative functions, push-forward under characteristic flows over a
-time-to-go s = T - t, and the weak-form continuity-equation residual."""
+cumulative functions and push-forward under characteristic flows over a
+time-to-go s = T - t."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MassDriftError
-from .torus import grid, interp_stencil, periodic_interp, trapezoid, wrap
+from .torus import grid, interp_stencil, wrap
 
 DENSITY = "density"
 PARTICLES = "particles"
@@ -194,71 +193,3 @@ def random_fourier_density(n: int, rng, k_max: int = 4, floor: float = 0.1) -> C
     if low < floor:
         values = values - low + floor
     return CircleMeasure.from_density_values(values)
-
-
-@dataclass
-class TestFunctionBank:
-    """Fourier test functions with derivatives plus time envelopes
-    vanishing at t = 0, for the weak continuity formulation."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    k_max: int = 8
-    functions: list = field(init=False)
-
-    def __post_init__(self):
-        funcs = [("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                  lambda x: np.zeros_like(np.asarray(x, dtype=float)))]
-        for k in range(1, self.k_max + 1):
-            w = 2.0 * np.pi * k
-            funcs.append((f"cos{k}",
-                          lambda x, w=w: np.cos(w * np.asarray(x, dtype=float)),
-                          lambda x, w=w: -w * np.sin(w * np.asarray(x, dtype=float))))
-            funcs.append((f"sin{k}",
-                          lambda x, w=w: np.sin(w * np.asarray(x, dtype=float)),
-                          lambda x, w=w: w * np.cos(w * np.asarray(x, dtype=float))))
-        self.functions = funcs
-
-    @staticmethod
-    def envelopes(horizon: float):
-        """(eta, eta') pairs with eta(0) = 0."""
-        T = float(horizon)
-        return [
-            (lambda t: t / T, lambda t: np.ones_like(np.asarray(t, dtype=float)) / T),
-            (lambda t: (t / T) ** 2, lambda t: 2.0 * np.asarray(t, dtype=float) / T**2),
-            (lambda t: np.sin(0.5 * np.pi * np.asarray(t, dtype=float) / T),
-             lambda t: (0.5 * np.pi / T) * np.cos(0.5 * np.pi * np.asarray(t, dtype=float) / T)),
-        ]
-
-
-def continuity_residual(m_path, velocity, bank: TestFunctionBank, horizon: float) -> float:
-    """Largest defect of the weak continuity identity over the bank.
-
-    For each test function f and envelope eta the identity compares
-    eta(T) int f dm_T against the time integral of
-    eta'(t) int f dm(t) + eta(t) int f'(x) b(x,t) dm(t), all by trapezoid
-    quadrature on the slice grid.
-    """
-    k_slices = len(m_path) - 1
-    times = horizon * np.arange(k_slices + 1) / k_slices
-    dt = times[1] - times[0]
-    velocity_arr = None if callable(velocity) else np.asarray(velocity, dtype=float)
-
-    def b_at(k, positions):
-        if velocity_arr is None:
-            return np.asarray(velocity(positions, times[k]), dtype=float)
-        return periodic_interp(positions, velocity_arr[k])
-
-    worst = 0.0
-    for _, f, df in bank.functions:
-        integrals = np.array([m.integrate(f) for m in m_path])
-        fluxes = np.array([
-            float(np.sum(m.weights * df(m.positions) * b_at(k, m.positions)))
-            for k, m in enumerate(m_path)
-        ])
-        for eta, deta in bank.envelopes(horizon):
-            rhs_samples = deta(times) * integrals + eta(times) * fluxes
-            rhs = trapezoid(rhs_samples, dt)
-            lhs = float(eta(times[-1])) * integrals[-1]
-            worst = max(worst, abs(lhs - rhs))
-    return worst

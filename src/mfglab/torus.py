@@ -31,9 +31,13 @@ def grid(n: int) -> np.ndarray:
 def interp_stencil(xq, n: int):
     """Left node index and fraction of each query on the n-node periodic
     grid: xq lies between nodes i and (i + 1) % n, a fraction f past i."""
-    t = wrap(xq) * n
+    t = wrap(xq)
+    t *= n
     floor = np.floor(t)
-    return floor.astype(int) % n, t - floor
+    t -= floor
+    cell = floor.astype(int)
+    cell %= n
+    return cell, t
 
 
 def periodic_interp(xq, values: np.ndarray):

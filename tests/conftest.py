@@ -9,7 +9,7 @@ from mfglab.mfg import periodic_regime
 
 @pytest.fixture(scope="session")
 def qd_model():
-    return QuadraticDrift(1)
+    return QuadraticDrift()
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def qd_model():
-    return QuadraticDrift(1)
+    return QuadraticDrift()
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,7 @@ def test_drift_field_cosine_fixed_points(cosine_model, cosine_weak_kam):
 
 
 def test_drift_field_ambiguous_band():
-    model = Mechanical(7.5e-4, Potential.zero())  # v in (v_floor/2, v_floor)
+    model = Mechanical(7.5e-4, Potential.zero())  # v in (V_FLOOR/2, V_FLOOR)
     with pytest.raises(AmbiguousClassificationError):
         drift_field(np.zeros(128), model)
 

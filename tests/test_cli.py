@@ -162,6 +162,10 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "vmax_nan.ini": "[grid]\nvmax = nan\n",
         "vmax_negative.ini": "[grid]\nvmax = -5\n",
         "dim_two.ini": "[model]\nfamily = quadratic-drift\ndim = 2\n",
+        "c_nan.ini": "[run]\nc = nan\n",
+        "c_inf.ini": "[run]\nc = inf\n",
+        "a_values_nan.ini": "[model]\nfamily = mechanical\n[run]\na_values = 0 nan\n",
+        "shift_inf.ini": "[model]\nfamily = mechanical\nshift = inf\n",
     }
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "no_section.ini",
                          "duplicate_key.ini", "unknown_potential.ini",
@@ -180,7 +184,11 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "vmax_nan.ini": "velocity invariant violated",
              "vmax_negative.ini": "velocity invariant violated",
              "dim_two.ini": "dimension invariant violated",
-             "nan_tol.ini": "tolerance invariant violated: tol_periodicity"}
+             "nan_tol.ini": "tolerance invariant violated: tol_periodicity",
+             "c_nan.ini": "number invariant violated: c must be finite",
+             "c_inf.ini": "number invariant violated: c must be finite",
+             "a_values_nan.ini": "number invariant violated: a_values must be finite",
+             "shift_inf.ini": "number invariant violated: shift must be finite"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -196,6 +204,19 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xec\x80[grid]\n")
     assert main(["critical-value", "--config", str(binary), "--out", str(tmp_path / "out")]) == 2
     assert "malformed config file" in capsys.readouterr().err
+
+
+def test_tol_c0_reaches_the_periodic_runners(tmp_path, capsys):
+    """The probe behind periodic, lipschitz-c and converge is held to the
+    config's tol_c0, as the critical-value subcommand's is."""
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text("[model]\nfamily = mechanical\npotential = cosine\nshift = 1.6\n"
+                   "[grid]\nn = 128\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                   "[tolerances]\ntol_c0 = 1e-9\n")
+    for command in ("periodic", "lipschitz-c", "converge"):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1, command
+        assert "critical value diagnostic" in capsys.readouterr().err, command
 
 
 def test_config_syntax_errors_are_one_line(tmp_path, capsys):

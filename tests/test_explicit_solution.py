@@ -5,7 +5,6 @@ from mfglab.explicit_solution import (
     ExplicitInstance,
     coupling_of_candidate,
     hjb_residual,
-    stationary_residuals,
     transport_residual,
 )
 
@@ -44,13 +43,6 @@ def test_grid_residual_second_order_convergence():
     t_fine = transport_residual(ExplicitInstance(2, 48, 48), closed_form=False)
     target = 2 * np.pi
     assert abs(t_fine - target) <= 0.3 * abs(t_coarse - target) + 1e-12
-
-
-def test_stationary_pair_has_zero_residuals():
-    for dim in (1, 2):
-        hjb, transport = stationary_residuals(ExplicitInstance(dim, 32, 32))
-        assert hjb <= 1e-12
-        assert transport == 0.0
 
 
 def test_candidate_density_nonnegative():

@@ -12,7 +12,6 @@ from mfglab.lax_oleinik import (
     alpha_function,
     critical_value,
     evolve,
-    minimal_action,
     sweep,
     weak_kam_solution,
 )
@@ -77,7 +76,7 @@ def test_evolve_semigroup_property(qd_model, smooth_values_128):
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)))
 def test_step_value_does_not_depend_on_origins(cosine_model, w):
-    stepper = HopfLaxStepper(cosine_model, 64, 5e-3, strict_boundary=False)
+    stepper = HopfLaxStepper(cosine_model, *_ORACLE_GRIDS[3])
     with_origins, origins = stepper.step(w, want_origins=True)
     plain, none = stepper.step(w)
     assert none is None and origins.shape == w.shape
@@ -93,8 +92,7 @@ def _reference_step(stepper, w, want_origins=False):
     cost = w[gather] + cost_l
     k = np.argmin(cost, axis=0)
     m = offsets.size
-    if (stepper.strict_boundary and stepper.boundary_is_cutoff
-            and (np.any(k == 0) or np.any(k == m - 1))):
+    if stepper.boundary_is_cutoff and (np.any(k == 0) or np.any(k == m - 1)):
         raise VelocityCutoffError("Hopf-Lax argmin sits on the velocity search boundary")
     jj = np.arange(n)
     ck = cost[k, jj]
@@ -129,7 +127,7 @@ def _tabulated_model():
 
 
 _ORACLE_MODELS = {
-    "quadratic-drift": QuadraticDrift(1),
+    "quadratic-drift": QuadraticDrift(),
     "cosine-shifted": Mechanical(1.6, Potential.cosine()),
     "tabulated": _tabulated_model(),
 }
@@ -138,9 +136,9 @@ _ORACLE_MODELS = {
 _ORACLE_GRIDS = ((64, 5e-3), (128, 2e-3), (96, 6.5e-3), (64, 0.2))
 
 
-def _stepper(model_name, grid_index, strict):
+def _stepper(model_name, grid_index):
     n, dt = _ORACLE_GRIDS[grid_index]
-    return HopfLaxStepper(_ORACLE_MODELS[model_name], n, dt, strict_boundary=strict)
+    return HopfLaxStepper(_ORACLE_MODELS[model_name], n, dt)
 
 
 def _field(data, n):
@@ -167,13 +165,13 @@ def _step_or_error(step, stepper, w):
 @settings(max_examples=150, deadline=None)
 @given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
        grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
-       strict=st.booleans(), data=st.data())
-def test_step_matches_gather_reference(model_name, grid_index, strict, data):
+       data=st.data())
+def test_step_matches_gather_reference(model_name, grid_index, data):
     """Values agree with the gather oracle to round-off, the velocity-cutoff
     error is raised in exactly the same cases, and origins are bit-equal
     except where the refined value ties the discrete minimum to round-off:
     there the two round-offs may take different sides of the tie."""
-    stepper = _stepper(model_name, grid_index, strict)
+    stepper = _stepper(model_name, grid_index)
     if grid_index == len(_ORACLE_GRIDS) - 1:
         assert not stepper.boundary_is_cutoff
     w = _field(data, stepper.n)
@@ -199,8 +197,7 @@ def _windowed_step(stepper, w, want_origins=False):
     window = np.lib.stride_tricks.sliding_window_view(wrapped, m)[:, ::-1]
     cost = window + stepper.cost_l
     k = cost.argmin(axis=1)
-    if (stepper.strict_boundary and stepper.boundary_is_cutoff
-            and (k.min() == 0 or k.max() == m - 1)):
+    if stepper.boundary_is_cutoff and (k.min() == 0 or k.max() == m - 1):
         raise VelocityCutoffError("Hopf-Lax argmin sits on the velocity search boundary")
     k3 = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, m - 1)))
     flat = k3 + np.arange(n) * m
@@ -231,11 +228,11 @@ def _bit_equal(a, b):
 @settings(max_examples=150, deadline=None)
 @given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
        grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
-       strict=st.booleans(), data=st.data())
-def test_step_bit_equals_windowed_oracle(model_name, grid_index, strict, data):
+       data=st.data())
+def test_step_bit_equals_windowed_oracle(model_name, grid_index, data):
     """Values and origins bit-equal the frozen windowed step, with and
     without origins, and the velocity-cutoff error comes in the same cases."""
-    stepper = _stepper(model_name, grid_index, strict)
+    stepper = _stepper(model_name, grid_index)
     w = _field(data, stepper.n)
     new = _step_or_error(HopfLaxStepper.step, stepper, w)
     ref = _step_or_error(_windowed_step, stepper, w)
@@ -250,7 +247,7 @@ def test_step_bit_equals_windowed_oracle(model_name, grid_index, strict, data):
 def test_sweep_from_rest_bit_equals_windowed_oracle(model_name):
     """500 steps from phi = 0, whose flat start puts ties in the argmin and
     in the refinement, step by step against the frozen windowed step."""
-    stepper = _stepper(model_name, 1, True)
+    stepper = _stepper(model_name, 1)
     w_new = w_ref = np.zeros(stepper.n)
     for _ in range(500):
         w_new, origins_new = stepper.step(w_new, want_origins=True)
@@ -271,7 +268,7 @@ def test_step_results_outlive_the_next_step(cosine_model):
 @given(w=arrays(np.float64, 64, elements=st.floats(-1.0, 1.0)),
        c=st.floats(-100.0, 100.0))
 def test_step_commutes_with_constants(w, c):
-    stepper = _stepper("cosine-shifted", 0, False)
+    stepper = _stepper("cosine-shifted", 3)
     gap = stepper.step(w + c)[0] - stepper.step(w)[0] - c
     assert np.max(np.abs(gap)) <= 1e-12 * (1.0 + abs(c))
 
@@ -283,7 +280,7 @@ def test_step_commutes_with_constants(w, c):
 def test_step_monotone_up_to_its_refinement(w, bump, model_name):
     """step(w + bump) >= step(w) - r with r = disc(w + bump) - step(w + bump)
     the refinement's own gain; plain monotonicity fails on rough w."""
-    stepper = _stepper(model_name, 0, False)
+    stepper = _stepper(model_name, 3)
     lower = stepper.step(w)[0]
     upper = stepper.step(w + bump)[0]
     r = _discrete_min_plus(stepper, w + bump) - upper
@@ -340,25 +337,6 @@ def test_evolve_translation_invariance(qd_model, smooth_values_128):
     base = evolve(smooth_values_128, 0.2, qd_model, 2e-3).values
     shifted = evolve(smooth_values_128 + 3.7, 0.2, qd_model, 2e-3).values
     assert np.max(np.abs(shifted - base - 3.7)) < 1e-12
-
-
-def test_minimal_action_vanishes_on_diagonal(free_model):
-    assert abs(minimal_action(free_model, 0.1, 0.1, 1.0)) < 2e-3
-
-
-def test_minimal_action_quadratic_cost(free_model):
-    value = minimal_action(free_model, 0.0, 0.25, 1.0)
-    assert value == pytest.approx(0.25**2 / 2.0, abs=2e-3)
-
-
-def test_minimal_action_subadditive(free_model):
-    triples = [(0.0, 0.3, 0.5, 0.6, 0.4), (0.1, 0.2, 0.9, 1.0, 0.5),
-               (0.25, 0.5, 0.75, 0.8, 0.8)]
-    for x, z, y, t, s in triples:
-        joined = minimal_action(free_model, x, y, t + s, n=256)
-        split = minimal_action(free_model, x, z, t, n=256) \
-            + minimal_action(free_model, z, y, s, n=256)
-        assert joined <= split + 1e-3
 
 
 def test_critical_value_quadratic_drift(qd_model):
