@@ -1,6 +1,7 @@
 """Drift fields v(x) = dH/dp(x, Du0), the fixed-point/periodic-orbit
-dichotomy on the circle, characteristic flows and the closed-form inverse
-through the cumulative crossing-time table G.  The drift is autonomous, so
+dichotomy on the circle, and characteristic flows inverted in closed form
+on a cumulative crossing-time table: FlowMap's trapezoid table G, and the
+exact flow of the piecewise-linear drift.  The drift is autonomous, so
 every flow takes one time argument, the time-to-go s = T - t >= 0."""
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def drift_field(u0: np.ndarray, model: HamiltonianModel) -> DriftField:
     return DriftField(nodes=nodes, v=v, classification=FIXED_POINTS, tau=None)
 
 
+def _locate(rising, winding, target):
+    """Cell i and offset past rising[i] of a target on a cumulative time
+    table, reduced by the winding onto its rising copy (the table times
+    sign(winding), from 0 to |winding|)."""
+    theta = np.asarray(target, dtype=float) / winding
+    level = (theta - np.floor(theta)) * abs(winding)
+    i = np.clip(np.searchsorted(rising, level, side="right") - 1, 0, rising.size - 2)
+    return i, level - rising[i]
+
+
 class FlowMap:
     """Characteristic flow of a periodic drift via its G-table.
 
@@ -88,14 +99,10 @@ class FlowMap:
         return (1.0 - f) * self.g_nodes[i] + f * self.g_nodes[i + 1]
 
     def _solve_g(self, target):
-        """Exact inverse of G: the target, reduced by the winding onto the
-        table's branch, falls in one cell, where G is linear."""
-        n = self.df.nodes.size
-        theta = np.asarray(target, dtype=float) / self.winding
-        level = (theta - np.floor(theta)) * abs(self.winding)  # sign(v) G(x)
-        i = np.clip(np.searchsorted(self._rising, level, side="right") - 1, 0, n - 1)
-        frac = (level - self._rising[i]) / (self._rising[i + 1] - self._rising[i])
-        out = (i + frac) / n % 1.0
+        """Exact inverse of G: the target falls in one cell, where G is linear."""
+        i, offset = _locate(self._rising, self.winding, target)
+        frac = offset / (self._rising[i + 1] - self._rising[i])
+        out = (i + frac) / self.df.nodes.size % 1.0
         return out if out.ndim else float(out)
 
     def phi(self, s: float, x):
@@ -113,60 +120,46 @@ class FlowMap:
                 fh.write(f"{x:.17g},{self.g_nodes[j]:.17g},{self.df.v[j]:.17g}\n")
 
 
-def _rk4(v: np.ndarray, y, h, steps):
-    """steps RK4 steps of size h of y' = -v(y), v interpolated periodically
-    between its node values, each step wrapped onto [0, 1)."""
-    n = float(v.size)
-    # the negated drift, padded past the seam: a point wrapped to 1.0 reads
-    # node n with weight 1, and node i + 1 needs no wrap
-    rate = -np.concatenate((v, v[:2]))
-    ahead = rate[1:]
-    half, sixth = 0.5 * h, h / 6.0
-
-    def slope(z):
-        t = wrap(z) * n
-        cell = np.floor(t)
-        i = cell.astype(np.intp)
-        frac = t - cell
-        return (1.0 - frac) * rate.take(i) + frac * ahead.take(i)
-
-    for _ in range(steps):
-        k1 = slope(y)
-        k2 = slope(y + half * k1)
-        k3 = slope(y + half * k2)
-        k4 = slope(y + h * k3)
-        y = wrap(y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return y
+def _over(fn, z):
+    """fn(z) / z for fn = log1p or expm1, continued by its limit 1 at z = 0."""
+    flat = z == 0.0
+    z = np.where(flat, 1.0, z)
+    return np.where(flat, 1.0, fn(z) / z)
 
 
 def forward_flow(df: DriftField, s, x):
-    """RK4 integration of x' = v(x) backward over the time-to-go s >= 0.
+    """Exact flow of x' = v(x), v interpolated linearly between its nodes,
+    backward over the time-to-go s >= 0.
 
-    A 1-D array of spans gives one row per span, each bit-equal to a
-    scalar call: of all the points x, or, when x is (R, P) with R the
-    number of spans, of row r of x for span r.
+    On cell i, where v = v_i + k (x - x_i), the time from x_i to x_i + d is
+    log1p(k d / v_i) / k, and a time t reaches d = v_i expm1(k t) / k; the
+    cells' crossing times make a table inverted like FlowMap's.  A 1-D array
+    of spans gives one row per span, each bit-equal to a scalar call: of
+    all the points x, or, when x is (R, P) with R the number of spans, of
+    row r of x for span r.
     """
     df.require_periodic()
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("forward_flow needs a time-to-go s >= 0")
-    span = np.atleast_1d(s)
+    n, v = df.nodes.size, df.v
+    k = (np.roll(v, -1) - v) * n
+
+    def time_in_cell(i, d):
+        return d / v[i] * _over(np.log1p, k[i] * d / v[i])
+
+    table = np.concatenate(([0.0], np.cumsum(time_in_cell(np.arange(n), df.dx))))
+    sign = np.sign(table[-1])
     x = wrap(x)
-    vmax = np.max(np.abs(df.v))
-    # no step for a zero span, at least one otherwise
-    steps = np.maximum(span > 0.0, np.ceil(span * vmax / (0.25 * df.dx)).astype(int))
-    h = span / np.maximum(steps, 1)
-    if s.ndim == 0:
-        return _rk4(df.v, x, h[0], steps[0])
-    order = np.argsort(-steps, kind="stable")
-    if x.ndim > 1 and x.shape[0] == span.size:  # one row of points per span
-        y = x[order]
-    else:
-        y = np.broadcast_to(x, span.shape + x.shape).copy()
-    ends, h = np.append(steps[order], 0), h[order].reshape((-1,) + (1,) * (y.ndim - 1))
-    for a in range(span.size, 0, -1):  # the a longest rows take their next steps
-        y[:a] = _rk4(df.v, y[:a], h[:a], ends[a - 1] - ends[a])
-    return y[np.argsort(order)]
+    t = x * n
+    i = np.minimum(np.floor(t).astype(np.intp), n - 1)
+    per_row = s.ndim == 1 and x.ndim > 1 and x.shape[0] == s.size
+    s = s.reshape(s.shape + (1,) * (x.ndim - per_row))
+    since_node0 = table[i] + time_in_cell(i, (t - i) / n)
+    i, offset = _locate(sign * table, table[-1], since_node0 - s)
+    elapsed = sign * offset  # signed time since node i
+    y = wrap(df.nodes[i] + v[i] * elapsed * _over(np.expm1, k[i] * elapsed))
+    return np.where(s == 0.0, x, y)[()]
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,10 @@ def flow_lipschitz_constant(df: DriftField, n_points: int = 24,
     """Measured contraction/expansion constant of the flow over one period.
 
     K1 = max over sampled pairs and time-to-go s in [0, tau] of
-    d(Phi_s(x), Phi_s(y)) / d(x,y); pairs closer than one grid cell
-    are skipped.  Also reports the Gronwall bound e^(tau K2).
+    d(Phi_s(x), Phi_s(y)) / d(x,y), with Phi forward_flow's exact flow of
+    the piecewise-linear drift, so K1 carries no integration error; pairs
+    closer than one grid cell are skipped.  Also reports the Gronwall bound
+    e^(tau K2).
     """
     df.require_periodic()
     tau = float(df.tau)

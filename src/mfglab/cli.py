@@ -222,6 +222,8 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
 
 
 def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed invariant violated: --seed must be >= 0, got {args.seed}")
     model = cfg.build_model()
     functional = cfg.build_coupling()
     rng = np.random.default_rng(args.seed)

@@ -8,7 +8,6 @@ from mfglab.characteristics import (
     PERIODIC_ORBIT,
     DriftField,
     FlowMap,
-    _rk4,
     drift_field,
     flow_lipschitz_constant,
     forward_flow,
@@ -151,13 +150,23 @@ def test_flow_map_group_property(wavy_flow_maps, y, s1, s2, sign):
     assert circle_distance(fm.phi(s1, fm.phi_inverse(s1, y)), y) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(y=st.floats(0.0, 1.0, exclude_max=True), s1=st.floats(0.0, 1.5),
+       s2=st.floats(0.0, 1.5), sign=st.sampled_from([1.0, -1.0]))
+@example(y=np.nextafter(1.0, 0.0), s1=0.0, s2=0.0, sign=-1.0)
+def test_forward_flow_composes_exactly(wavy_drift, wavy_negative_drift, y, s1, s2, sign):
+    """The closed-form flow has the group property to round-off over spans
+    up to 3, for both drift signs; RK4 held it only to its truncation error."""
+    df = wavy_drift if sign > 0 else wavy_negative_drift
+    composed = forward_flow(df, s1, forward_flow(df, s2, y))
+    assert circle_distance(forward_flow(df, s1 + s2, y), composed) <= 1e-12
+
+
 def test_g_based_flow_matches_rk4(wavy_drift, wavy_negative_drift):
+    xs = np.array([0.05, 0.33, 0.78])
     for df in (wavy_drift, wavy_negative_drift):
-        fm = FlowMap(df)
-        for x in (0.05, 0.33, 0.78):
-            rk4 = forward_flow(df, 1.4, x)
-            via_g = fm.phi(1.4, x)
-            assert circle_distance(rk4, via_g) < 1e-6
+        rk4 = _rk4_flow(df, np.array([[1.4]]), xs)[0]
+        assert np.max(circle_distance(rk4, FlowMap(df).phi(1.4, xs))) < 1e-6
 
 
 def test_flow_map_invariant_round_trip(wavy_drift, wavy_negative_drift):
@@ -249,8 +258,8 @@ def test_forward_flow_per_row_points_match_scalar_calls(wavy_drift, wavy_negativ
 
 
 def _interp_rk4(v, y, h, steps):
-    """The RK4 kernel as periodic_interp of the node drift at every stage,
-    negated per stage: the oracle _rk4 must reproduce bit for bit."""
+    """RK4 for y' = -v(y), v the periodic_interp of the node drift at every
+    stage: the oracle for forward_flow's closed form."""
     for _ in range(steps):
         k1 = -periodic_interp(y, v)
         k2 = -periodic_interp(y + 0.5 * h * k1, v)
@@ -258,6 +267,39 @@ def _interp_rk4(v, y, h, steps):
         k4 = -periodic_interp(y + h * k3, v)
         y = (y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
     return y
+
+
+def _rk4_flow(df, spans, x, refine=1):
+    """_interp_rk4 over a column of spans, one row each, in the steps the
+    longest span took in the RK4 forward_flow (h <= dx / (4 max|v|)), made
+    refine times as many; shorter spans take as many, finer, steps."""
+    steps = refine * int(np.ceil(np.max(spans) * np.max(np.abs(df.v)) / (0.25 * df.dx)))
+    return _interp_rk4(df.v, np.broadcast_to(x, (spans.shape[0],) + np.shape(x)),
+                       spans / max(steps, 1), steps)
+
+
+# (n, bound): the largest gap measured over both drift signs, 1.63e-7 at
+# n = 96 and 1.05e-10 at n = 2048, times a margin of 3, rounded up
+@pytest.mark.parametrize("n, bound", [(96, 5e-7), (2048, 3.2e-10)], ids=["96", "2048"])
+def test_forward_flow_matches_rk4_oracle(n, bound):
+    """The closed-form flow against RK4 on the same piecewise-linear drift,
+    for both drift signs, from the 0/1 seam (a hair below 0 wraps to 1.0),
+    a node and random points.  At n = 96 the gap is the oracle's truncation
+    error: halving its h shrinks the worst gap at least four-fold (5.3 and
+    8.7 measured)."""
+    xs = grid(n)
+    y = np.concatenate(([0.0, np.nextafter(1.0, 0.0), -np.nextafter(0.0, 1.0), xs[1]],
+                        np.random.default_rng(8).random(5)))
+    spans = np.array([[0.0], [0.01], [0.3], [1.0], [2.5]])
+    for sign in (1.0, -1.0):
+        df = synthetic_drift(sign * (1.0 + 0.3 * np.sin(2 * np.pi * xs)))
+        exact = forward_flow(df, spans[:, 0], y)
+        gap = np.max(circle_distance(exact, _rk4_flow(df, spans, y)))
+        assert gap <= bound, (sign, gap)
+        assert np.array_equal(exact[0], wrap(y))
+        if n == 96:
+            halved = np.max(circle_distance(exact, _rk4_flow(df, spans, y, refine=2)))
+            assert halved <= gap / 4.0, (sign, gap, halved)
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,26 +311,6 @@ def test_wrap_bit_equals_float_remainder(x):
     assert wrap(x).tobytes() == (np.asarray(x) % 1.0).tobytes()
     row = np.array([x, -x, x / 3.0])
     assert wrap(row).tobytes() == (row % 1.0).tobytes()
-
-
-@pytest.mark.parametrize("n", [96, 2048])
-def test_rk4_bit_equals_interpolating_kernel(n):
-    """Points on the 0/1 seam, on nodes and at random, for both drift signs
-    and one h per row, over steps long enough to cross the seam."""
-    rng = np.random.default_rng(7)
-    xs = grid(n)
-    # a hair below 0 wraps to exactly 1.0, the one point that reads node n
-    seam = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(0.0, 1.0),
-                     -np.nextafter(0.0, 1.0), xs[1]])
-    y = np.concatenate((seam, rng.random(11)))
-    for sign in (1.0, -1.0):
-        v = sign * (1.0 + 0.3 * np.sin(2 * np.pi * xs))
-        assert np.array_equal(_rk4(v, y, 1e-3, 40), _interp_rk4(v, y, 1e-3, 40))
-        h = np.array([[1e-3], [3e-4], [1e-7]])
-        rows = np.tile(y, (3, 1))
-        assert np.array_equal(_rk4(v, rows, h, 40), _interp_rk4(v, rows, h, 40))
-        for y0 in seam:
-            assert _rk4(v, y0, 2e-3, 3) == _interp_rk4(v, y0, 2e-3, 3)
 
 
 def test_flow_csv_export(tmp_path, qd_drift):

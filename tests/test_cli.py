@@ -255,6 +255,12 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
                            ("1000000000", "grid-size")):
         assert main(["verify-example", f"--n={dim}", "--out", str(out)]) == 2, dim
         assert f"{invariant} invariant" in capsys.readouterr().err, dim
+    for seed in ("-1", "-7"):
+        assert main(["lipschitz-c", f"--seed={seed}", "--out", str(out)]) == 2, seed
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and len(err.splitlines()) == 1, err
+        assert "seed invariant" in err and "--seed" in err, err
+        assert not (out / "ratios.csv").exists()
 
 
 def test_config_validation_names_the_invariant():
