@@ -337,8 +337,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the run configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for random measure-pair generation")
+        if name == "lipschitz-c":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for random measure-pair generation")
         if name == "alpha":
             p.add_argument("--a-grid", help="lo:hi:count grid of shifts")
         if name == "verify-example":

@@ -17,7 +17,9 @@ velocity-cutoff check and the lanes that may take the refinement.  An
 argmin on the window's edge raises whenever that edge is the velocity
 cutoff, not the antipode.  The wrapped copy and the cost table are scratch
 buffers that every step overwrites, so one stepper must not be shared
-across threads.
+across threads.  An x-independent Lagrangian maps a uniform field to a
+uniform one, so when the cost rows and w are each bit-uniform the step
+runs on lane 0 alone and spreads its result over the circle.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
@@ -112,6 +114,9 @@ class HopfLaxStepper:
 
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
+    The one-lane step of a uniform field is exact: every lane reads the same
+    costs and window, save the neighbours of an argmin on the window's edge,
+    and such a lane never takes the refinement.
     """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float, vmax: float | None = None):
@@ -161,6 +166,12 @@ class HopfLaxStepper:
         # wrapped indices of the origins of those three offsets
         self._flat3 = rows * m + np.array([[-1], [0], [1]])
         self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
+        # uniform by bits, not values, so that -0.0 and 0.0 stay apart
+        self._same_rows = self.cost_l.tobytes() == self.cost_l[:1].tobytes() * self.n
+        self._bits = self._wrapped.view(np.uint64)
+        self._lane_views = ((self._window, self.cost_l, self._cost, self._flat3, self._origin3),
+                            (self._window[:1], self.cost_l[:1], self._cost[:1],
+                             self._flat3[:, :1], self._origin3[:, :1]))
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -173,7 +184,10 @@ class HopfLaxStepper:
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
-        cost = np.add(self._window, self.cost_l, out=self._cost)
+        one = bool(self._same_rows and wrapped[c] == wrapped[c + n - 1]
+                   and (self._bits == self._bits[0]).all())
+        window, cost_l, cost, flat3, origin3 = self._lane_views[one]
+        cost = np.add(window, cost_l, out=cost)
         k = cost.argmin(axis=1)
         interior = self._interior[k]
         if self.boundary_is_cutoff and not interior.all():
@@ -183,14 +197,14 @@ class HopfLaxStepper:
         # the argmin and its two neighbours; on the window's edge a
         # neighbour is clipped or read from the next row, and such a lane
         # never takes the refinement
-        flat3 = self._flat3 + k
+        flat3 = flat3 + k
         flat = flat3[1]
         cm, ck, cp = cost.take(flat3, mode="clip")
-        wm, wk, wp = wrapped.take(self._origin3 - k, mode="clip")
+        wm, wk, wp = wrapped.take(origin3 - k, mode="clip")
 
         denom = cp - 2.0 * ck + cm
         safe = interior & (denom > 1e-300)
-        delta = np.zeros(n)
+        delta = np.zeros(k.size)
         np.divide(0.5 * (cm - cp), denom, out=delta, where=safe)
         np.minimum(np.maximum(delta, -0.5, out=delta), 0.5, out=delta)
 
@@ -203,11 +217,13 @@ class HopfLaxStepper:
         # a lane off the refinement has delta = 0 and refined == ck; numpy's
         # minimum returns its second operand on a tie, so ck is kept there
         w_next = np.minimum(refined, ck)
+        if one:
+            w_next = np.full(n, w_next[0])
         if not want_origins:
             return w_next, None
         shift = self.offsets[k]
         origins = np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
-        return w_next, origins
+        return w_next, np.full(n, origins[0]) if one else origins
 
 
 def slice_count(t_final: float, dt: float) -> int:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mfglab.cli import main
+from mfglab.cli import RUNNERS, main
 from mfglab.config import RunConfig
 from mfglab.errors import ConfigError
 
@@ -261,6 +261,16 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
         assert err.startswith("invalid input: ") and len(err.splitlines()) == 1, err
         assert "seed invariant" in err and "--seed" in err, err
         assert not (out / "ratios.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(set(RUNNERS) - {"lipschitz-c"}))
+def test_seed_is_refused_off_lipschitz(tmp_path, command, capsys):
+    """Only lipschitz-c draws random measures; elsewhere --seed is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation_names_the_invariant():

@@ -129,6 +129,7 @@ def _tabulated_model():
 _ORACLE_MODELS = {
     "quadratic-drift": QuadraticDrift(),
     "cosine-shifted": Mechanical(1.6, Potential.cosine()),
+    "free-shifted": Mechanical(0.7, Potential.zero()),
     "tabulated": _tabulated_model(),
 }
 # (n, dt): window of 3, 2 and 6 cells against the velocity cutoff, and one
@@ -253,6 +254,63 @@ def test_sweep_from_rest_bit_equals_windowed_oracle(model_name):
         w_new, origins_new = stepper.step(w_new, want_origins=True)
         w_ref, origins_ref = _windowed_step(stepper, w_ref, want_origins=True)
         assert _bit_equal(w_new, w_ref) and _bit_equal(origins_new, origins_ref)
+
+
+# Lagrangians that do not depend on x; the shift 12 puts the argmin of a
+# uniform field past every window, on the velocity cutoff of the first three
+# grids and on the antipode of the half-circle grid
+_X_INDEPENDENT = {
+    "quadratic-drift": _ORACLE_MODELS["quadratic-drift"],
+    "free-shifted": _ORACLE_MODELS["free-shifted"],
+    "free-past-cutoff": Mechanical(12.0, Potential.zero()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_name=st.sampled_from(sorted(_X_INDEPENDENT)),
+       grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
+       value=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e300, 1e300]),
+                       st.floats(-1e6, 1e6)),
+       data=st.data())
+def test_uniform_field_bit_equals_windowed_oracle(model_name, grid_index, value, data):
+    """A uniform field on an x-independent Lagrangian, and the same field
+    one ulp off in one lane: values and origins bit-equal the frozen
+    windowed step, with and without origins, and the velocity-cutoff error
+    comes in the same cases."""
+    n, dt = _ORACLE_GRIDS[grid_index]
+    stepper = HopfLaxStepper(_X_INDEPENDENT[model_name], n, dt)
+    w = np.full(n, value)
+    if data.draw(st.booleans()):
+        lane = data.draw(st.integers(0, n - 1))
+        w[lane] = np.nextafter(value, data.draw(st.sampled_from([-np.inf, np.inf])))
+    new = _step_or_error(HopfLaxStepper.step, stepper, w)
+    ref = _step_or_error(_windowed_step, stepper, w)
+    assert (new is None) == (ref is None)
+    if model_name == "free-past-cutoff":
+        assert (new is None) == stepper.boundary_is_cutoff
+    if new is None:
+        return
+    assert _bit_equal(new[0], ref[0]) and _bit_equal(new[1], ref[1])
+    assert _bit_equal(stepper.step(w)[0], ref[0])
+
+
+def test_uniform_step_writes_lane_zero_alone(qd_model, cosine_model):
+    """A uniform field on an x-independent Lagrangian fills row 0 of the
+    cost buffer alone; a field one ulp off uniform, a wave, or a cosine
+    potential fills every row."""
+    n = 128
+    uniform = np.full(n, 0.3)
+    ulp_off = uniform.copy()
+    ulp_off[77] = np.nextafter(0.3, 1.0)
+    wave = 0.3 + 0.01 * np.cos(2 * np.pi * grid(n))
+    for model, w, rows in ((qd_model, uniform, 1), (qd_model, ulp_off, n),
+                           (qd_model, wave, n), (cosine_model, uniform, n)):
+        stepper = HopfLaxStepper(model, n, 2e-3)
+        for want_origins in (False, True):
+            stepper._cost.fill(np.nan)
+            stepper.step(w, want_origins=want_origins)
+            written = ~np.isnan(stepper._cost).any(axis=1)
+            assert written[0] and written.sum() == rows
 
 
 def test_step_results_outlive_the_next_step(cosine_model):
