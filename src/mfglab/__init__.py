@@ -14,7 +14,6 @@ from .errors import (
     DegenerateBacktrackError,
     MassDriftError,
     MFGLabError,
-    MomentumCutoffError,
     NotConvergedError,
     NotPeriodicRegimeError,
     VelocityCutoffError,
@@ -24,14 +23,11 @@ from .hamiltonians import (
     Mechanical,
     Potential,
     QuadraticDrift,
-    TabulatedConvex,
 )
 from .lax_oleinik import (
     HopfLaxStepper,
-    ValueField,
     alpha_function,
     critical_value,
-    evolve,
     weak_kam_solution,
 )
 from .measures import (
@@ -63,19 +59,15 @@ __all__ = [
     "Mechanical",
     "MFGLabError",
     "MFGSolution",
-    "MomentumCutoffError",
     "NotConvergedError",
     "NotPeriodicRegimeError",
     "PeriodicSolution",
     "Potential",
     "QuadraticDrift",
-    "TabulatedConvex",
-    "ValueField",
     "VelocityCutoffError",
     "alpha_function",
     "critical_value",
     "drift_field",
-    "evolve",
     "flow_lipschitz_constant",
     "forward_flow",
     "hjb_residual",

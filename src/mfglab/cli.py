@@ -180,7 +180,7 @@ def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     sol = solve_finite_horizon(cfg.build_phi(), m_t, cfg.c, cfg.horizon,
-                               model, functional, cfg.dt, cfg.vmax)
+                               model, functional, cfg.dt)
     stride = _auto_stride(cfg, sol.times.size)
     _write_csv(out / "u.csv", "t,x,u",
                ((sol.times[k], x, u) for k in range(0, sol.times.size, stride)

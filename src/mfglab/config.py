@@ -12,12 +12,10 @@ import numpy as np
 
 from .coupling import CouplingFunctional
 from .errors import ConfigError
-from .hamiltonians import Mechanical, Potential, QuadraticDrift
+from .hamiltonians import VELOCITY_CUTOFF, Mechanical, Potential, QuadraticDrift
 from .lax_oleinik import T_PROBE_MIN, slice_count
 from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
-
-VMAX_DEFAULT = 10.0
 
 
 def _syntax_error(exc: configparser.Error) -> str:
@@ -44,7 +42,6 @@ class RunConfig:
     # grid
     n: int = 512
     dt: float = 1e-3
-    vmax: float = VMAX_DEFAULT
     # coupling / measures
     coupling: str = "cosine4pi"
     m_t: str = "one-plus-cosine"
@@ -75,7 +72,7 @@ class RunConfig:
     tol_converge_slack: float = 0.1
 
     _FLOATS = {
-        "shift", "dt", "vmax", "t_probe", "dt_probe", "horizon", "window",
+        "shift", "dt", "t_probe", "dt_probe", "horizon", "window",
         "c", "tol_c0", "tol_periodicity", "tol_nontriviality",
         "tol_lipschitz_slack", "tol_convexity", "tol_residual_closed",
         "tol_residual_grid", "tol_converge_final", "tol_converge_slack",
@@ -126,9 +123,6 @@ class RunConfig:
         for name in sorted(self._FLOATS):
             if name.startswith("tol_") and not getattr(self, name) > 0.0:  # NaN too
                 raise ConfigError(f"tolerance invariant violated: {name} must be > 0")
-        if not (np.isfinite(self.vmax) and self.vmax > 0.0):
-            raise ConfigError(f"velocity invariant violated: vmax must be finite and > 0, "
-                              f"got {self.vmax:g}")
         for name in sorted(self._FLOATS | self._LISTS):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"number invariant violated: {name} must be finite, "
@@ -137,16 +131,19 @@ class RunConfig:
             raise ConfigError(f"dimension invariant violated: the grid scheme is 1-d, "
                               f"dim must be 1, got {self.model_dim}")
         dx = 1.0 / n
+        vmax = VELOCITY_CUTOFF
         for label, dt in (("dt", self.dt), ("dt_probe", self.dt_probe)):
-            if dt < dx / self.vmax:
+            if dt < dx / vmax:
                 raise ConfigError(
                     f"time-step invariant violated: {label} too small; the velocity "
-                    f"window spans less than one grid cell ({label} < dx/vmax)"
+                    f"window spans less than one grid cell ({label} < dx/{vmax:g}, "
+                    f"with the velocity cutoff {vmax:g})"
                 )
-            if dt > 0.5 / self.vmax:
+            if dt > 0.5 / vmax:
                 raise ConfigError(
                     f"time-step invariant violated: {label} too large; the velocity "
-                    f"window exceeds the half circle ({label} > 1/(2 vmax))"
+                    f"window exceeds the half circle ({label} > 1/(2*{vmax:g}), "
+                    f"with the velocity cutoff {vmax:g})"
                 )
         if self.window <= 0.0:
             raise ConfigError("window invariant violated: window must be > 0")

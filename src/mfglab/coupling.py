@@ -60,12 +60,6 @@ class CouplingFunctional:
         return cls(name, f, lip)
 
     @classmethod
-    def constant(cls, value: float) -> "CouplingFunctional":
-        return cls(f"constant({value:g})",
-                   lambda x, v=float(value): np.full_like(np.asarray(x, dtype=float), v),
-                   0.0)
-
-    @classmethod
     def from_name(cls, name: str) -> "CouplingFunctional":
         name = name.strip()
         if name == "zero":

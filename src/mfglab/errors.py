@@ -9,10 +9,6 @@ class VelocityCutoffError(MFGLabError):
     """A minimisation or backtracking step hit the velocity search boundary."""
 
 
-class MomentumCutoffError(MFGLabError):
-    """A Legendre maximiser sits on the momentum table boundary [-P, P]."""
-
-
 class NotConvergedError(MFGLabError):
     """A long-time limit did not settle within the requested tolerance."""
 

@@ -34,24 +34,9 @@ import numpy as np
 
 from .errors import NotConvergedError, VelocityCutoffError
 from .hamiltonians import HamiltonianModel, Mechanical
-from .torus import (
-    cumulative_trapezoid,
-    grid,
-    periodic_gradient,
-    periodic_second_difference,
-)
+from .torus import grid, periodic_gradient, periodic_second_difference
 
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
-
-
-def time_index(times: np.ndarray, t: float) -> int:
-    """Index of time t on the uniform slice grid `times`."""
-    k = int(round((t - times[0]) / (times[1] - times[0])))
-    if not 0 <= k < times.size:
-        raise IndexError(f"time {t} outside the sampled range")
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not on the slice grid")
-    return k
 
 
 def semiconcavity_upper_bound(values: np.ndarray, dx: float) -> float:
@@ -72,43 +57,6 @@ def semiconcavity_upper_bound(values: np.ndarray, dx: float) -> float:
     return float(np.max(d2[mask]))
 
 
-@dataclass
-class ValueField:
-    """Space-time samples of a value function on the uniform circle grid."""
-
-    times: np.ndarray   # (K+1,)
-    nodes: np.ndarray   # (N,)
-    values: np.ndarray  # (K+1, N)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.nodes.size
-
-    def slice_index(self, t: float) -> int:
-        return time_index(self.times, t)
-
-    def slice_at(self, t: float) -> np.ndarray:
-        return self.values[self.slice_index(t)]
-
-    def lipschitz_constant(self, k: int) -> float:
-        w = self.values[k]
-        return float(np.max(np.abs(np.roll(w, -1) - w)) / self.dx)
-
-    def semiconcavity_constant(self, k: int) -> float:
-        return semiconcavity_upper_bound(self.values[k], self.dx)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,x,w\n")
-            for k, t in enumerate(self.times):
-                for j, x in enumerate(self.nodes):
-                    fh.write(f"{t:.17g},{x:.17g},{self.values[k, j]:.17g}\n")
-
-
 class HopfLaxStepper:
     """Precomputed one-step Hopf-Lax operator for a fixed (model, n, dt).
 
@@ -119,13 +67,13 @@ class HopfLaxStepper:
     and such a lane never takes the refinement.
     """
 
-    def __init__(self, model: HamiltonianModel, n: int, dt: float, vmax: float | None = None):
+    def __init__(self, model: HamiltonianModel, n: int, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.model = model
         self.n = int(n)
         self.dt = float(dt)
-        self.vmax = float(model.velocity_cutoff if vmax is None else vmax)
+        self.vmax = float(model.velocity_cutoff)
         self.dx = 1.0 / self.n
         self.nodes = grid(self.n)
 
@@ -238,22 +186,21 @@ def slice_count(t_final: float, dt: float) -> int:
 @dataclass
 class SweepWindow:
     """Slices w_k for k = start .. start + L of one sweep, and the argmin
-    origin displacements of the L steps between them (None when the sweep
-    was run without origins)."""
+    origin displacements of the L steps between them."""
 
     start: int
-    w: np.ndarray                  # (L+1, N)
-    origins: np.ndarray | None     # (L, N)
+    w: np.ndarray          # (L+1, N)
+    origins: np.ndarray    # (L, N)
 
 
-def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
-          with_origins: bool = True) -> tuple[np.ndarray, list]:
+def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int,
+          windows=()) -> tuple[np.ndarray, list]:
     """Run `steps` Hopf-Lax steps from phi, keeping only what is asked for.
 
     Each (k0, k1) in `windows`, 0 <= k0 <= k1 <= steps, records the slices
-    w_k0 .. w_k1 and, with_origins, the origins of the steps k0 -> k1; the
-    rest of the evolution is dropped as it goes.  Returns the final slice
-    and one SweepWindow per requested window, in order.
+    w_k0 .. w_k1 and the origins of the steps k0 -> k1; the rest of the
+    evolution is dropped as it goes.  Returns the final slice and one
+    SweepWindow per requested window, in order.
     """
     w = np.asarray(phi, dtype=float)
     records = []
@@ -261,7 +208,7 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
         if not 0 <= k0 <= k1 <= steps:
             raise ValueError(f"sweep window ({k0}, {k1}) outside 0..{steps}")
         records.append(SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)),
-                                   np.empty((k1 - k0, w.size)) if with_origins else None))
+                                   np.empty((k1 - k0, w.size))))
     bounds = [(rec, k0, k1) for rec, (k0, k1) in zip(records, windows)]
     for k in range(steps + 1):
         for rec, k0, k1 in bounds:
@@ -269,33 +216,11 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int, windows=(),
                 rec.w[k - k0] = w
         if k == steps:
             break
-        stepping = [(rec, k0) for rec, k0, k1 in bounds if with_origins and k0 <= k < k1]
+        stepping = [(rec, k0) for rec, k0, k1 in bounds if k0 <= k < k1]
         w, origins = stepper.step(w, want_origins=bool(stepping))
         for rec, k0 in stepping:
             rec.origins[k - k0] = origins
     return w, records
-
-
-def evolve(phi: np.ndarray, t_final: float, model: HamiltonianModel, dt: float,
-           source=None) -> ValueField:
-    """Iterate the Hopf-Lax step from phi up to t_final.
-
-    `source` is an x-independent forcing s(t) (callable or array sampled on
-    the slice grid); its cumulative trapezoid integral is added slice-wise,
-    so the pure semigroup corresponds to source=None.
-    """
-    phi = np.asarray(phi, dtype=float)
-    steps = slice_count(t_final, dt)
-    stepper = HopfLaxStepper(model, phi.size, dt)
-    _, (rec,) = sweep(stepper, phi, steps, [(0, steps)], with_origins=False)
-    values = rec.w
-    times = dt * np.arange(steps + 1)
-    if source is not None:
-        samples = source(times) if callable(source) else np.asarray(source, dtype=float)
-        if samples.shape != times.shape:
-            raise ValueError("source samples must match the slice grid")
-        values += cumulative_trapezoid(samples, dt)[:, None]
-    return ValueField(times=times, nodes=stepper.nodes, values=values)
 
 
 @dataclass

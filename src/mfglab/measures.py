@@ -17,6 +17,8 @@ PARTICLES = "particles"
 
 MASS_TOL = 1e-12
 MASS_DRIFT_TOL = 1e-4  # largest renormalisation a push-forward may need
+RANDOM_MODES = 4       # Fourier modes of random_fourier_density
+RANDOM_FLOOR = 0.1     # its smallest density value before renormalising
 
 
 class CircleMeasure:
@@ -29,7 +31,7 @@ class CircleMeasure:
         if np.any(weights < -MASS_TOL):
             raise ValueError("measure weights must be nonnegative")
         total = float(np.sum(weights))
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # NaN too
             raise ValueError(f"total mass {total} differs from 1 beyond {MASS_TOL}")
         self.kind = kind
         self.positions = positions
@@ -46,24 +48,14 @@ class CircleMeasure:
     def from_density_values(cls, values) -> "CircleMeasure":
         """Density samples on the uniform grid, normalised to unit mass."""
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("density values must be finite")
         if np.any(values < 0.0):
             raise ValueError("density values must be nonnegative")
-        masses = values / np.sum(values)
-        return cls.from_masses(masses)
-
-    @classmethod
-    def from_particles(cls, positions, weights=None) -> "CircleMeasure":
-        positions = np.atleast_1d(np.asarray(positions, dtype=float))
-        if weights is None:
-            weights = np.full(positions.size, 1.0 / positions.size)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            weights = weights / np.sum(weights)
-        return cls(PARTICLES, positions, weights)
-
-    @classmethod
-    def dirac(cls, x: float) -> "CircleMeasure":
-        return cls.from_particles([x], [1.0])
+        total = np.sum(values)
+        if not total > 0.0:
+            raise ValueError("density values must have a positive total")
+        return cls.from_masses(values / total)
 
     @classmethod
     def from_name(cls, name: str, n: int = 512) -> "CircleMeasure":
@@ -77,6 +69,9 @@ class CircleMeasure:
         m = re.fullmatch(r"gaussian-bump\(([^,]+),([^)]+)\)", name)
         if m:
             center, width = float(m.group(1)), float(m.group(2))
+            if not (np.isfinite(center) and np.isfinite(width) and width > 0.0):
+                raise ValueError(f"gaussian-bump needs a finite centre and a finite "
+                                 f"width > 0, got {name!r}")
             vals = np.zeros(n)
             for k in range(-3, 4):
                 vals += np.exp(-((xs - center + k) ** 2) / (2.0 * width**2))
@@ -181,15 +176,15 @@ def invariant_density(df) -> CircleMeasure:
     return CircleMeasure.from_density_values(1.0 / np.abs(df.v))
 
 
-def random_fourier_density(n: int, rng, k_max: int = 4, floor: float = 0.1) -> CircleMeasure:
-    """Smooth random density: 1 + low-mode Fourier noise, floored away
-    from zero and renormalised."""
+def random_fourier_density(n: int, rng) -> CircleMeasure:
+    """Smooth random density: 1 + Fourier noise in the modes 1 ..
+    RANDOM_MODES, floored at RANDOM_FLOOR and renormalised."""
     xs = grid(n)
     values = np.ones(n)
-    for k in range(1, k_max + 1):
+    for k in range(1, RANDOM_MODES + 1):
         a, b = rng.uniform(-1.0, 1.0, size=2) * (0.6 / k)
         values += a * np.cos(2.0 * np.pi * k * xs) + b * np.sin(2.0 * np.pi * k * xs)
     low = float(np.min(values))
-    if low < floor:
-        values = values - low + floor
+    if low < RANDOM_FLOOR:
+        values = values - low + RANDOM_FLOOR
     return CircleMeasure.from_density_values(values)

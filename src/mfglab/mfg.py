@@ -26,7 +26,6 @@ from .lax_oleinik import (
     HopfLaxStepper,
     slice_count,
     sweep,
-    time_index,
     weak_kam_solution,
 )
 from .measures import (
@@ -59,27 +58,13 @@ class MFGSolution:
     coupling_series: np.ndarray  # (K+1,) F(m(t_k))
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def slice_index(self, t: float) -> int:
-        return time_index(self.times, t)
-
     def u_at(self, k: int) -> np.ndarray:
         return self.w[k] + self.shift[k]
-
-    def u_values(self) -> np.ndarray:
-        return self.w + self.shift[:, None]
-
-    def measure_at(self, k: int) -> CircleMeasure:
-        return CircleMeasure("particles", self.m_positions[k], self.m_weights)
 
 
 def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
                          horizon: float, model: HamiltonianModel,
-                         functional: CouplingFunctional, dt: float,
-                         vmax: float | None = None) -> MFGSolution:
+                         functional: CouplingFunctional, dt: float) -> MFGSolution:
     """Weak solution of the coupled system with u(.,0) = phi, m(T) = m_t.
 
     Runs the Hopf-Lax evolution recording the argmin origin of every node
@@ -90,7 +75,7 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
     _require_density(m_t)
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(horizon, dt)
-    stepper = HopfLaxStepper(model, phi.size, dt, vmax)
+    stepper = HopfLaxStepper(model, phi.size, dt)
     _, (rec,) = sweep(stepper, phi, steps, [(0, steps)])
     positions, f_series = _backtrack(m_t, rec.origins, stepper, functional)
     times = dt * np.arange(steps + 1)

@@ -17,6 +17,7 @@ from mfglab.explicit_solution import ExplicitInstance, hjb_residual, transport_r
 from mfglab.hamiltonians import Mechanical, Potential, QuadraticDrift
 from mfglab.lax_oleinik import alpha_function, critical_value
 from mfglab.measures import (
+    PARTICLES,
     CircleMeasure,
     invariant_density,
     pushforward,
@@ -197,8 +198,8 @@ def test_criterion_8_wasserstein_lp_oracle():
         k1, k2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         w1 = rng.random(k1) + 0.05
         w2 = rng.random(k2) + 0.05
-        m1 = CircleMeasure.from_particles(rng.random(k1), w1 / w1.sum())
-        m2 = CircleMeasure.from_particles(rng.random(k2), w2 / w2.sum())
+        m1 = CircleMeasure(PARTICLES, rng.random(k1), w1 / w1.sum())
+        m2 = CircleMeasure(PARTICLES, rng.random(k2), w2 / w2.sum())
         worst = max(worst, abs(wasserstein1(m1, m2) - _lp_wasserstein(m1, m2)))
     ok = worst <= 1e-9
     report(8, "Wasserstein LP oracle", ok, f"worst gap={worst:.2e} over 1000 trials")

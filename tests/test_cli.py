@@ -132,6 +132,8 @@ dt_probe = 0.002
 
 
 def test_malformed_configs_exit_2(tmp_path, capsys):
+    # vmax is no config key: every subcommand steps at the velocity cutoff 10
+    vmax_20 = "[grid]\nn = 64\ndt = 0.001\nvmax = 20\n[run]\ndt_probe = 0.001\n"
     cases = {
         "dt_large.ini": "[grid]\nn = 256\ndt = 0.2\n",
         "dt_small.ini": "[grid]\nn = 256\ndt = 1e-5\n",
@@ -161,15 +163,28 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "vmax_zero.ini": "[grid]\nvmax = 0\n",
         "vmax_nan.ini": "[grid]\nvmax = nan\n",
         "vmax_negative.ini": "[grid]\nvmax = -5\n",
+        "vmax_20.ini": vmax_20,
+        "vmax_20_solve.ini": vmax_20,
+        "bump_zero_width.ini": "[measures]\nm1 = gaussian-bump(0.3,0)\n",
+        "bump_negative_width.ini": "[measures]\nm1 = gaussian-bump(0.3,-0.1)\n",
+        "bump_inf_width.ini": "[measures]\nm1 = gaussian-bump(0.3,inf)\n",
+        "bump_nan_centre.ini": "[measures]\nm1 = gaussian-bump(nan,0.1)\n",
+        "bump_underflow.ini": "[measures]\nm1 = gaussian-bump(0.3,1e-5)\n",
         "dim_two.ini": "[model]\nfamily = quadratic-drift\ndim = 2\n",
         "c_nan.ini": "[run]\nc = nan\n",
         "c_inf.ini": "[run]\nc = inf\n",
         "a_values_nan.ini": "[model]\nfamily = mechanical\n[run]\na_values = 0 nan\n",
         "shift_inf.ini": "[model]\nfamily = mechanical\nshift = inf\n",
     }
+    commands = {"vmax_20_solve.ini": "solve"}
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "no_section.ini",
                          "duplicate_key.ini", "unknown_potential.ini",
-                         "bad_potential_args.ini")
+                         "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
+                         "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini")
+    for name in cases:
+        if name.startswith("bump_"):
+            commands[name] = "wasserstein"
+            unnamed_invariant += (name,)
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
              "off_grid_calibration.ini": "calibration horizon = 0.75 is not a positive "
@@ -180,9 +195,16 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "duplicate_key.ini": "malformed config file",
              "unknown_potential.ini": "unknown potential id",
              "bad_potential_args.ini": "could not convert",
-             "vmax_zero.ini": "velocity invariant violated",
-             "vmax_nan.ini": "velocity invariant violated",
-             "vmax_negative.ini": "velocity invariant violated",
+             "vmax_zero.ini": "unknown config key [grid] vmax",
+             "vmax_nan.ini": "unknown config key [grid] vmax",
+             "vmax_negative.ini": "unknown config key [grid] vmax",
+             "vmax_20.ini": "unknown config key [grid] vmax",
+             "vmax_20_solve.ini": "unknown config key [grid] vmax",
+             "bump_zero_width.ini": "finite width > 0",
+             "bump_negative_width.ini": "finite width > 0",
+             "bump_inf_width.ini": "finite width > 0",
+             "bump_nan_centre.ini": "finite centre",
+             "bump_underflow.ini": "positive total",
              "dim_two.ini": "dimension invariant violated",
              "nan_tol.ini": "tolerance invariant violated: tol_periodicity",
              "c_nan.ini": "number invariant violated: c must be finite",
@@ -192,8 +214,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        code = main(["critical-value", "--config", str(path), "--out",
-                     str(tmp_path / "out")])
+        code = main([commands.get(name, "critical-value"), "--config", str(path),
+                     "--out", str(tmp_path / "out")])
         assert code == 2, name
         err = capsys.readouterr().err
         assert "invariant" in err or name in unnamed_invariant

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfglab.coupling import CouplingFunctional, monotonicity_defect
-from mfglab.measures import CircleMeasure, random_fourier_density, wasserstein1
+from mfglab.measures import PARTICLES, CircleMeasure, random_fourier_density, wasserstein1
 from mfglab.torus import grid
 
 
@@ -21,7 +21,8 @@ def test_cosine_coupling_on_rotated_density(coupling_cos):
 
 
 def test_constant_coupling_is_constant():
-    const = CouplingFunctional.constant(2.5)
+    const = CouplingFunctional("constant(2.5)",
+                               lambda x: np.full_like(np.asarray(x, dtype=float), 2.5), 0.0)
     rng = np.random.default_rng(0)
     for _ in range(5):
         assert const(random_fourier_density(128, rng)) \
@@ -41,7 +42,7 @@ def test_monotonicity_defect_vanishes():
 def test_monotonicity_defect_mixed_representations():
     f = CouplingFunctional.cosine4pi()
     dens = CircleMeasure.from_name("one-plus-cosine", 128)
-    part = CircleMeasure.from_particles([0.2, 0.7, 0.9], [0.5, 0.3, 0.2])
+    part = CircleMeasure(PARTICLES, np.array([0.2, 0.7, 0.9]), np.array([0.5, 0.3, 0.2]))
     assert abs(monotonicity_defect(f, part, dens)) <= 1e-12
 
 

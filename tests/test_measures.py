@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.errors import MassDriftError
 from mfglab.measures import (
+    PARTICLES,
     CircleMeasure,
     TransportTable,
     invariant_density,
@@ -38,10 +39,17 @@ def lp_wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
     return float(res.fun)
 
 
+def atoms(positions, weights):
+    """Particle measure with the given weights scaled to unit mass."""
+    weights = np.asarray(weights, dtype=float)
+    return CircleMeasure(PARTICLES, np.asarray(positions, dtype=float),
+                         weights / np.sum(weights))
+
+
 def random_atoms(rng, max_atoms=6):
     k = int(rng.integers(1, max_atoms + 1))
     weights = rng.random(k) + 0.05
-    return CircleMeasure.from_particles(rng.random(k), weights / weights.sum())
+    return atoms(rng.random(k), weights / weights.sum())
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +83,9 @@ def test_w1_identical_measures_vanishes():
 
 
 def test_w1_between_diracs_wraps():
-    assert wasserstein1(CircleMeasure.dirac(0.0), CircleMeasure.dirac(0.3)) \
+    assert wasserstein1(atoms([0.0], [1.0]), atoms([0.3], [1.0])) \
         == pytest.approx(0.3, abs=1e-15)
-    assert wasserstein1(CircleMeasure.dirac(0.0), CircleMeasure.dirac(0.8)) \
+    assert wasserstein1(atoms([0.0], [1.0]), atoms([0.8], [1.0])) \
         == pytest.approx(0.2, abs=1e-15)
 
 
@@ -91,7 +99,7 @@ def test_w1_matches_transportation_lp():
 _atoms = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6,
                   unique=True).flatmap(
     lambda xs: st.lists(st.floats(0.05, 1.0), min_size=len(xs), max_size=len(xs)).map(
-        lambda ws: CircleMeasure.from_particles(xs, ws)))
+        lambda ws: atoms(xs, ws)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +114,7 @@ def test_w1_metric_axioms(a, b, c):
 
 
 def test_w1_metrizes_weak_convergence():
-    target = CircleMeasure.dirac(0.3)
+    target = atoms([0.3], [1.0])
     gaps = [wasserstein1(CircleMeasure.from_name(f"gaussian-bump(0.3,{w})", 512), target)
             for w in (0.1, 0.05, 0.02, 0.01)]
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -135,7 +143,7 @@ def test_pushforward_density_rigid_rotation(rotation_flow):
 
 def test_pushforward_particles_rigid_rotation(rotation_flow):
     _df, fm = rotation_flow
-    m = CircleMeasure.from_particles([0.1, 0.6], [0.25, 0.75])
+    m = atoms([0.1, 0.6], [0.25, 0.75])
     out = pushforward(fm, m, 0.25)
     assert np.max(circle_distance(out.positions, [0.35, 0.85])) < 1e-9
     assert np.allclose(out.weights, m.weights)
@@ -150,9 +158,9 @@ def test_pushforward_fixes_invariant_density(rotation_flow):
 
 def test_pushforward_is_flow_action(rotation_flow):
     _df, fm = rotation_flow
-    atoms = CircleMeasure.from_particles(np.random.default_rng(8).random(200))
+    cloud = atoms(np.random.default_rng(8).random(200), np.ones(200))
     dens = CircleMeasure.from_name("one-plus-cosine", 512)
-    for m in (atoms, dens):
+    for m in (cloud, dens):
         one_hop = pushforward(fm, m, 0.8)
         two_hops = pushforward(fm, pushforward(fm, m, 0.4), 0.4)
         assert wasserstein1(one_hop, two_hops) <= 1e-6
@@ -218,7 +226,7 @@ def test_pushforward_mass_drift_error():
 
 def test_measure_csv(tmp_path):
     dens = CircleMeasure.from_name("lebesgue", 64)
-    part = CircleMeasure.from_particles([0.1, 0.9], [0.5, 0.5])
+    part = atoms([0.1, 0.9], [0.5, 0.5])
     p1, p2 = tmp_path / "d.csv", tmp_path / "p.csv"
     dens.write_csv(p1)
     part.write_csv(p2)

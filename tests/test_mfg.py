@@ -4,8 +4,9 @@ import pytest
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
 from mfglab.errors import DegenerateBacktrackError, NotPeriodicRegimeError
-from mfglab.lax_oleinik import HopfLaxStepper, evolve, slice_count
+from mfglab.lax_oleinik import HopfLaxStepper, slice_count, sweep
 from mfglab.measures import (
+    PARTICLES,
     CircleMeasure,
     TransportTable,
     invariant_density,
@@ -27,6 +28,15 @@ N = 256
 DT = 1e-3
 
 
+def _atoms(sol, k):
+    """The measure of a finite-horizon solution at slice k."""
+    return CircleMeasure(PARTICLES, sol.m_positions[k], sol.m_weights)
+
+
+def _u_values(sol):
+    return sol.w + sol.shift[:, None]
+
+
 @pytest.fixture(scope="module")
 def m_cos():
     return CircleMeasure.from_name("one-plus-cosine", N)
@@ -43,8 +53,8 @@ def test_decoupled_limit_reproduces_pure_evolution(qd_model, m_cos):
     xs = grid(N)
     phi = 0.2 * np.cos(2 * np.pi * xs)
     sol = solve_finite_horizon(phi, m_cos, 0.0, 0.5, qd_model, zero, DT)
-    pure = evolve(phi, 0.5, qd_model, DT)
-    assert np.max(np.abs(sol.u_values() - pure.values)) == 0.0
+    _, (pure,) = sweep(HopfLaxStepper(qd_model, N, DT), phi, 500, [(0, 500)])
+    assert np.max(np.abs(_u_values(sol) - pure.w)) == 0.0
 
 
 def test_finite_horizon_quadratic_drift_closed_form(qd_model, coupling_cos, m_cos):
@@ -56,7 +66,7 @@ def test_finite_horizon_quadratic_drift_closed_form(qd_model, coupling_cos, m_co
         t = sol.times[k]
         target = CircleMeasure.from_density_values(
             1.0 + np.cos(2 * np.pi * (xs + t - 3.0)))
-        worst_m = max(worst_m, wasserstein1(sol.measure_at(k), target))
+        worst_m = max(worst_m, wasserstein1(_atoms(sol, k), target))
     assert worst_m <= 5e-3
     worst_u = max(
         float(np.max(np.abs(sol.u_at(k) - np.sin(2 * np.pi * sol.times[k]))))
@@ -65,7 +75,7 @@ def test_finite_horizon_quadratic_drift_closed_form(qd_model, coupling_cos, m_co
 
 
 def test_finite_horizon_requires_density(qd_model, coupling_cos):
-    atoms = CircleMeasure.from_particles([0.5], [1.0])
+    atoms = CircleMeasure(PARTICLES, np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         solve_finite_horizon(np.zeros(N), atoms, 0.0, 1.0, qd_model,
                              coupling_cos, DT)
@@ -74,8 +84,9 @@ def test_finite_horizon_requires_density(qd_model, coupling_cos):
 def test_refeeding_the_source_reproduces_u(qd_model, coupling_cos, m_cos):
     sol = solve_finite_horizon(np.zeros(N), m_cos, 0.0, 1.0, qd_model,
                                coupling_cos, DT)
-    replay = evolve(np.zeros(N), 1.0, qd_model, DT, source=sol.coupling_series)
-    assert np.max(np.abs(replay.values - sol.u_values())) <= 1e-10
+    _, (pure,) = sweep(HopfLaxStepper(qd_model, N, DT), np.zeros(N), 1000, [(0, 1000)])
+    replay = pure.w + cumulative_trapezoid(sol.coupling_series, DT)[:, None]
+    assert np.max(np.abs(replay - _u_values(sol))) <= 1e-10
 
 
 def test_gradient_decoupling(qd_model, m_cos, coupling_cos):
@@ -106,7 +117,7 @@ def test_m_path_is_lipschitz_in_time(qd_model, coupling_cos, m_cos):
     max_speed = 1.0 + 1e-6  # |dH/dp| along realised gradients (= 1 here)
     ks = [0, 100, 400, 700, 1000]
     for a, b in zip(ks, ks[1:]):
-        d = wasserstein1(sol.measure_at(a), sol.measure_at(b))
+        d = wasserstein1(_atoms(sol, a), _atoms(sol, b))
         assert d <= max_speed * (sol.times[b] - sol.times[a]) + 1e-6
 
 
@@ -147,23 +158,19 @@ def test_wrong_constant_forces_linear_growth(qd_model, coupling_cos, m_cos,
     _c0, u0, _df = qd_regime_256
     offset = 0.3
     sol = solve_finite_horizon(u0, m_cos, offset, 3.0, qd_model, coupling_cos, DT)
-    gaps = [float(np.max(np.abs(sol.u_at(sol.slice_index(float(t))) - sol.u_at(0))))
+    gaps = [float(np.max(np.abs(sol.u_at(slice_count(t, DT)) - sol.u_at(0))))
             for t in (1.0, 2.0, 3.0)]
     rate1 = gaps[1] - gaps[0]
     rate2 = gaps[2] - gaps[1]
     assert rate1 == pytest.approx(offset, abs=1e-2)
     assert rate2 == pytest.approx(offset, abs=1e-2)
-    with pytest.raises(ValueError, match="not on the slice grid"):
-        sol.slice_index(1.0005)
-    with pytest.raises(IndexError):
-        sol.slice_index(3.5)
 
 
 def test_initial_data_forcing_of_the_gradient(qd_model, coupling_cos, m_cos):
     """Dw(., n tau) approaches the stationary gradient (zero here)."""
     xs = grid(N)
-    field = evolve(np.cos(2 * np.pi * xs), 20.0, qd_model, 2e-3)
-    dw = periodic_gradient(field.values[-1], 1.0 / N)
+    w, _ = sweep(HopfLaxStepper(qd_model, N, 2e-3), np.cos(2 * np.pi * xs), 10000)
+    dw = periodic_gradient(w, 1.0 / N)
     assert np.max(np.abs(dw - 0.0)) <= 5e-2
 
 
@@ -313,7 +320,8 @@ def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
     k_per = max(1, int(round(tau / dt)))
     dt_p = tau / k_per
     t_cal = CALIBRATION_FACTOR * max(horizons)
-    u0_phi = evolve(phi, t_cal, model, dt).values[-1] + c0 * t_cal
+    w_cal, _ = sweep(HopfLaxStepper(model, phi.size, dt), phi, slice_count(t_cal, dt))
+    u0_phi = w_cal + c0 * t_cal
     d1_dev, u_dev = [], []
     for horizon in horizons:
         flow = FlowMap(df)
@@ -333,13 +341,13 @@ def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
             return tail(horizon) - tail(horizon - s)
 
         sol = solve_finite_horizon(phi, m_t, c_mt, horizon, model, functional, dt)
-        k0 = sol.slice_index(horizon - window)
+        k0 = int(round((horizon - window) / dt))
         m_cum = cumulative_trapezoid(sol.coupling_series, dt)
         worst_d1 = worst_u = 0.0
         for k in range(k0, sol.times.size):
             s = float(sol.times[k])
             m_bar = pushforward(flow, m_t, horizon - s)
-            worst_d1 = max(worst_d1, wasserstein1(sol.measure_at(k), m_bar))
+            worst_d1 = max(worst_d1, wasserstein1(_atoms(sol, k), m_bar))
             u = sol.w[k] + m_cum[k] + c_mt * s - m_cum[k0]
             u_bar = (u0_phi + bar_integral(s) - s * (period_integral / tau)
                      - bar_integral(horizon - window))

@@ -5,6 +5,12 @@ from pathlib import Path
 import mfglab
 
 RUNTIME_DEPENDENCIES = {"numpy", "scipy", "mfglab"}
+ROOT = Path(__file__).resolve().parents[1]
+# names the CLI, the experiments and the benchmark never reach, kept on purpose
+CALLERLESS = {
+    # the certificate of acceptance criterion 10: F(m) = int f dm is monotone
+    "monotonicity_defect",
+}
 
 
 def _foreign_imports(source: str) -> list[str]:
@@ -38,3 +44,42 @@ def test_runtime_imports_are_numpy_scipy_and_stdlib_only():
                             "from requests import get\nfrom . import torus\n"
                             "from scipy.optimize import linprog\n"
                             "s = 'import matplotlib'\n") == ["matplotlib.pyplot", "requests"]
+
+
+def _callerless(modules: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Functions, classes and methods defined in `modules` (name -> source)
+    that no Name or attribute in `modules` or `callers` mentions outside
+    their own definition.  Dunder methods are called implicitly and skipped."""
+    defs, uses = [], []
+    for path, source in {**modules, **callers}.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif (path in modules and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+    return sorted(name for name, path, first, last in defs
+                  if not any(used == name and (where != path or not first <= line <= last)
+                             for used, where, line in uses))
+
+
+def test_every_routine_has_a_caller_outside_the_tests():
+    """A routine that only tests reach is deleted, not kept for its tests."""
+    modules = {str(path): path.read_text()
+               for path in sorted((ROOT / "src" / "mfglab").glob("*.py"))
+               if path.name != "__init__.py"}
+    callers = {str(path): path.read_text()
+               for path in sorted((ROOT / "perfbench").rglob("*.py"))}
+    assert len(modules) > 1 and callers
+    assert _callerless(modules, callers) == sorted(CALLERLESS)
+    # the scanner itself: a self-call, a docstring mention or an export does
+    # not count; a call from a caller module or a sibling method does
+    assert _callerless(
+        {"m.py": "def lonely():\n    \"\"\"lonely, named here\"\"\"\n    return lonely()\n"
+                 "def used(): pass\n"
+                 "class Box:\n    def __init__(self): self.peek()\n"
+                 "    def peek(self): pass\n    def shelf(self): pass\n"},
+        {"c.py": "from m import used, shelf\nused(); Box()\n"}) == ["lonely", "shelf"]
