@@ -9,6 +9,7 @@ vanishes identically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ class CouplingFunctional:
         coeffs = [float(c) for c in coefficients]
         if len(coeffs) % 2 != 0 or not coeffs:
             raise ValueError("need an even, nonempty coefficient list (a1, b1, ...)")
+        name = "custom-fourier(" + ",".join(f"{c:g}" for c in coeffs) + ")"
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"custom-fourier needs finite coefficients, got {name!r}")
         pairs = [(coeffs[2 * i], coeffs[2 * i + 1]) for i in range(len(coeffs) // 2)]
 
         def f(x):
@@ -55,8 +59,11 @@ class CouplingFunctional:
                 out += a * np.cos(2.0 * np.pi * k * x) + b * np.sin(2.0 * np.pi * k * x)
             return out
 
-        lip = sum(2.0 * np.pi * k * np.hypot(a, b) for k, (a, b) in enumerate(pairs, start=1))
-        name = "custom-fourier(" + ",".join(f"{c:g}" for c in coeffs) + ")"
+        with np.errstate(over="ignore"):    # an overflow is refused below
+            lip = sum(2.0 * np.pi * k * np.hypot(a, b) for k, (a, b) in enumerate(pairs, start=1))
+        if not math.isfinite(lip):
+            raise ValueError(f"custom-fourier needs a finite Lipschitz constant, "
+                             f"got {lip} for {name!r}")
         return cls(name, f, lip)
 
     @classmethod

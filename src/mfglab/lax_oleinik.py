@@ -18,8 +18,9 @@ argmin on the window's edge raises whenever that edge is the velocity
 cutoff, not the antipode.  The wrapped copy and the cost table are scratch
 buffers that every step overwrites, so one stepper must not be shared
 across threads.  An x-independent Lagrangian maps a uniform field to a
-uniform one, so when the cost rows and w are each bit-uniform the step
-runs on lane 0 alone and spreads its result over the circle.
+uniform one, so when the cost rows and w are each bit-uniform and w is
+finite, the step runs lane 0 alone in Python floats, by the vector step's
+operations in the same order, and spreads its result over the circle.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
@@ -28,6 +29,7 @@ mechanical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,24 @@ from .torus import grid, periodic_gradient, periodic_second_difference
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
 
 
+def median(values: np.ndarray) -> float:
+    """np.median of a 1-D float array, NaN if any value is NaN.
+
+    The same partition and mean as np.median, without its NaN check, which
+    imports numpy.ma on its first call.
+    """
+    size = values.size
+    half = size // 2
+    middle = [half] if size % 2 else [half - 1, half]
+    part = np.partition(values, middle + [-1])    # NaN sorts to the end
+    if np.isnan(part[-1]):
+        return math.nan
+    # np.median's mean of the middle values sums from +0.0, so -0.0 gives 0.0
+    if size % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2
+
+
 def semiconcavity_upper_bound(values: np.ndarray, dx: float) -> float:
     """Largest centered second difference away from concave kinks.
 
@@ -47,7 +67,7 @@ def semiconcavity_upper_bound(values: np.ndarray, dx: float) -> float:
     nodes flanking a kink; the two nodes on each side are excluded.
     """
     d2 = periodic_second_difference(np.asarray(values, dtype=float), dx)
-    scale = max(1.0, 5.0 * float(np.median(np.abs(d2))))
+    scale = max(1.0, 5.0 * median(np.abs(d2)))
     concave = np.where(d2 < -scale)[0]
     mask = np.ones(d2.size, dtype=bool)
     for j in concave:
@@ -62,9 +82,11 @@ class HopfLaxStepper:
 
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
-    The one-lane step of a uniform field is exact: every lane reads the same
-    costs and window, save the neighbours of an argmin on the window's edge,
-    and such a lane never takes the refinement.
+    The one-lane step of a finite uniform field is exact: every lane reads
+    the same costs and window, save the neighbours of an argmin on the
+    window's edge, and such a lane never takes the refinement.  That lane
+    runs in Python floats, in the vector step's order of operations, and
+    writes none of the scratch buffers.
     """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float):
@@ -114,12 +136,15 @@ class HopfLaxStepper:
         # wrapped indices of the origins of those three offsets
         self._flat3 = rows * m + np.array([[-1], [0], [1]])
         self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
-        # uniform by bits, not values, so that -0.0 and 0.0 stay apart
-        self._same_rows = self.cost_l.tobytes() == self.cost_l[:1].tobytes() * self.n
-        self._bits = self._wrapped.view(np.uint64)
-        self._lane_views = ((self._window, self.cost_l, self._cost, self._flat3, self._origin3),
-                            (self._window[:1], self.cost_l[:1], self._cost[:1],
-                             self._flat3[:, :1], self._origin3[:, :1]))
+        # lane 0 of an x-independent Lagrangian as Python floats, for the
+        # scalar step of a uniform field; rows compared by bits, not values,
+        # so that -0.0 and 0.0 stay apart, and finite, so that the first
+        # Python min is numpy's first argmin
+        same_rows = self.cost_l.tobytes() == self.cost_l[:1].tobytes() * self.n
+        self._lane = None
+        if same_rows and np.isfinite(self.cost_l[0]).all():
+            self._lane = (self.cost_l[0].tolist(), self._slope[0].tolist(),
+                          self._curvature[0].tolist(), self.offsets.tolist())
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -128,14 +153,18 @@ class HopfLaxStepper:
         earlier slice.  Ties go to the smallest signed displacement.
         """
         n, c = self.n, self.cells
+        w = np.asarray(w, dtype=float)
+        if self._lane is not None:
+            w0 = float(w[0])
+            bits = w.view(np.uint64)
+            if math.isfinite(w0) and w[-1] == w0 and (bits == bits[0]).all():
+                value, origin = self._lane_step(w0)
+                return np.full(n, value), np.full(n, origin) if want_origins else None
         wrapped = self._wrapped
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
-        one = bool(self._same_rows and wrapped[c] == wrapped[c + n - 1]
-                   and (self._bits == self._bits[0]).all())
-        window, cost_l, cost, flat3, origin3 = self._lane_views[one]
-        cost = np.add(window, cost_l, out=cost)
+        cost = np.add(self._window, self.cost_l, out=self._cost)
         k = cost.argmin(axis=1)
         interior = self._interior[k]
         if self.boundary_is_cutoff and not interior.all():
@@ -145,10 +174,10 @@ class HopfLaxStepper:
         # the argmin and its two neighbours; on the window's edge a
         # neighbour is clipped or read from the next row, and such a lane
         # never takes the refinement
-        flat3 = flat3 + k
+        flat3 = self._flat3 + k
         flat = flat3[1]
         cm, ck, cp = cost.take(flat3, mode="clip")
-        wm, wk, wp = wrapped.take(origin3 - k, mode="clip")
+        wm, wk, wp = wrapped.take(self._origin3 - k, mode="clip")
 
         denom = cp - 2.0 * ck + cm
         safe = interior & (denom > 1e-300)
@@ -165,13 +194,37 @@ class HopfLaxStepper:
         # a lane off the refinement has delta = 0 and refined == ck; numpy's
         # minimum returns its second operand on a tie, so ck is kept there
         w_next = np.minimum(refined, ck)
-        if one:
-            w_next = np.full(n, w_next[0])
         if not want_origins:
             return w_next, None
         shift = self.offsets[k]
-        origins = np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
-        return w_next, np.full(n, origins[0]) if one else origins
+        return w_next, np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
+
+    def _lane_step(self, w0: float) -> tuple[float, float]:
+        """Value and origin of every lane of the step of the field w = w0,
+        by the vector step's operations on lane 0 in the same order.  All
+        three neighbours' w equal w0, and w_ref keeps its product with
+        w0 - w0 so that w0 = -0.0 comes out as 0.0 there too."""
+        cost_l, slope, curvature, offsets = self._lane
+        costs = [w0 + l for l in cost_l]
+        ck = min(costs)
+        k = costs.index(ck)                 # the first argmin, as numpy's
+        last = len(costs) - 1
+        interior = 0 < k < last
+        if self.boundary_is_cutoff and not interior:
+            raise VelocityCutoffError(
+                "Hopf-Lax argmin sits on the velocity search boundary"
+            )
+        delta = 0.0
+        if interior:                        # only such a lane is refined
+            cm, cp = costs[k - 1], costs[k + 1]
+            denom = cp - 2.0 * ck + cm
+            if denom > 1e-300:
+                delta = min(max(0.5 * (cm - cp) / denom, -0.5), 0.5)
+        w_ref = w0 + abs(delta) * (w0 - w0)
+        refined = w_ref + (cost_l[k] + delta * slope[k] + delta * delta * curvature[k])
+        if refined < ck:
+            return refined, (offsets[k] + delta) * self.dx
+        return ck, offsets[k] * self.dx
 
 
 def slice_count(t_final: float, dt: float) -> int:

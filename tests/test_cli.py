@@ -170,6 +170,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "bump_inf_width.ini": "[measures]\nm1 = gaussian-bump(0.3,inf)\n",
         "bump_nan_centre.ini": "[measures]\nm1 = gaussian-bump(nan,0.1)\n",
         "bump_underflow.ini": "[measures]\nm1 = gaussian-bump(0.3,1e-5)\n",
+        "fourier_nan.ini": "[coupling]\nf = custom-fourier(nan,0)\n",
+        "fourier_inf.ini": "[coupling]\nf = custom-fourier(inf,0)\n",
+        "fourier_huge.ini": "[coupling]\nf = custom-fourier(1e308,1e308)\n",
         "dim_two.ini": "[model]\nfamily = quadratic-drift\ndim = 2\n",
         "c_nan.ini": "[run]\nc = nan\n",
         "c_inf.ini": "[run]\nc = inf\n",
@@ -184,6 +187,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     for name in cases:
         if name.startswith("bump_"):
             commands[name] = "wasserstein"
+            unnamed_invariant += (name,)
+        if name.startswith("fourier_"):
+            commands[name] = "periodic"
             unnamed_invariant += (name,)
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
@@ -205,6 +211,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "bump_inf_width.ini": "finite width > 0",
              "bump_nan_centre.ini": "finite centre",
              "bump_underflow.ini": "positive total",
+             "fourier_nan.ini": "custom-fourier needs finite coefficients",
+             "fourier_inf.ini": "custom-fourier needs finite coefficients",
+             "fourier_huge.ini": "custom-fourier needs a finite Lipschitz constant",
              "dim_two.ini": "dimension invariant violated",
              "nan_tol.ini": "tolerance invariant violated: tol_periodicity",
              "c_nan.ini": "number invariant violated: c must be finite",

@@ -11,6 +11,7 @@ from mfglab.lax_oleinik import (
     HopfLaxStepper,
     alpha_function,
     critical_value,
+    median,
     semiconcavity_upper_bound,
     slice_count,
     sweep,
@@ -235,14 +236,19 @@ def test_step_bit_equals_windowed_oracle(model_name, grid_index, data):
 
 @pytest.mark.parametrize("model_name", sorted(_ORACLE_MODELS))
 def test_sweep_from_rest_bit_equals_windowed_oracle(model_name):
-    """500 steps from phi = 0, whose flat start puts ties in the argmin and
-    in the refinement, step by step against the frozen windowed step."""
-    stepper = _stepper(model_name, 1)
-    w_new = w_ref = np.zeros(stepper.n)
-    for _ in range(500):
-        w_new, origins_new = stepper.step(w_new, want_origins=True)
-        w_ref, origins_ref = _windowed_step(stepper, w_ref, want_origins=True)
-        assert _bit_equal(w_new, w_ref) and _bit_equal(origins_new, origins_ref)
+    """Sweeps from phi = 0, whose flat start puts ties in the argmin and in
+    the refinement, step by step against the frozen windowed step: 500
+    steps on an oracle grid, and the benchmark's probe grid, n = 512 and
+    dt = 0.004 over 5000 steps, where the uniform value of an x-independent
+    Lagrangian crosses binades."""
+    model = _ORACLE_MODELS[model_name]
+    for n, dt, steps in (_ORACLE_GRIDS[1] + (500,), (512, 4e-3, 5000)):
+        stepper = HopfLaxStepper(model, n, dt)
+        w_new = w_ref = np.zeros(n)
+        for _ in range(steps):
+            w_new, origins_new = stepper.step(w_new, want_origins=True)
+            w_ref, origins_ref = _windowed_step(stepper, w_ref, want_origins=True)
+            assert _bit_equal(w_new, w_ref) and _bit_equal(origins_new, origins_ref)
 
 
 # Lagrangians that do not depend on x; the shift 12 puts the argmin of a
@@ -283,23 +289,23 @@ def test_uniform_field_bit_equals_windowed_oracle(model_name, grid_index, value,
     assert _bit_equal(stepper.step(w)[0], ref[0])
 
 
-def test_uniform_step_writes_lane_zero_alone(qd_model, cosine_model):
-    """A uniform field on an x-independent Lagrangian fills row 0 of the
-    cost buffer alone; a field one ulp off uniform, a wave, or a cosine
-    potential fills every row."""
+def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
+    """A uniform field on an x-independent Lagrangian is stepped in Python
+    floats and fills no row of the cost buffer; a field one ulp off
+    uniform, a wave, or a cosine potential fills every row."""
     n = 128
     uniform = np.full(n, 0.3)
     ulp_off = uniform.copy()
     ulp_off[77] = np.nextafter(0.3, 1.0)
     wave = 0.3 + 0.01 * np.cos(2 * np.pi * grid(n))
-    for model, w, rows in ((qd_model, uniform, 1), (qd_model, ulp_off, n),
+    for model, w, rows in ((qd_model, uniform, 0), (qd_model, ulp_off, n),
                            (qd_model, wave, n), (cosine_model, uniform, n)):
         stepper = HopfLaxStepper(model, n, 2e-3)
         for want_origins in (False, True):
             stepper._cost.fill(np.nan)
             stepper.step(w, want_origins=want_origins)
             written = ~np.isnan(stepper._cost).any(axis=1)
-            assert written[0] and written.sum() == rows
+            assert written.sum() == rows
 
 
 def test_step_results_outlive_the_next_step(cosine_model):
@@ -482,6 +488,22 @@ def test_evolve_rejects_off_grid_horizon():
 def test_kink_detection_skips_smooth_fields(free_model):
     wk = weak_kam_solution(free_model, t_probe=20.0, n=256, dt=2e-3)
     assert not np.any(wk.kink_mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(
+    arrays(np.float64, st.integers(1, 39)),
+    arrays(np.float64, st.sampled_from([511, 512, 1024]),
+           elements=st.floats(-1e300, 1e300, allow_subnormal=True))))
+def test_median_bit_equals_numpy(values):
+    """The probe's median is np.median bit for bit, signed zeros, infinities
+    and overflow included, and NaN whenever a value is NaN."""
+    with np.errstate(all="ignore"):         # np.median warns on inf - inf
+        ours, reference = median(values), np.median(values)
+    if np.isnan(reference):
+        assert np.isnan(ours)
+    else:
+        assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
 
 
 def test_second_difference_helper():

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +85,17 @@ def test_every_routine_has_a_caller_outside_the_tests():
                  "class Box:\n    def __init__(self): self.peek()\n"
                  "    def peek(self): pass\n    def shelf(self): pass\n"},
         {"c.py": "from m import used, shelf\nused(); Box()\n"}) == ["lonely", "shelf"]
+
+
+def test_critical_value_imports_no_numpy_ma():
+    """The probe runs inside every timed subcommand; np.median's NaN check
+    would import numpy.ma on its first call, so the probe must not use it."""
+    script = ("import sys\n"
+              "from mfglab.hamiltonians import QuadraticDrift\n"
+              "from mfglab.lax_oleinik import critical_value\n"
+              "critical_value(QuadraticDrift(), t_probe=20.0, n=64, dt=5e-3)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout.strip() == "False"
