@@ -41,6 +41,7 @@ from .mfg import (
     PeriodicSolution,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
+    periodic_regime,
     periodic_solution,
     solve_finite_horizon,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "lipschitz_c_experiment",
     "long_time_convergence_experiment",
     "monotonicity_defect",
+    "periodic_regime",
     "periodic_solution",
     "pushforward",
     "solve_finite_horizon",

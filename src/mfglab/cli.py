@@ -114,16 +114,20 @@ def _auto_stride(cfg: RunConfig, n_slices: int) -> int:
     return max(1, n_slices // 100)
 
 
+def _probe(cfg: RunConfig, model):
+    """The critical-value probe of the config, held to tol_c0."""
+    return critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
+
+
 def _regime(cfg: RunConfig, model) -> tuple:
-    """The periodic regime (c0, u0, drift) from a probe held to tol_c0."""
-    probe = critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
-    return periodic_regime(model, probe=probe)
+    """The periodic regime (c0, u0, drift) of the config's probe."""
+    return periodic_regime(model, _probe(cfg, model))
 
 
 def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
-    probe = critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
-    wk = weak_kam_solution(model, probe=probe)
+    probe = _probe(cfg, model)
+    wk = weak_kam_solution(model, probe)
     _write_csv(out / "u0.csv", "x,u0",
                zip(np.arange(cfg.n) / cfg.n, wk.u0))
     _write_summary(out, "critical-value", cfg, True,
@@ -199,8 +203,8 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
-    ps = periodic_solution(m_t, model, functional, n=cfg.n, dt=cfg.dt,
-                           periods=cfg.periods, regime=_regime(cfg, model))
+    ps = periodic_solution(m_t, _regime(cfg, model), functional, dt=cfg.dt,
+                           periods=cfg.periods)
     stride = _auto_stride(cfg, ps.times.size)
     _write_csv(out / "ubar.csv", "t,x,u",
                ((ps.times[k], x, u) for k in range(0, ps.times.size, stride)
@@ -209,15 +213,14 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
                ((ps.times[k], x, w) for k in range(0, ps.times.size, stride)
                 for x, w in zip(ps.m_bar[k].positions, ps.m_bar[k].weights)))
     ps.flow.write_csv(out / "flow.csv")
-    distance = ps.metadata["distance_to_invariant"]
     passed = ps.periodicity_defect <= cfg.tol_periodicity and (
-        distance < 1e-2 or ps.nontriviality_gap >= cfg.tol_nontriviality)
+        ps.distance_to_invariant < 1e-2 or ps.nontriviality_gap >= cfg.tol_nontriviality)
     _write_summary(out, "periodic", cfg, passed,
                    {"c0": ps.c0, "tau": ps.tau, "c_mT": ps.c_mt,
                     "periodicity_defect": ps.periodicity_defect,
                     "nontriviality_gap": ps.nontriviality_gap},
                    {"mather_class": ps.drift.classification,
-                    "distance_to_invariant": distance})
+                    "distance_to_invariant": ps.distance_to_invariant})
     return 0 if passed else 1
 
 
@@ -229,9 +232,8 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
-    report = lipschitz_c_experiment(pairs, model, functional, n=cfg.n, dt=cfg.dt,
-                                    tolerance=cfg.tol_lipschitz_slack,
-                                    regime=_regime(cfg, model))
+    report = lipschitz_c_experiment(pairs, _regime(cfg, model), functional, dt=cfg.dt,
+                                    tolerance=cfg.tol_lipschitz_slack)
     _write_csv(out / "ratios.csv", "d1,gap,ratio",
                zip(report.distances, report.gaps, report.ratios))
     passed = report.violations == 0
@@ -247,8 +249,8 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     report = long_time_convergence_experiment(
-        cfg.build_phi(), m_t, model, functional, cfg.horizons,
-        window=cfg.window, n=cfg.n, dt=cfg.dt, regime=_regime(cfg, model))
+        cfg.build_phi(), m_t, model, _regime(cfg, model), functional, cfg.horizons,
+        window=cfg.window, dt=cfg.dt)
     table = [[T, d, u] for T, d, u in report.rows()]
     _write_csv(out / "converge.csv", "horizon,d1_deviation,u_deviation", table)
     slack = 1.0 + cfg.tol_converge_slack

@@ -76,9 +76,6 @@ class Potential:
 class HamiltonianModel:
     """Shared interface: H, its momentum derivative and the Legendre dual."""
 
-    momentum_cutoff = MOMENTUM_CUTOFF
-    velocity_cutoff = VELOCITY_CUTOFF
-
     def h(self, x, p):
         raise NotImplementedError
 
@@ -96,7 +93,7 @@ class HamiltonianModel:
         strictly positive or when H(x, +-P)/P falls under
         SUPERLINEAR_SLOPE_MIN.
         """
-        cutoff = self.momentum_cutoff
+        cutoff = MOMENTUM_CUTOFF
         xs = grid(VALIDATE_NODES)
         ps = np.linspace(-cutoff, cutoff, VALIDATE_MOMENTA)
         hv = np.stack([self.h(xs, np.full(xs.shape, p)) for p in ps])
@@ -111,10 +108,10 @@ class HamiltonianModel:
             )
 
 
-def _check_velocity(v, cutoff):
-    if np.any(np.abs(np.asarray(v, dtype=float)) > cutoff):
+def _check_velocity(v):
+    if np.any(np.abs(np.asarray(v, dtype=float)) > VELOCITY_CUTOFF):
         raise VelocityCutoffError(
-            f"|v| exceeds the velocity cutoff {cutoff}; raise the cutoff if intended"
+            f"|v| exceeds the velocity cutoff {VELOCITY_CUTOFF}; raise the cutoff if intended"
         )
 
 
@@ -135,7 +132,7 @@ class Mechanical(HamiltonianModel):
     def lagrangian_table(self, xs, vs):
         """L(x, v) = v^2/2 - a v - V(x), attained at p* = v - a."""
         vs = np.asarray(vs, dtype=float)
-        _check_velocity(vs, self.velocity_cutoff)
+        _check_velocity(vs)
         kinetic = 0.5 * vs**2 - self.shift * vs
         return kinetic[:, None] - self.potential.value(np.asarray(xs, dtype=float))[None, :]
 
@@ -154,6 +151,6 @@ class QuadraticDrift(HamiltonianModel):
     def lagrangian_table(self, xs, vs):
         """L(v) = (v + 1)^2 / 2, attained at p* = v + 1."""
         vs = np.asarray(vs, dtype=float)
-        _check_velocity(vs, self.velocity_cutoff)
+        _check_velocity(vs)
         kinetic = 0.5 * (vs + 1.0) ** 2
         return np.repeat(kinetic[:, None], np.asarray(xs).size, axis=1)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvergedError, VelocityCutoffError
-from .hamiltonians import HamiltonianModel, Mechanical
+from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel, Mechanical
 from .torus import grid, periodic_gradient, periodic_second_difference
 
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
@@ -92,10 +92,9 @@ class HopfLaxStepper:
     def __init__(self, model: HamiltonianModel, n: int, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.model = model
         self.n = int(n)
         self.dt = float(dt)
-        self.vmax = float(model.velocity_cutoff)
+        self.vmax = VELOCITY_CUTOFF
         self.dx = 1.0 / self.n
         self.nodes = grid(self.n)
 
@@ -112,11 +111,11 @@ class HopfLaxStepper:
             )
         self.cells = cells
         self.offsets = np.arange(-cells, cells + 1)          # ascending signed cells
-        self.velocities = self.offsets * (self.dx / self.dt)
+        velocities = self.offsets * (self.dx / self.dt)
         m = self.offsets.size
         # (n, m): row j holds dt L(x_j, v_i) over the offsets i
         self.cost_l = np.ascontiguousarray(
-            (self.dt * model.lagrangian_table(self.nodes, self.velocities)).T)
+            (self.dt * model.lagrangian_table(self.nodes, velocities)).T)
         # wrapped[i] = w[(i - cells) % n]; row j of the window holds w at the
         # origins j - offsets, i.e. wrapped[j + 2 cells - i] for offset i
         self._wrapped = np.empty(self.n + 2 * cells)
@@ -282,17 +281,12 @@ class CriticalValueResult:
     oscillation: float
     t_probe: float
     n: int
-    dt: float
     w_final: np.ndarray
-    w_mid: np.ndarray
     semiconcavity: float  # measured at t = 1
 
-    def __float__(self) -> float:
-        return self.c0
 
-
-def critical_value(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
-                   dt: float = 2e-3, tol_c0: float = 0.05) -> CriticalValueResult:
+def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float,
+                   tol_c0: float = 0.05) -> CriticalValueResult:
     """Critical value from the long-time slope of the semigroup.
 
     Runs the semigroup from phi = 0, estimates c0 from the drop of the
@@ -314,8 +308,8 @@ def critical_value(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
     shifted = (w + c0 * t_probe) - (w_mid + c0 * t_mid)
     oscillation = float(np.max(shifted) - np.min(shifted))
     result = CriticalValueResult(
-        c0=c0, oscillation=oscillation, t_probe=t_probe, n=n, dt=dt,
-        w_final=w, w_mid=w_mid, semiconcavity=c_sc,
+        c0=c0, oscillation=oscillation, t_probe=t_probe, n=n,
+        w_final=w, semiconcavity=c_sc,
     )
     if oscillation > tol_c0:
         raise NotConvergedError(
@@ -337,8 +331,7 @@ class WeakKamResult:
         return float(np.max(self.residuals[keep]))
 
 
-def weak_kam_solution(model: HamiltonianModel, t_probe: float = 50.0, n: int = 512,
-                      dt: float = 2e-3, probe: CriticalValueResult | None = None
+def weak_kam_solution(model: HamiltonianModel, probe: CriticalValueResult
                       ) -> WeakKamResult:
     """Stationary solution u0 as the long-time limit w(., t) + c0 t.
 
@@ -346,8 +339,6 @@ def weak_kam_solution(model: HamiltonianModel, t_probe: float = 50.0, n: int = 5
     uses centered differences; nodes whose second difference falls under
     -max(C_sc, 1) are concave kinks and are masked out of the report.
     """
-    if probe is None:
-        probe = critical_value(model, t_probe, n, dt)
     c0 = probe.c0
     u0 = probe.w_final + c0 * probe.t_probe
     u0 = u0 - float(np.min(u0))
@@ -360,8 +351,8 @@ def weak_kam_solution(model: HamiltonianModel, t_probe: float = 50.0, n: int = 5
                          kink_mask=kinks, c0=c0)
 
 
-def alpha_function(model: Mechanical, a: float, t_probe: float = 20.0,
-                   n: int = 256, dt: float = 2e-3, tol_c0: float = 0.05) -> float:
+def alpha_function(model: Mechanical, a: float, t_probe: float, n: int, dt: float,
+                   tol_c0: float = 0.05) -> float:
     """Mather alpha function: critical value of H_a(x,p) = (p+a)^2/2 + V(x)."""
     if not isinstance(model, Mechanical):
         raise TypeError("alpha_function expects a mechanical model")

@@ -7,13 +7,15 @@ minimising characteristics of that evolution.  This module builds the
 finite-horizon weak solution, the time-periodic solution with its
 constant c(m_T), and the two experiments quantifying how c(m_T) depends
 on the final measure and how finite-horizon solutions approach the
-periodic regime.  Each periodic computation carries m_T by one
-TransportTable over the time-to-go spans T - t it needs.
+periodic regime.  The last three take the periodic regime (c0, u0,
+drift) that periodic_regime derives from one critical-value probe, and
+each carries m_T by one TransportTable over the time-to-go spans T - t it
+needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +58,6 @@ class MFGSolution:
     m_weights: np.ndarray    # (A,)
     c: float
     coupling_series: np.ndarray  # (K+1,) F(m(t_k))
-    metadata: dict = field(default_factory=dict)
 
     def u_at(self, k: int) -> np.ndarray:
         return self.w[k] + self.shift[k]
@@ -84,8 +85,6 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
         times=times, nodes=stepper.nodes, w=rec.w, shift=shift,
         m_positions=positions, m_weights=m_t.weights.copy(), c=float(c),
         coupling_series=f_series,
-        metadata={"model": type(model).__name__, "coupling": functional.name,
-                  "n": phi.size, "dt": dt, "horizon": horizon},
     )
 
 
@@ -125,7 +124,6 @@ class PeriodicSolution:
     tau: float
     c0: float
     c_mt: float
-    u0: np.ndarray
     u_bar: np.ndarray          # (K+1, N)
     m_bar: list                # CircleMeasure per slice
     coupling_series: np.ndarray
@@ -134,33 +132,29 @@ class PeriodicSolution:
     m_star: CircleMeasure
     periodicity_defect: float
     nontriviality_gap: float
-    metadata: dict = field(default_factory=dict)
+    distance_to_invariant: float  # d1(m_T, m_star)
 
 
-def periodic_regime(model: HamiltonianModel, n: int = 512, dt_probe: float = 2e-3,
-                    t_probe: float = 20.0, probe: CriticalValueResult | None = None
+def periodic_regime(model: HamiltonianModel, probe: CriticalValueResult
                     ) -> tuple[float, np.ndarray, DriftField]:
-    """Critical value, stationary solution and drift field in one sweep."""
-    wk = weak_kam_solution(model, t_probe=t_probe, n=n, dt=dt_probe, probe=probe)
+    """Critical value, stationary solution and drift field of one probe."""
+    wk = weak_kam_solution(model, probe)
     return wk.c0, wk.u0, drift_field(wk.u0, model)
 
 
-def _period_grid(model, n, dt, t_probe, dt_probe, regime):
-    """The periodic regime (c0, u0, df), computed unless given, its period
-    tau, and the period grid: k steps of tau / k, the step nearest dt."""
-    c0, u0, df = regime if regime is not None else periodic_regime(
-        model, n=n, dt_probe=dt_probe, t_probe=t_probe)
+def _period_grid(regime, dt):
+    """The periodic regime (c0, u0, df), its period tau, and the period
+    grid: k steps of tau / k, the step nearest dt."""
+    c0, u0, df = regime
     df.require_periodic()
     tau = float(df.tau)
     k = max(1, int(round(tau / dt)))
     return c0, u0, df, tau, k, tau / k
 
 
-def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
-                      functional: CouplingFunctional, n: int = 512,
-                      dt: float = 1e-3, periods: int = 2,
-                      t_probe: float = 20.0, dt_probe: float = 2e-3,
-                      regime: tuple | None = None) -> PeriodicSolution:
+def periodic_solution(m_t: CircleMeasure, regime: tuple,
+                      functional: CouplingFunctional, dt: float = 1e-3,
+                      periods: int = 2) -> PeriodicSolution:
     """Periodic construction: m_bar rides the stationary characteristics
     and u_bar = u0 + int_0^t F(m_bar) - (t/tau) int_0^tau F(m_bar).
 
@@ -169,7 +163,7 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     m_T to round-off; c(m_T) = c0 minus the period average of F.
     """
     _require_density(m_t)
-    c0, u0, df, tau, k_per, dt_adj = _period_grid(model, n, dt, t_probe, dt_probe, regime)
+    c0, u0, df, tau, k_per, dt_adj = _period_grid(regime, dt)
     steps = periods * k_per
     times = dt_adj * np.arange(steps + 1)
     flow = FlowMap(df)
@@ -193,13 +187,11 @@ def periodic_solution(m_t: CircleMeasure, model: HamiltonianModel,
     nontriviality_gap = max(wasserstein1(m, m_bar[0]) for m in m_bar)
     return PeriodicSolution(
         times=times, nodes=df.nodes, tau=tau, c0=c0, c_mt=c_mt,
-        u0=u0, u_bar=u_bar, m_bar=m_bar, coupling_series=f_series,
+        u_bar=u_bar, m_bar=m_bar, coupling_series=f_series,
         drift=df, flow=flow, m_star=m_star,
         periodicity_defect=periodicity_defect,
         nontriviality_gap=nontriviality_gap,
-        metadata={"model": type(model).__name__, "coupling": functional.name,
-                  "n": n, "dt": dt_adj, "periods": periods,
-                  "distance_to_invariant": wasserstein1(m_t, m_star)},
+        distance_to_invariant=wasserstein1(m_t, m_star),
     )
 
 
@@ -217,17 +209,15 @@ class LipschitzCReport:
         return float(np.max(self.ratios)) if self.ratios.size else 0.0
 
 
-def lipschitz_c_experiment(pairs, model: HamiltonianModel,
-                           functional: CouplingFunctional, n: int = 512,
-                           dt: float = 1e-3, t_probe: float = 20.0,
-                           dt_probe: float = 2e-3, tolerance: float = 1e-9,
-                           regime: tuple | None = None) -> LipschitzCReport:
+def lipschitz_c_experiment(pairs, regime: tuple, functional: CouplingFunctional,
+                           dt: float = 1e-3, tolerance: float = 1e-9
+                           ) -> LipschitzCReport:
     """Ratio |c(m1) - c(m2)| / d1(m1, m2) over final-measure pairs.
 
     c0 cancels in the gap, so only the period averages of F along the two
     transported paths are compared; identical pairs are excluded.
     """
-    _c0, _u0, df, tau, k_per, dt_adj = _period_grid(model, n, dt, t_probe, dt_probe, regime)
+    _c0, _u0, df, tau, k_per, dt_adj = _period_grid(regime, dt)
     k1 = flow_lipschitz_constant(df).k1
     bound = functional.lipschitz * k1
     table = TransportTable(FlowMap(df), dt_adj * np.arange(k_per + 1), df.nodes.size)
@@ -266,12 +256,10 @@ class ConvergenceReport:
 
 
 def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
-                                     model: HamiltonianModel,
+                                     model: HamiltonianModel, regime: tuple,
                                      functional: CouplingFunctional,
                                      horizons, window: float = 1.0,
-                                     n: int = 512, dt: float = 1e-3,
-                                     t_probe: float = 20.0, dt_probe: float = 2e-3,
-                                     regime: tuple | None = None) -> ConvergenceReport:
+                                     dt: float = 1e-3) -> ConvergenceReport:
     """Deviation of finite-horizon solutions from the periodic one over
     the trailing window [T - window, T], for each horizon T.
 
@@ -284,14 +272,15 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     w_phi(., T_cal) + c0 T_cal, at dt like the evolution it is compared
     with.  m_bar depends on t only through the time-to-go T - t, so one
     transport table over the period and window spans serves every
-    horizon.  dt_probe is the step of the critical-value probe only.
+    horizon.  The regime's probe may run at its own step; only c0, the
+    drift and its period enter here.
     """
     horizons = sorted(float(T) for T in horizons)
     _require_density(m_t)
     if window > horizons[0]:
         raise ValueError(f"window {window:g} exceeds the smallest horizon {horizons[0]:g}")
     phi = np.asarray(phi, dtype=float)
-    c0, _u0, df, tau, k_per, dt_p = _period_grid(model, n, dt, t_probe, dt_probe, regime)
+    c0, _u0, df, tau, k_per, dt_p = _period_grid(regime, dt)
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     w_steps = slice_count(window, dt)

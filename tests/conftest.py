@@ -3,7 +3,7 @@ import pytest
 
 from mfglab.coupling import CouplingFunctional
 from mfglab.hamiltonians import Mechanical, Potential, QuadraticDrift
-from mfglab.lax_oleinik import weak_kam_solution
+from mfglab.lax_oleinik import critical_value, weak_kam_solution
 from mfglab.mfg import periodic_regime
 
 
@@ -35,13 +35,13 @@ def coupling_cos():
 @pytest.fixture(scope="session")
 def qd_regime_256(qd_model):
     """(c0, u0, drift field) for the drifted quadratic model at n = 256."""
-    return periodic_regime(qd_model, n=256, dt_probe=2e-3, t_probe=20.0)
+    return periodic_regime(qd_model, critical_value(qd_model, 20.0, 256, 2e-3))
 
 
 @pytest.fixture(scope="session")
 def cosine_weak_kam(cosine_model):
     """Stationary solution of the cosine-potential model at n = 512."""
-    return weak_kam_solution(cosine_model, t_probe=50.0, n=512, dt=2e-3)
+    return weak_kam_solution(cosine_model, critical_value(cosine_model, 50.0, 512, 2e-3))
 
 
 @pytest.fixture(scope="session")

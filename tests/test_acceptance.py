@@ -61,14 +61,13 @@ def m_cos():
 
 @pytest.fixture(scope="module")
 def qd_regime(qd_model):
-    return periodic_regime(qd_model, n=N, dt_probe=DT, t_probe=20.0)
+    return periodic_regime(qd_model, critical_value(qd_model, 20.0, N, DT))
 
 
 @pytest.fixture(scope="module")
 def periodic_run(qd_model, coupling_cos, m_cos, qd_regime):
     start = time.perf_counter()
-    ps = periodic_solution(m_cos, qd_model, coupling_cos, n=N, dt=DT,
-                           regime=qd_regime)
+    ps = periodic_solution(m_cos, qd_regime, coupling_cos, dt=DT)
     return ps, time.perf_counter() - start
 
 
@@ -148,8 +147,7 @@ def test_criterion_6_lipschitz_constant_of_c(qd_model, coupling_cos, qd_regime):
     rng = np.random.default_rng(2026)
     pairs = [(random_fourier_density(N, rng), random_fourier_density(N, rng))
              for _ in range(50)]
-    rep = lipschitz_c_experiment(pairs, qd_model, coupling_cos, n=N, dt=DT,
-                                 regime=qd_regime)
+    rep = lipschitz_c_experiment(pairs, qd_regime, coupling_cos, dt=DT)
     ok = rep.ratios.size == 50 and rep.violations == 0
     report(6, "Lipschitz constant of c(m_T)", ok,
            f"max_ratio={rep.max_ratio:.2e} bound={rep.bound:.2f} "
@@ -160,8 +158,8 @@ def test_criterion_7_long_time_convergence(qd_model, coupling_cos, m_cos, qd_reg
     xs = grid(N)
     start = time.perf_counter()
     rep = long_time_convergence_experiment(
-        np.cos(2 * np.pi * xs), m_cos, qd_model, coupling_cos,
-        [5.0, 10.0, 20.0, 40.0], window=0.5, n=N, dt=DT, regime=qd_regime)
+        np.cos(2 * np.pi * xs), m_cos, qd_model, qd_regime, coupling_cos,
+        [5.0, 10.0, 20.0, 40.0], window=0.5, dt=DT)
     elapsed = time.perf_counter() - start
     d1, uu = rep.d1_deviation, rep.u_deviation
     monotone = all(d1[i + 1] <= 1.1 * d1[i] for i in range(3)) \

@@ -14,7 +14,7 @@ from mfglab.characteristics import (
 )
 from mfglab.errors import AmbiguousClassificationError, NotPeriodicRegimeError
 from mfglab.hamiltonians import Mechanical, Potential
-from mfglab.lax_oleinik import weak_kam_solution
+from mfglab.lax_oleinik import critical_value, weak_kam_solution
 from mfglab.torus import circle_distance, grid, periodic_interp, wrap
 
 
@@ -53,7 +53,7 @@ def test_drift_field_quadratic_drift(qd_drift):
 
 def test_drift_field_shifted_free():
     model = Mechanical(1.0, Potential.zero())
-    wk = weak_kam_solution(model, t_probe=20.0, n=256, dt=2e-3)
+    wk = weak_kam_solution(model, critical_value(model, 20.0, 256, 2e-3))
     df = drift_field(wk.u0, model)
     assert df.classification == PERIODIC_ORBIT
     assert df.tau == pytest.approx(1.0, abs=1e-6)

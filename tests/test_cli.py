@@ -250,6 +250,30 @@ def test_tol_c0_reaches_the_periodic_runners(tmp_path, capsys):
         assert "critical value diagnostic" in capsys.readouterr().err, command
 
 
+def test_periodic_runners_probe_once(tmp_path, monkeypatch):
+    """periodic, lipschitz-c and converge each run one critical-value probe
+    and hand its regime to the experiment, which does not probe again.  The
+    counter replaces the probe in every package module that binds it."""
+    import sys
+
+    import mfglab.cli as cli
+
+    calls = []
+    probe = cli.critical_value
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mfglab") and getattr(module, "critical_value", None) is probe:
+            monkeypatch.setattr(module, "critical_value",
+                                lambda *a, **k: calls.append(a[0]) or probe(*a, **k))
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(QD_CONFIG.replace("n = 256", "n = 128").replace("0.002", "0.004")
+                   + "horizons = 2 4\nwindow = 0.5\nphi = cosine\n"
+                   + "tol_converge_final = 0.05\n")
+    for command in ("periodic", "lipschitz-c", "converge"):
+        calls.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 1, command
+
+
 def test_config_syntax_errors_are_one_line(tmp_path, capsys):
     """A file configparser cannot read exits 2 with one stderr line that
     names the file and the offending line."""

@@ -420,14 +420,14 @@ def test_critical_value_grid_refinement(cosine_model):
 
 
 def test_weak_kam_quadratic_drift(qd_model):
-    wk = weak_kam_solution(qd_model, t_probe=20.0, n=256, dt=2e-3)
+    wk = weak_kam_solution(qd_model, critical_value(qd_model, 20.0, 256, 2e-3))
     assert np.max(np.abs(wk.u0)) < 1e-12
     assert np.max(np.abs(wk.gradient)) < 1e-12
     assert wk.max_residual() < 1e-12
 
 
 def test_weak_kam_free(free_model):
-    wk = weak_kam_solution(free_model, t_probe=20.0, n=256, dt=2e-3)
+    wk = weak_kam_solution(free_model, critical_value(free_model, 20.0, 256, 2e-3))
     assert np.max(np.abs(wk.u0)) < 1e-12
 
 
@@ -469,14 +469,14 @@ def test_alpha_double_well_plateau_edges(double_well_model):
     fine = np.linspace(0.0, 1.0, 2001)
     a0 = simpson(np.sqrt(-2.0 * double_well_model.potential.value(fine)), x=fine)
     assert a0 == pytest.approx(np.sqrt(2.0) / np.pi, abs=1e-9)
-    assert abs(alpha_function(double_well_model, 0.0, n=256)) <= 1e-2
-    assert abs(alpha_function(double_well_model, 0.9 * a0, n=256)) <= 1e-2
-    assert alpha_function(double_well_model, 1.5 * a0, n=256) > 1e-2
+    assert abs(alpha_function(double_well_model, 0.0, 20.0, 256, 2e-3)) <= 1e-2
+    assert abs(alpha_function(double_well_model, 0.9 * a0, 20.0, 256, 2e-3)) <= 1e-2
+    assert alpha_function(double_well_model, 1.5 * a0, 20.0, 256, 2e-3) > 1e-2
 
 
 def test_alpha_requires_mechanical(qd_model):
     with pytest.raises(TypeError):
-        alpha_function(qd_model, 0.5)
+        alpha_function(qd_model, 0.5, 20.0, 256, 2e-3)
 
 
 def test_evolve_rejects_off_grid_horizon():
@@ -486,7 +486,7 @@ def test_evolve_rejects_off_grid_horizon():
 
 
 def test_kink_detection_skips_smooth_fields(free_model):
-    wk = weak_kam_solution(free_model, t_probe=20.0, n=256, dt=2e-3)
+    wk = weak_kam_solution(free_model, critical_value(free_model, 20.0, 256, 2e-3))
     assert not np.any(wk.kink_mask)
 
 

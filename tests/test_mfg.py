@@ -4,7 +4,7 @@ import pytest
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
 from mfglab.errors import DegenerateBacktrackError, NotPeriodicRegimeError
-from mfglab.lax_oleinik import HopfLaxStepper, slice_count, sweep
+from mfglab.lax_oleinik import HopfLaxStepper, critical_value, slice_count, sweep
 from mfglab.measures import (
     PARTICLES,
     CircleMeasure,
@@ -44,8 +44,7 @@ def m_cos():
 
 @pytest.fixture(scope="module")
 def qd_periodic(qd_model, coupling_cos, m_cos, qd_regime_256):
-    return periodic_solution(m_cos, qd_model, coupling_cos, n=N, dt=DT,
-                             regime=qd_regime_256)
+    return periodic_solution(m_cos, qd_regime_256, coupling_cos, dt=DT)
 
 
 def test_decoupled_limit_reproduces_pure_evolution(qd_model, m_cos):
@@ -131,12 +130,10 @@ def test_periodic_solution_quadratic_drift(qd_periodic):
     assert err <= 1e-2
 
 
-def test_periodic_solution_from_invariant_density(qd_model, coupling_cos,
-                                                  qd_regime_256):
+def test_periodic_solution_from_invariant_density(coupling_cos, qd_regime_256):
     _c0, _u0, df = qd_regime_256
     m_star = invariant_density(df)
-    ps = periodic_solution(m_star, qd_model, coupling_cos, n=N, dt=DT,
-                           regime=qd_regime_256)
+    ps = periodic_solution(m_star, qd_regime_256, coupling_cos, dt=DT)
     assert max(wasserstein1(m, ps.m_bar[0]) for m in ps.m_bar) <= 1e-10
     expected = ps.c0 - coupling_cos(m_star)
     assert ps.c_mt == pytest.approx(expected, abs=1e-12)
@@ -148,8 +145,7 @@ def test_periodic_solution_rejects_fixed_point_regime(cosine_model, coupling_cos
     df = drift_field(cosine_weak_kam.u0, cosine_model)
     regime = (cosine_weak_kam.c0, cosine_weak_kam.u0, df)
     with pytest.raises(NotPeriodicRegimeError):
-        periodic_solution(m_cos, cosine_model, coupling_cos, n=512, dt=DT,
-                          regime=regime)
+        periodic_solution(m_cos, regime, coupling_cos, dt=DT)
 
 
 def test_wrong_constant_forces_linear_growth(qd_model, coupling_cos, m_cos,
@@ -174,23 +170,22 @@ def test_initial_data_forcing_of_the_gradient(qd_model, coupling_cos, m_cos):
     assert np.max(np.abs(dw - 0.0)) <= 5e-2
 
 
-def test_lipschitz_experiment_excludes_identical_pairs(qd_model, coupling_cos,
-                                                       m_cos, qd_regime_256):
-    report = lipschitz_c_experiment([(m_cos, m_cos)], qd_model, coupling_cos,
-                                    n=N, dt=DT, regime=qd_regime_256)
+def test_lipschitz_experiment_excludes_identical_pairs(coupling_cos, m_cos,
+                                                       qd_regime_256):
+    report = lipschitz_c_experiment([(m_cos, m_cos)], qd_regime_256, coupling_cos,
+                                    dt=DT)
     assert report.ratios.size == 0
     assert report.violations == 0
 
 
-def test_lipschitz_experiment_rotated_pairs(qd_model, coupling_cos, qd_regime_256):
+def test_lipschitz_experiment_rotated_pairs(coupling_cos, qd_regime_256):
     xs = grid(N)
     pairs = []
     for theta in (0.1, 0.25, 0.4):
         m1 = CircleMeasure.from_density_values(1.0 + np.cos(2 * np.pi * xs))
         m2 = CircleMeasure.from_density_values(1.0 + np.cos(2 * np.pi * (xs - theta)))
         pairs.append((m1, m2))
-    report = lipschitz_c_experiment(pairs, qd_model, coupling_cos, n=N, dt=DT,
-                                    regime=qd_regime_256)
+    report = lipschitz_c_experiment(pairs, qd_regime_256, coupling_cos, dt=DT)
     assert report.k1 == pytest.approx(1.0, abs=1e-9)
     assert report.violations == 0
     assert report.max_ratio <= 1e-9  # period averages coincide under rigid rotation
@@ -221,8 +216,7 @@ def test_period_average_matches_series(coupling_cos, m_cos):
         return trapezoid(series, dt_adj) / tau
 
     pairs = [(m_cos, bump), (bump, CircleMeasure.from_name("lebesgue", N))]
-    report = lipschitz_c_experiment(pairs, None, coupling_cos, n=N, dt=DT,
-                                    regime=(0.0, None, df))
+    report = lipschitz_c_experiment(pairs, (0.0, None, df), coupling_cos, dt=DT)
     expected = np.array([abs(series_average(a) - series_average(b)) for a, b in pairs])
     assert np.min(expected) > 1e-6  # c(m) depends on m off rigid rotation
     assert np.max(np.abs(report.gaps - expected)) <= 1e-12
@@ -257,7 +251,7 @@ def test_single_table_matches_per_slice_route(coupling_cos):
     regime = (0.25, 0.1 * np.cos(2 * np.pi * xs), df)
     m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", N)
     m_ref, f_ref, c_ref, u_ref = _reference_periodic(m_t, coupling_cos, regime, DT, 2)
-    ps = periodic_solution(m_t, None, coupling_cos, n=N, dt=DT, regime=regime)
+    ps = periodic_solution(m_t, regime, coupling_cos, dt=DT)
     assert len(ps.m_bar) == len(m_ref)
     assert max(float(np.max(np.abs(m.weights - r.weights)))
                for m, r in zip(ps.m_bar, m_ref)) <= 1e-12
@@ -276,14 +270,14 @@ def test_periodic_construction_with_nonconstant_drift(coupling_cos):
 
     a0 = np.sqrt(2.0) / np.pi
     model = Mechanical(1.5 * a0, Potential.double_well(0.5, 1.0))
-    regime = periodic_regime(model, n=512, dt_probe=2e-3, t_probe=40.0)
+    regime = periodic_regime(model, critical_value(model, 40.0, 512, 2e-3))
     c0, _u0, df = regime
     assert df.classification == "periodic-orbit"
     assert c0 == pytest.approx(0.1118, abs=5e-3)  # alpha(1.5 a0) measured above
     assert np.max(df.v) - np.min(df.v) > 0.3  # far from rigid rotation
 
     m_t = CircleMeasure.from_name("one-plus-cosine", 512)
-    ps = periodic_solution(m_t, model, coupling_cos, n=512, dt=1e-3, regime=regime)
+    ps = periodic_solution(m_t, regime, coupling_cos, dt=1e-3)
     assert ps.periodicity_defect <= 1e-4
     assert ps.nontriviality_gap >= 1e-3
     assert max(m.mass_drift for m in ps.m_bar) < 1e-4
@@ -300,14 +294,14 @@ def test_long_time_experiment_with_stationary_start(qd_model, coupling_cos,
     """phi = u0 makes the finite-horizon solution periodic from the start."""
     _c0, u0, _df = qd_regime_256
     report = long_time_convergence_experiment(
-        u0, m_cos, qd_model, coupling_cos, [2.0, 4.0], window=0.5,
-        n=N, dt=DT, regime=qd_regime_256)
+        u0, m_cos, qd_model, qd_regime_256, coupling_cos, [2.0, 4.0], window=0.5,
+        dt=DT)
     assert all(d <= 2e-3 for d in report.d1_deviation)   # discretisation floor
     assert all(u <= 5e-3 for u in report.u_deviation)
     with pytest.raises(ValueError, match="exceeds the smallest horizon"):
         long_time_convergence_experiment(
-            u0, m_cos, qd_model, coupling_cos, [0.4, 2.0], window=1.0,
-            n=N, dt=DT, regime=qd_regime_256)
+            u0, m_cos, qd_model, qd_regime_256, coupling_cos, [0.4, 2.0], window=1.0,
+            dt=DT)
 
 
 def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
@@ -365,7 +359,7 @@ def test_single_sweep_matches_per_horizon_route(coupling_cos, monkeypatch):
 
     n, dt, horizons, window = 256, 5e-3, [1.0, 2.0], 0.25
     model = Mechanical(1.6, Potential.cosine())
-    regime = periodic_regime(model, n=n, dt_probe=dt, t_probe=20.0)
+    regime = periodic_regime(model, critical_value(model, 20.0, n, dt))
     assert np.max(regime[2].v) - np.min(regime[2].v) > 0.5
     phi = np.cos(2 * np.pi * grid(n))
     m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.2)", n)
@@ -377,8 +371,7 @@ def test_single_sweep_matches_per_horizon_route(coupling_cos, monkeypatch):
     monkeypatch.setattr(HopfLaxStepper, "step",
                         lambda self, *a, **k: calls.append(1) or step(self, *a, **k))
     report = long_time_convergence_experiment(
-        phi, m_t, model, coupling_cos, horizons, window=window, n=n, dt=dt,
-        dt_probe=dt, regime=regime)
+        phi, m_t, model, regime, coupling_cos, horizons, window=window, dt=dt)
     assert len(calls) == slice_count(CALIBRATION_FACTOR * max(horizons), dt)
     assert np.max(np.abs(np.subtract(report.d1_deviation, d1_ref))) <= 1e-12
     assert np.max(np.abs(np.subtract(report.u_deviation, u_ref))) <= 1e-12

@@ -87,6 +87,20 @@ def test_every_routine_has_a_caller_outside_the_tests():
         {"c.py": "from m import used, shelf\nused(); Box()\n"}) == ["lonely", "shelf"]
 
 
+def test_readme_example_runs():
+    """The README's Python example runs against the package as it stands
+    and prints the constant, the period and the periodicity defect."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", blocks[0].split("```")[0]],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    c_mt, tau, defect = (float(line) for line in run.stdout.split())
+    assert abs(c_mt) <= 1e-3 and abs(tau - 1.0) <= 1e-12 and defect <= 1e-4
+
+
 def test_critical_value_imports_no_numpy_ma():
     """The probe runs inside every timed subcommand; np.median's NaN check
     would import numpy.ma on its first call, so the probe must not use it."""
