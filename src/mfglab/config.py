@@ -155,8 +155,10 @@ class RunConfig:
         if self.t_probe < T_PROBE_MIN:
             raise ConfigError(f"t_probe invariant violated: t_probe = {self.t_probe:g} is "
                               f"below {T_PROBE_MIN:g}")
-        if self.periods < 1 or self.pairs < 1:
-            raise ConfigError("count invariant violated: periods and pairs must be >= 1")
+        if self.periods < 1 or self.pairs < 1 or self.csv_stride < 0:
+            raise ConfigError("count invariant violated: periods and pairs >= 1, csv_stride >= 0")
+        if not self.a_values:
+            raise ConfigError("shift invariant violated: a_values must be nonempty")
         on_grid = [("horizon", self.horizon, "dt", self.dt),
                    *(("horizons entry", h, "dt", self.dt) for h in self.horizons),
                    ("window", self.window, "dt", self.dt),

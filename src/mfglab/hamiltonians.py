@@ -1,9 +1,9 @@
 """Tonelli Hamiltonians on the circle: the mechanical and drifted
 quadratic closed-form families and their Legendre duals.
 
-All models expose H and its momentum derivative plus the table of the
-Legendre dual L(x, v) = sup_p <v, p> - H(x, p) over nodes and velocities,
-each from exact formulas.
+All models expose H and its momentum derivative plus the two parts of
+their Legendre dual, the kinetic row K(v) over velocities and the
+potential column V(x) over nodes, each from exact formulas.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class HamiltonianModel:
     def dh_dp(self, x, p):
         raise NotImplementedError
 
-    def lagrangian_table(self, xs, vs) -> np.ndarray:
-        """L(x_j, v_i) as an (len(vs), len(xs)) array."""
+    def lagrangian_parts(self, xs, vs) -> tuple[np.ndarray, np.ndarray]:
+        """K(vs) and V(xs) of the Legendre dual L(x, v) = K(v) - V(x)."""
         raise NotImplementedError
 
     def validate(self) -> None:
@@ -108,11 +108,13 @@ class HamiltonianModel:
             )
 
 
-def _check_velocity(v):
-    if np.any(np.abs(np.asarray(v, dtype=float)) > VELOCITY_CUTOFF):
+def _check_velocity(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if np.any(np.abs(v) > VELOCITY_CUTOFF):
         raise VelocityCutoffError(
             f"|v| exceeds the velocity cutoff {VELOCITY_CUTOFF}; raise the cutoff if intended"
         )
+    return v
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,10 @@ class Mechanical(HamiltonianModel):
     def dh_dp(self, x, p):
         return np.asarray(p, dtype=float) + self.shift
 
-    def lagrangian_table(self, xs, vs):
-        """L(x, v) = v^2/2 - a v - V(x), attained at p* = v - a."""
-        vs = np.asarray(vs, dtype=float)
-        _check_velocity(vs)
-        kinetic = 0.5 * vs**2 - self.shift * vs
-        return kinetic[:, None] - self.potential.value(np.asarray(xs, dtype=float))[None, :]
+    def lagrangian_parts(self, xs, vs):
+        """K(v) = v^2/2 - a v and V(x), attained at p* = v - a."""
+        vs = _check_velocity(vs)
+        return 0.5 * vs**2 - self.shift * vs, self.potential.value(np.asarray(xs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,7 @@ class QuadraticDrift(HamiltonianModel):
     def dh_dp(self, x, p):
         return np.asarray(p, dtype=float) - 1.0
 
-    def lagrangian_table(self, xs, vs):
-        """L(v) = (v + 1)^2 / 2, attained at p* = v + 1."""
-        vs = np.asarray(vs, dtype=float)
-        _check_velocity(vs)
-        kinetic = 0.5 * (vs + 1.0) ** 2
-        return np.repeat(kinetic[:, None], np.asarray(xs).size, axis=1)
+    def lagrangian_parts(self, xs, vs):
+        """K(v) = (v + 1)^2 / 2 and V = 0, attained at p* = v + 1."""
+        vs = _check_velocity(vs)
+        return 0.5 * (vs + 1.0) ** 2, np.zeros(np.asarray(xs).size)

@@ -5,22 +5,23 @@ origins y inside the velocity window, then sharpens the discrete argmin
 with a parabolic sub-grid fit.  The refined candidate is re-scored with
 linearly interpolated w plus a quadratic-in-v interpolation of L, which
 keeps the operator monotone in w up to the refinement error and makes it
-exact for velocity-quadratic Lagrangians on flat data.
+exact for velocity-quadratic Lagrangians on flat data.  L(x, v) =
+K(v) - V(x) reads V at the arrival node, so V never moves the argmin: a
+step minimises w(y) + dt K over the m offsets and subtracts dt V(x) last,
+and a stepper holds the (m,) kinetic row, not a table per node.
 
 A stepper reads the candidate origins through a strided (n, m) view of a
 wrapped copy of w, so a step is a few whole-array numpy calls with no
-index gather; the sub-grid value is read from the same window.  The
-refinement's Lagrangian terms 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm) at
-every (node, offset) are static tables built with the stepper, and one
-lookup of the argmin's offset in a table of interior offsets gives both the
-velocity-cutoff check and the lanes that may take the refinement.  An
+index gather; the sub-grid value is read from the same window.  One
+lookup of the argmin's offset in a table of interior offsets gives both
+the velocity-cutoff check and the lanes that may take the refinement.  An
 argmin on the window's edge raises whenever that edge is the velocity
 cutoff, not the antipode.  The wrapped copy and the cost table are scratch
 buffers that every step overwrites, so one stepper must not be shared
-across threads.  An x-independent Lagrangian maps a uniform field to a
-uniform one, so when the cost rows and w are each bit-uniform and w is
-finite, the step runs lane 0 alone in Python floats, by the vector step's
-operations in the same order, and spreads its result over the circle.
+across threads.  With V = 0 a uniform field maps to a uniform one, so when
+w is finite and bit-uniform the step runs lane 0 alone in Python floats,
+by the vector step's operations in the same order, and spreads its result
+over the circle.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
@@ -82,11 +83,11 @@ class HopfLaxStepper:
 
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
-    The one-lane step of a finite uniform field is exact: every lane reads
-    the same costs and window, save the neighbours of an argmin on the
-    window's edge, and such a lane never takes the refinement.  That lane
-    runs in Python floats, in the vector step's order of operations, and
-    writes none of the scratch buffers.
+    With V = 0 the one-lane step of a finite uniform field is exact: every
+    lane reads the same costs and window, save the neighbours of an argmin
+    on the window's edge, and such a lane never takes the refinement.  That
+    lane runs in Python floats, in the vector step's order of operations,
+    and writes none of the scratch buffers.
     """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float):
@@ -94,11 +95,10 @@ class HopfLaxStepper:
             raise ValueError("dt must be positive")
         self.n = int(n)
         self.dt = float(dt)
-        self.vmax = VELOCITY_CUTOFF
         self.dx = 1.0 / self.n
         self.nodes = grid(self.n)
 
-        cells = int(np.floor(self.vmax * self.dt / self.dx + 1e-12))
+        cells = int(np.floor(VELOCITY_CUTOFF * self.dt / self.dx + 1e-12))
         half = (self.n - 1) // 2
         # when the velocity window spans the half circle the search boundary
         # is the antipode, not the cutoff, and may legitimately hold the argmin
@@ -113,37 +113,37 @@ class HopfLaxStepper:
         self.offsets = np.arange(-cells, cells + 1)          # ascending signed cells
         velocities = self.offsets * (self.dx / self.dt)
         m = self.offsets.size
-        # (n, m): row j holds dt L(x_j, v_i) over the offsets i
-        self.cost_l = np.ascontiguousarray(
-            (self.dt * model.lagrangian_table(self.nodes, velocities)).T)
+        kinetic, potential = model.lagrangian_parts(self.nodes, velocities)
+        self.kinetic = self.dt * kinetic                    # (m,) dt K over the offsets
+        self.potential = self.dt * potential                # (n,) dt V over the nodes
+        # the window add is faster with a contiguous (n, m) tiling than a broadcast row
+        self._kinetic_rows = np.tile(self.kinetic, (self.n, 1))
         # wrapped[i] = w[(i - cells) % n]; row j of the window holds w at the
         # origins j - offsets, i.e. wrapped[j + 2 cells - i] for offset i
         self._wrapped = np.empty(self.n + 2 * cells)
         self._window = np.lib.stride_tricks.sliding_window_view(self._wrapped, m)[:, ::-1]
         self._cost = np.empty((self.n, m))
-        # the refinement's neighbour terms of cost_l at each (j, k), edges
+        # the refinement's neighbour terms of the kinetic row at each k, edges
         # clamped: 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm); scaling by 0.5 is
         # exact, so delta times a term equals 0.5 delta (lp - lm) bit for bit
-        padded = np.pad(self.cost_l, ((0, 0), (1, 1)), mode="edge")
-        lm, lk, lp = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
+        padded = np.pad(self.kinetic, 1, mode="edge")
+        lm, lk, lp = padded[:-2], padded[1:-1], padded[2:]
         self._slope = 0.5 * (lp - lm)
         self._curvature = 0.5 * (lp - 2.0 * lk + lm)
-        self._interior = np.ones(m, dtype=bool)              # offsets inside the window
-        self._interior[[0, -1]] = False
+        self._interior = np.abs(self.offsets) < cells        # offsets inside the window
         rows = np.arange(self.n)
         # flat indices of (j, k - 1), (j, k), (j, k + 1) at k = 0, and the
         # wrapped indices of the origins of those three offsets
         self._flat3 = rows * m + np.array([[-1], [0], [1]])
         self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
-        # lane 0 of an x-independent Lagrangian as Python floats, for the
-        # scalar step of a uniform field; rows compared by bits, not values,
-        # so that -0.0 and 0.0 stay apart, and finite, so that the first
+        # the kinetic rows as Python floats, for the scalar step of a uniform
+        # field: only if every dt V is +0.0 by its bits, which the step's
+        # subtraction leaves out exactly, and K finite, so that the first
         # Python min is numpy's first argmin
-        same_rows = self.cost_l.tobytes() == self.cost_l[:1].tobytes() * self.n
         self._lane = None
-        if same_rows and np.isfinite(self.cost_l[0]).all():
-            self._lane = (self.cost_l[0].tolist(), self._slope[0].tolist(),
-                          self._curvature[0].tolist(), self.offsets.tolist())
+        if not self.potential.view(np.uint64).any() and np.isfinite(self.kinetic).all():
+            self._lane = (self.kinetic.tolist(), self._slope.tolist(),
+                          self._curvature.tolist(), self.offsets.tolist())
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -163,7 +163,7 @@ class HopfLaxStepper:
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
-        cost = np.add(self._window, self.cost_l, out=self._cost)
+        cost = np.add(self._window, self._kinetic_rows, out=self._cost)
         k = cost.argmin(axis=1)
         interior = self._interior[k]
         if self.boundary_is_cutoff and not interior.all():
@@ -173,9 +173,7 @@ class HopfLaxStepper:
         # the argmin and its two neighbours; on the window's edge a
         # neighbour is clipped or read from the next row, and such a lane
         # never takes the refinement
-        flat3 = self._flat3 + k
-        flat = flat3[1]
-        cm, ck, cp = cost.take(flat3, mode="clip")
+        cm, ck, cp = cost.take(self._flat3 + k, mode="clip")
         wm, wk, wp = wrapped.take(self._origin3 - k, mode="clip")
 
         denom = cp - 2.0 * ck + cm
@@ -187,12 +185,13 @@ class HopfLaxStepper:
         # w is linear between the argmin origin and its neighbour on the
         # side of delta, which holds the refined origin x - disp
         w_ref = wk + np.abs(delta) * (np.where(delta > 0.0, wp, wm) - wk)
-        l_ref = (self.cost_l.take(flat) + delta * self._slope.take(flat)
-                 + delta**2 * self._curvature.take(flat))
+        l_ref = (self.kinetic.take(k) + delta * self._slope.take(k)
+                 + delta**2 * self._curvature.take(k))
         refined = w_ref + l_ref
         # a lane off the refinement has delta = 0 and refined == ck; numpy's
         # minimum returns its second operand on a tie, so ck is kept there
         w_next = np.minimum(refined, ck)
+        w_next -= self.potential
         if not want_origins:
             return w_next, None
         shift = self.offsets[k]
@@ -203,8 +202,8 @@ class HopfLaxStepper:
         by the vector step's operations on lane 0 in the same order.  All
         three neighbours' w equal w0, and w_ref keeps its product with
         w0 - w0 so that w0 = -0.0 comes out as 0.0 there too."""
-        cost_l, slope, curvature, offsets = self._lane
-        costs = [w0 + l for l in cost_l]
+        kinetic, slope, curvature, offsets = self._lane
+        costs = [w0 + l for l in kinetic]
         ck = min(costs)
         k = costs.index(ck)                 # the first argmin, as numpy's
         last = len(costs) - 1
@@ -220,7 +219,7 @@ class HopfLaxStepper:
             if denom > 1e-300:
                 delta = min(max(0.5 * (cm - cp) / denom, -0.5), 0.5)
         w_ref = w0 + abs(delta) * (w0 - w0)
-        refined = w_ref + (cost_l[k] + delta * slope[k] + delta * delta * curvature[k])
+        refined = w_ref + (kinetic[k] + delta * slope[k] + delta * delta * curvature[k])
         if refined < ck:
             return refined, (offsets[k] + delta) * self.dx
         return ck, offsets[k] * self.dx

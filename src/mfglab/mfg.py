@@ -22,7 +22,7 @@ import numpy as np
 from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_constant
 from .coupling import CouplingFunctional
 from .errors import DegenerateBacktrackError
-from .hamiltonians import HamiltonianModel
+from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel
 from .lax_oleinik import (
     CriticalValueResult,
     HopfLaxStepper,
@@ -101,7 +101,7 @@ def _backtrack(m_t: CircleMeasure, origins: np.ndarray, stepper: HopfLaxStepper,
     Every step checks that the chain stays inside the velocity cutoff.
     """
     steps = origins.shape[0]
-    reach = stepper.vmax * stepper.dt * (1.0 + 1e-9)
+    reach = VELOCITY_CUTOFF * stepper.dt * (1.0 + 1e-9)
     positions = np.empty((steps + 1, m_t.n))
     positions[steps] = m_t.positions
     for k in range(steps - 1, -1, -1):

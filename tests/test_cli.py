@@ -177,9 +177,12 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "c_nan.ini": "[run]\nc = nan\n",
         "c_inf.ini": "[run]\nc = inf\n",
         "a_values_nan.ini": "[model]\nfamily = mechanical\n[run]\na_values = 0 nan\n",
+        "a_values_empty.ini": "[model]\nfamily = mechanical\n[run]\na_values =\n",
+        "csv_stride_negative.ini": "[run]\ncsv_stride = -3\n",
         "shift_inf.ini": "[model]\nfamily = mechanical\nshift = inf\n",
     }
-    commands = {"vmax_20_solve.ini": "solve"}
+    commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
+                "csv_stride_negative.ini": "solve"}
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "no_section.ini",
                          "duplicate_key.ini", "unknown_potential.ini",
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
@@ -219,6 +222,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "c_nan.ini": "number invariant violated: c must be finite",
              "c_inf.ini": "number invariant violated: c must be finite",
              "a_values_nan.ini": "number invariant violated: a_values must be finite",
+             "a_values_empty.ini": "shift invariant violated: a_values must be nonempty",
+             "csv_stride_negative.ini": "count invariant violated: periods and pairs "
+                                        ">= 1, csv_stride >= 0",
              "shift_inf.ini": "number invariant violated: shift must be finite"}
     for name, text in cases.items():
         path = tmp_path / name

@@ -7,8 +7,9 @@ from mfglab.torus import grid
 
 
 def _lagrangian(model, x, v):
-    """L(x, v) at one point, read from the model's table."""
-    return float(model.lagrangian_table([x], [v])[0, 0])
+    """L(x, v) = K(v) - V(x) at one point, read from the model's parts."""
+    kinetic, potential = model.lagrangian_parts([x], [v])
+    return float(kinetic[0] - potential[0])
 
 
 def test_legendre_quadratic_drift_at_minus_one():
@@ -25,22 +26,23 @@ def test_legendre_cosine_example(cosine_model):
 
 def test_velocity_cutoff_errors():
     with pytest.raises(VelocityCutoffError):
-        Mechanical().lagrangian_table([0.0], [11.0])
+        Mechanical().lagrangian_parts([0.0], [11.0])
     with pytest.raises(VelocityCutoffError):
-        QuadraticDrift().lagrangian_table(grid(8), [-11.0, 0.0])
+        QuadraticDrift().lagrangian_parts(grid(8), [-11.0, 0.0])
 
 
 def test_legendre_duality_recovers_h():
-    """max_v (v p - L(x, v)) = H(x, p), with the table's rows as velocities."""
+    """max_v (v p - L(x, v)) = H(x, p), with L = K(v) - V(x) from the
+    kinetic row over velocities and the potential column over nodes."""
     models = [Mechanical(0.3, Potential.cosine()), QuadraticDrift()]
     vs = np.linspace(-5, 5, 201)
     xs = np.array([0.0, 0.31, 0.77])
     for model in models:
-        table = model.lagrangian_table(xs, vs)  # (velocities, nodes)
-        assert table.shape == (vs.size, xs.size)
+        kinetic, potential = model.lagrangian_parts(xs, vs)
+        assert kinetic.shape == vs.shape and potential.shape == xs.shape
         for j, x in enumerate(xs):
             for p in (-1.2, 0.0, 0.8):
-                dual = np.max(vs * p - table[:, j])
+                dual = np.max(vs * p - (kinetic - potential[j]))
                 assert dual == pytest.approx(float(model.h(x, p)), abs=1e-6)
 
 

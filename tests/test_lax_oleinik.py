@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,9 +87,9 @@ def _reference_step(stepper, w, want_origins=False):
     """The step as an (m, n) index gather with periodic_interp re-scoring;
     the oracle the windowed HopfLaxStepper.step must reproduce."""
     offsets, n, dx = stepper.offsets, stepper.n, stepper.dx
-    cost_l = stepper.cost_l.T
+    kinetic = stepper.kinetic
     gather = (np.arange(n)[None, :] - offsets[:, None]) % n
-    cost = w[gather] + cost_l
+    cost = w[gather] + kinetic[:, None]
     k = np.argmin(cost, axis=0)
     m = offsets.size
     if stepper.boundary_is_cutoff and (np.any(k == 0) or np.any(k == m - 1)):
@@ -105,13 +107,13 @@ def _reference_step(stepper, w, want_origins=False):
     delta = np.clip(delta, -0.5, 0.5)
     disp = (offsets[k] + delta) * dx
     w_ref = periodic_interp(stepper.nodes - disp, w)
-    lm = cost_l[km, jj]
-    lk = cost_l[k, jj]
-    lp = cost_l[kp, jj]
+    lm = kinetic[km]
+    lk = kinetic[k]
+    lp = kinetic[kp]
     l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
     refined = w_ref + l_ref
     use = safe & (refined < ck)
-    w_next = np.where(use, refined, ck)
+    w_next = np.where(use, refined, ck) - stepper.potential
     if not want_origins:
         return w_next, None
     return w_next, np.where(use, disp, offsets[k] * dx)
@@ -141,9 +143,9 @@ def _field(data, n):
 
 
 def _discrete_min_plus(stepper, w):
-    """min over offsets of w(x - offset dx) + dt L, by brute force."""
-    return np.min([np.roll(w, off) + stepper.cost_l[:, i]
-                   for i, off in enumerate(stepper.offsets)], axis=0)
+    """min over offsets of w(x - offset dx) + dt K, minus dt V(x), by brute force."""
+    return np.min([np.roll(w, off) + stepper.kinetic[i]
+                   for i, off in enumerate(stepper.offsets)], axis=0) - stepper.potential
 
 
 def _step_or_error(step, stepper, w):
@@ -182,18 +184,22 @@ def test_step_matches_gather_reference(model_name, grid_index, data):
 def _windowed_step(stepper, w, want_origins=False):
     """The one-pass windowed step before its refinement terms were tabled:
     the per-step clamped neighbour gather and np.where selection, kept as
-    the oracle the current step must reproduce bit for bit."""
+    the oracle the current step must reproduce bit for bit.  Re-frozen for
+    the separable Lagrangian K(v) - V(x): the cost adds the kinetic row
+    dt K and the value subtracts the potential column dt V last, since the
+    step no longer adds dt (K - V) in one table and the two orders round
+    apart when V is not zero."""
     n, c, m = stepper.n, stepper.cells, stepper.offsets.size
     wrapped = np.concatenate((w[n - c:], w, w[:c]))
     window = np.lib.stride_tricks.sliding_window_view(wrapped, m)[:, ::-1]
-    cost = window + stepper.cost_l
+    cost = window + stepper.kinetic
     k = cost.argmin(axis=1)
     if stepper.boundary_is_cutoff and (k.min() == 0 or k.max() == m - 1):
         raise VelocityCutoffError("Hopf-Lax argmin sits on the velocity search boundary")
     k3 = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, m - 1)))
     flat = k3 + np.arange(n) * m
     cm, ck, cp = cost.take(flat)
-    lm, lk, lp = stepper.cost_l.take(flat)
+    lm, lk, lp = stepper.kinetic.take(k3)
     wm, wk, wp = wrapped.take(np.arange(n) + 2 * c - k3)
     interior = (k > 0) & (k < m - 1)
     denom = cp - 2.0 * ck + cm
@@ -204,7 +210,7 @@ def _windowed_step(stepper, w, want_origins=False):
     l_ref = lk + 0.5 * delta * (lp - lm) + 0.5 * delta**2 * (lp - 2.0 * lk + lm)
     refined = w_ref + l_ref
     use = safe & (refined < ck)
-    w_next = np.where(use, refined, ck)
+    w_next = np.where(use, refined, ck) - stepper.potential
     if not want_origins:
         return w_next, None
     shift = stepper.offsets[k]
@@ -306,6 +312,43 @@ def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
             stepper.step(w, want_origins=want_origins)
             written = ~np.isnan(stepper._cost).any(axis=1)
             assert written.sum() == rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift=st.sampled_from([0.0, 1.6, -0.7]),
+       potential=st.sampled_from(["cosine", "double-well(0.5,1)"]),
+       grid_index=st.integers(0, len(_ORACLE_GRIDS)),
+       data=st.data())
+def test_potential_shifts_values_not_origins(shift, potential, grid_index, data):
+    """V(x) is read at the arrival node, so against the same shift with
+    V = 0 a step's values move by exactly -dt V(x), bit for bit, its origins
+    not at all, and the velocity-cutoff error comes in the same cases; on
+    the oracle grids and the benchmark's probe grid n = 512, dt = 0.004."""
+    n, dt = (_ORACLE_GRIDS + ((512, 4e-3),))[grid_index]
+    stepper = HopfLaxStepper(Mechanical(shift, Potential.from_name(potential)), n, dt)
+    flat = HopfLaxStepper(Mechanical(shift, Potential.zero()), n, dt)
+    w = _field(data, n)
+    new = _step_or_error(HopfLaxStepper.step, stepper, w)
+    ref = _step_or_error(HopfLaxStepper.step, flat, w)
+    assert (new is None) == (ref is None)
+    if new is None:
+        return
+    drop = dt * Potential.from_name(potential).value(grid(n))
+    assert _bit_equal(new[0], ref[0] - drop) and _bit_equal(new[1], ref[1])
+
+
+def test_stepper_holds_no_per_node_lagrangian():
+    """A built stepper holds two (n, m) arrays, the cost buffer and the
+    kinetic tiling, and no (n, m) Lagrangian table per node."""
+    n, dt = 4096, 1e-3
+    model = Mechanical(1.6, Potential.cosine())
+    tracemalloc.start()
+    try:
+        stepper = HopfLaxStepper(model, n, dt)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5 * n * stepper.offsets.size * 8
 
 
 def test_step_results_outlive_the_next_step(cosine_model):

@@ -4,6 +4,7 @@ import pytest
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
 from mfglab.errors import DegenerateBacktrackError, NotPeriodicRegimeError
+from mfglab.hamiltonians import VELOCITY_CUTOFF
 from mfglab.lax_oleinik import HopfLaxStepper, critical_value, slice_count, sweep
 from mfglab.measures import (
     PARTICLES,
@@ -105,7 +106,7 @@ def test_backtrack_checks_every_step(qd_model, coupling_cos, m_cos):
     origins = np.zeros((5, N))
     positions, _f = _backtrack(m_cos, origins, stepper, coupling_cos)
     assert np.array_equal(positions[0], m_cos.positions)
-    origins[0] = 1.5 * stepper.vmax * DT  # only the earliest step leaves the cutoff
+    origins[0] = 1.5 * VELOCITY_CUTOFF * DT  # only the earliest step leaves the cutoff
     with pytest.raises(DegenerateBacktrackError):
         _backtrack(m_cos, origins, stepper, coupling_cos)
 
