@@ -109,8 +109,10 @@ class FlowMap:
         """Position a time-to-go s earlier of the characteristic at x."""
         return self._solve_g(self.g(x) - s)
 
-    def phi_inverse(self, s: float, y):
-        """Inverse map: G(x) = G(y) + s, reduced by the winding."""
+    def phi_inverse(self, s, y):
+        """Inverse map: G(x) = G(y) + s, reduced by the winding.  A column
+        of spans, shape (R, 1), gives one row of points per span, each
+        bit-equal to a one-span call."""
         return self._solve_g(self.g(y) + s)
 
     def write_csv(self, path) -> None:

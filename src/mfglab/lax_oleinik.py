@@ -18,10 +18,35 @@ the velocity-cutoff check and the lanes that may take the refinement.  An
 argmin on the window's edge raises whenever that edge is the velocity
 cutoff, not the antipode.  The wrapped copy and the cost table are scratch
 buffers that every step overwrites, so one stepper must not be shared
-across threads.  With V = 0 a uniform field maps to a uniform one, so when
-w is finite and bit-uniform the step runs lane 0 alone in Python floats,
-by the vector step's operations in the same order, and spreads its result
-over the circle.
+across threads.  When dt V is the same at every node, to the bit, a
+uniform field maps to a uniform one, so when w is finite and bit-uniform
+the step runs lane 0 alone in Python floats, by the vector step's
+operations in the same order, and spreads its result over the circle.
+
+The one-candidate rule.  Let kappa = dt K be the kinetic row, i0 its first
+argmin and D = max_j |w[j + 1] - w[j]| around the circle.  On one lane the
+origins of offsets i and i0 are |i - i0| nodes apart, so w differs there by
+at most |i - i0| D, and offset i can tie or beat i0 only if kappa_i -
+kappa_i0 <= |i - i0| D.  Let s* = min over i != i0 of (kappa_i - kappa_i0) /
+|i - i0|, fixed per stepper and defined only for 0 < i0 < m - 1.  Then
+D < s* makes i0 every lane's strict argmin in exact arithmetic, and the
+step scores only the offsets i0 - 1 .. i0 + 1 with one (3, n) add, in
+place of the (n, m) add, the argmin, the cutoff check and the neighbour
+gathers; both paths share one refinement.  The rounding margin, with
+u = 2^-52: a computed gap is within a factor 1 + u of the exact one, so
+exact gaps are at most D (1 + u) and every |w_j| <= W = |w_0| + n D; each
+cost w + kappa is rounded by at most u (W + max|kappa|) / 2; and each
+computed quotient of s* is within a factor 1 + u of the exact one, with
+s* <= 2 max|kappa|.  Hence every computed cost at i != i0 exceeds the one
+at i0 once D (1 + u) + u (W + 3 max|kappa|) < s*.  The step tests the
+stronger D (1 + 8u) + 16u (|w_0| + n D + max|kappa|) < s*, whose slack
+also covers the rounding of the test itself, so the rule picks the argmin
+that the full search would pick, and every result is bit-equal.  The test
+is monotone in D and |w[1] - w[0]| <= D, so the step first tries that one
+gap in Python floats and scans the circle only when it passes; on a rough
+field the cheap failure spares the scan.  A NaN or infinite D fails the
+test and takes the full search; the uniform lane applies the rule with
+D = 0 and scores all m offsets when it fails (|w_0| ~ 1e300, say).
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
@@ -40,6 +65,7 @@ from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel, Mechanical
 from .torus import grid, periodic_gradient, periodic_second_difference
 
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
+ULP = 2.0 ** -52     # spacing of doubles at 1; the one-candidate rule's round-off unit
 
 
 def median(values: np.ndarray) -> float:
@@ -83,11 +109,19 @@ class HopfLaxStepper:
 
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
-    With V = 0 the one-lane step of a finite uniform field is exact: every
-    lane reads the same costs and window, save the neighbours of an argmin
-    on the window's edge, and such a lane never takes the refinement.  That
-    lane runs in Python floats, in the vector step's order of operations,
-    and writes none of the scratch buffers.
+    With a bit-uniform dt V column the one-lane step of a finite uniform
+    field is exact: every lane reads the same costs and window, save the
+    neighbours of an argmin on the window's edge, and such a lane never
+    takes the refinement.  That lane runs in Python floats, in the vector
+    step's order of operations, subtracts the one dt V value last, and
+    writes none of the scratch buffers.
+
+    A field whose largest neighbour gap D passes the one-candidate rule,
+    D (1 + 8u) + 16u (|w_0| + n D + max|dt K|) < s*, has the kinetic row's
+    interior first argmin i0 as every lane's argmin; s* is the least slope
+    (dt K_i - dt K_i0) / |i - i0| and u = 2^-52 (the module docstring
+    derives the margin).  Such a step scores the offsets i0 - 1 .. i0 + 1
+    alone and writes no row of the cost buffer.
     """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float):
@@ -136,14 +170,37 @@ class HopfLaxStepper:
         # wrapped indices of the origins of those three offsets
         self._flat3 = rows * m + np.array([[-1], [0], [1]])
         self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
+        # the one-candidate rule: i0 is the kinetic row's first argmin and
+        # s_star = s* the least slope (K_i - K_i0) / |i - i0| that any
+        # other offset climbs; -1 turns the rule off
+        finite = bool(np.isfinite(self.kinetic).all())
+        self._i0 = int(self.kinetic.argmin())
+        self._s_star = -1.0
+        self._kinetic_max = float(np.max(np.abs(self.kinetic)))
+        if finite and 0 < self._i0 < m - 1:
+            reach = np.abs(np.arange(m) - self._i0)
+            others = reach > 0
+            climb = (self.kinetic[others] - self.kinetic[self._i0]) / reach[others]
+            self._s_star = float(climb.min())
+            # row i of the transposed window holds every lane's origin at
+            # offset i; the rule reads rows i0 - 1 .. i0 + 1 and K there
+            self._rows3 = self._window.T[self._i0 - 1:self._i0 + 2]
+            self._kinetic3 = self.kinetic[self._i0 - 1:self._i0 + 2, None]
+        # neighbours on the circle: wrapped[c + 1 + j] - wrapped[c + j] for
+        # j < n covers every pair, the wrap pair (w[n - 1], w[0]) included
+        self._ahead = self._wrapped[cells + 1:cells + self.n + 1]
+        self._here = self._wrapped[cells:cells + self.n]
+        self._gaps = np.empty(self.n)
         # the kinetic rows as Python floats, for the scalar step of a uniform
-        # field: only if every dt V is +0.0 by its bits, which the step's
-        # subtraction leaves out exactly, and K finite, so that the first
+        # field: only if dt V is the same by its bits at every node, so that
+        # every lane subtracts the same p0, and K finite, so that the first
         # Python min is numpy's first argmin
         self._lane = None
-        if not self.potential.view(np.uint64).any() and np.isfinite(self.kinetic).all():
+        bits = self.potential.view(np.uint64)
+        if (bits == bits[0]).all() and finite:
             self._lane = (self.kinetic.tolist(), self._slope.tolist(),
-                          self._curvature.tolist(), self.offsets.tolist())
+                          self._curvature.tolist(), self.offsets.tolist(),
+                          float(self.potential[0]))
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -153,8 +210,8 @@ class HopfLaxStepper:
         """
         n, c = self.n, self.cells
         w = np.asarray(w, dtype=float)
+        w0 = float(w[0])
         if self._lane is not None:
-            w0 = float(w[0])
             bits = w.view(np.uint64)
             if math.isfinite(w0) and w[-1] == w0 and (bits == bits[0]).all():
                 value, origin = self._lane_step(w0)
@@ -163,6 +220,14 @@ class HopfLaxStepper:
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
+        # |w[1] - w[0]| is one of the gaps that D bounds and the test is
+        # monotone in D, so a pair that fails it spares the scan
+        if self._one_candidate(abs(float(w[1]) - w0), w0):
+            gaps = np.subtract(self._ahead, self._here, out=self._gaps)
+            lip = float(np.abs(gaps, out=gaps).max())   # NaN or inf if w is not finite
+            if self._one_candidate(lip, w0):
+                rows = self._rows3
+                return self._refine(self._i0, True, rows + self._kinetic3, rows, want_origins)
         cost = np.add(self._window, self._kinetic_rows, out=self._cost)
         k = cost.argmin(axis=1)
         interior = self._interior[k]
@@ -173,12 +238,25 @@ class HopfLaxStepper:
         # the argmin and its two neighbours; on the window's edge a
         # neighbour is clipped or read from the next row, and such a lane
         # never takes the refinement
-        cm, ck, cp = cost.take(self._flat3 + k, mode="clip")
-        wm, wk, wp = wrapped.take(self._origin3 - k, mode="clip")
+        return self._refine(k, interior, cost.take(self._flat3 + k, mode="clip"),
+                            wrapped.take(self._origin3 - k, mode="clip"), want_origins)
 
+    def _one_candidate(self, lip: float, w0: float) -> bool:
+        """Whether i0 is every lane's first argmin, for a field whose
+        neighbour gaps are at most lip and whose value at node 0 is w0."""
+        return (lip * (1.0 + 8.0 * ULP) + 16.0 * ULP * (abs(w0) + self.n * lip
+                                                      + self._kinetic_max)
+                < self._s_star)
+
+    def _refine(self, k, interior, costs, origins_w, want_origins):
+        """The step's value and origins from the argmin k, the lanes that
+        may take the refinement, and the (3, n) costs and w at the offsets
+        k - 1, k, k + 1.  k and interior are per lane, or one offset and True."""
+        cm, ck, cp = costs
+        wm, wk, wp = origins_w
         denom = cp - 2.0 * ck + cm
         safe = interior & (denom > 1e-300)
-        delta = np.zeros(k.size)
+        delta = np.zeros(ck.size)
         np.divide(0.5 * (cm - cp), denom, out=delta, where=safe)
         np.minimum(np.maximum(delta, -0.5, out=delta), 0.5, out=delta)
 
@@ -201,28 +279,35 @@ class HopfLaxStepper:
         """Value and origin of every lane of the step of the field w = w0,
         by the vector step's operations on lane 0 in the same order.  All
         three neighbours' w equal w0, and w_ref keeps its product with
-        w0 - w0 so that w0 = -0.0 comes out as 0.0 there too."""
-        kinetic, slope, curvature, offsets = self._lane
-        costs = [w0 + l for l in kinetic]
-        ck = min(costs)
-        k = costs.index(ck)                 # the first argmin, as numpy's
-        last = len(costs) - 1
-        interior = 0 < k < last
-        if self.boundary_is_cutoff and not interior:
-            raise VelocityCutoffError(
-                "Hopf-Lax argmin sits on the velocity search boundary"
-            )
+        w0 - w0 so that w0 = -0.0 comes out as 0.0 there too.  A uniform
+        field has no neighbour gap, so the one-candidate rule with lip = 0
+        scores only the offsets i0 - 1 .. i0 + 1."""
+        kinetic, slope, curvature, offsets, p0 = self._lane
+        if self._one_candidate(0.0, w0):
+            k = self._i0
+            cm, ck, cp = (w0 + l for l in kinetic[k - 1:k + 2])
+            interior = True
+        else:
+            costs = [w0 + l for l in kinetic]
+            ck = min(costs)
+            k = costs.index(ck)             # the first argmin, as numpy's
+            interior = 0 < k < len(costs) - 1
+            if self.boundary_is_cutoff and not interior:
+                raise VelocityCutoffError(
+                    "Hopf-Lax argmin sits on the velocity search boundary"
+                )
+            if interior:
+                cm, cp = costs[k - 1], costs[k + 1]
         delta = 0.0
         if interior:                        # only such a lane is refined
-            cm, cp = costs[k - 1], costs[k + 1]
             denom = cp - 2.0 * ck + cm
             if denom > 1e-300:
                 delta = min(max(0.5 * (cm - cp) / denom, -0.5), 0.5)
         w_ref = w0 + abs(delta) * (w0 - w0)
         refined = w_ref + (kinetic[k] + delta * slope[k] + delta * delta * curvature[k])
         if refined < ck:
-            return refined, (offsets[k] + delta) * self.dx
-        return ck, offsets[k] * self.dx
+            return refined - p0, (offsets[k] + delta) * self.dx
+        return ck - p0, offsets[k] * self.dx
 
 
 def slice_count(t_final: float, dt: float) -> int:

@@ -19,6 +19,7 @@ MASS_TOL = 1e-12
 MASS_DRIFT_TOL = 1e-4  # largest renormalisation a push-forward may need
 RANDOM_MODES = 4       # Fourier modes of random_fourier_density
 RANDOM_FLOOR = 0.1     # its smallest density value before renormalising
+BLOCK_POINTS = 2**14   # inverse-flow points per TransportTable block
 
 
 class CircleMeasure:
@@ -129,14 +130,26 @@ class TransportTable:
 
     def __init__(self, fm, spans, n: int):
         self.nodes = grid(n)
-        xinv = np.empty((len(spans), n))
-        for row, s in zip(xinv, spans):
-            row[:] = fm.phi_inverse(float(s), self.nodes)
+        spans = np.asarray(spans, dtype=float)
+        xinv = np.empty((spans.size, n))
+        # a column of spans gives one row per span, each bit-equal to a
+        # one-span call; blocks of BLOCK_POINTS keep the call's temporaries small
+        rows = max(1, BLOCK_POINTS // n)
+        for first in range(0, spans.size, rows):
+            block = spans[first:first + rows, None]
+            xinv[first:first + rows] = fm.phi_inverse(block, self.nodes)
         # the stencil's temporaries come and go before the Jacobian is held
         self._cell, self._frac = interp_stencil(xinv, n)
-        # the inverse map is an orientation-preserving circle map: consecutive
+        # centered differences x[j + 1] - x[j - 1] around the circle; the
+        # inverse map is an orientation-preserving circle map: consecutive
         # gaps are small and positive, so %1 picks the right branch
-        self.jac = ((np.roll(xinv, -1, axis=1) - np.roll(xinv, 1, axis=1)) % 1.0) * (n / 2.0)
+        jac = np.empty_like(xinv)
+        np.subtract(xinv[:, 2:], xinv[:, :-2], out=jac[:, 1:-1])
+        np.subtract(xinv[:, 1], xinv[:, -1], out=jac[:, 0])
+        np.subtract(xinv[:, 0], xinv[:, -2], out=jac[:, -1])
+        jac %= 1.0
+        jac *= n / 2.0
+        self.jac = jac
 
     def masses(self, m: CircleMeasure):
         """Node masses of the pushed densities, one row per span, each

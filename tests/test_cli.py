@@ -379,3 +379,50 @@ def test_solve_subcommand_artifacts(tmp_path, qd_config):
     assert u_lines[0] == "t,x,u"
     assert m_lines[0] == "t,x,w"
     assert len(u_lines) > 256
+
+
+def test_one_candidate_rule_leaves_artifacts_unchanged(tmp_path, monkeypatch):
+    """converge and lipschitz-c write byte-identical artifacts with the
+    Hopf-Lax stepper's one-candidate rule as it is and turned off by
+    s_star = -1, on small configs where the converge sweep takes the rule
+    on steps whose field is not uniform."""
+    from mfglab.lax_oleinik import HopfLaxStepper
+
+    small = QD_CONFIG.replace("n = 256", "n = 128").replace("0.002", "0.004")
+    configs = {
+        "converge": small + "horizons = 2 4\nwindow = 0.5\nphi = cosine\n"
+                            "tol_converge_final = 0.05\n",
+        # at n = 128 this model's push-forward drifts past MASS_DRIFT_TOL
+        "lipschitz-c": QD_CONFIG.replace("0.002", "0.004").replace(
+            "family = quadratic-drift", "family = mechanical\nshift = 1.6\npotential = cosine"),
+    }
+    passed = []
+    rule = HopfLaxStepper._one_candidate
+
+    def spy(self, lip, w0):
+        ok = rule(self, lip, w0)
+        passed.append(ok and lip > 0.0)
+        return ok
+
+    def run(tag):
+        artifacts = {}
+        for command, text in configs.items():
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(text)
+            out = tmp_path / tag / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            artifacts[command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return artifacts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HopfLaxStepper, "_one_candidate", spy)
+        as_is = run("as-is")
+    assert any(passed)
+    build = HopfLaxStepper.__init__
+
+    def rule_off(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self._s_star = -1.0
+
+    monkeypatch.setattr(HopfLaxStepper, "__init__", rule_off)
+    assert run("rule-off") == as_is

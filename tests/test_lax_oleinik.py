@@ -1,4 +1,6 @@
+import copy
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -295,23 +297,161 @@ def test_uniform_field_bit_equals_windowed_oracle(model_name, grid_index, value,
     assert _bit_equal(stepper.step(w)[0], ref[0])
 
 
+def _neighbour_gap(w):
+    """Largest |w[j + 1] - w[j]| around the circle, as the step scans it."""
+    return float(np.max(np.abs(np.roll(w, -1) - w)))
+
+
+def _cost_rows_written(stepper, w):
+    """Rows of the (n, m) cost buffer that a step of w writes, checked
+    to be the same with and without origins."""
+    counts = set()
+    for want_origins in (False, True):
+        stepper._cost.fill(np.nan)
+        stepper.step(w, want_origins=want_origins)
+        counts.add(int((~np.isnan(stepper._cost).any(axis=1)).sum()))
+    (count,) = counts
+    return count
+
+
 def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
-    """A uniform field on an x-independent Lagrangian is stepped in Python
-    floats and fills no row of the cost buffer; a field one ulp off
-    uniform, a wave, or a cosine potential fills every row."""
+    """Three regimes of the step, each asserted: a uniform field on an
+    x-independent Lagrangian takes the one-lane step; a field whose
+    neighbour gaps stay under the least kinetic slope s_star takes the
+    one-candidate step; neither writes a row of the cost buffer.  A field
+    with a larger gap fills every row.  A field one ulp off uniform, a gentle
+    wave and a uniform field under a cosine potential are one-candidate
+    steps; a steep wave on either model is not."""
     n = 128
     uniform = np.full(n, 0.3)
     ulp_off = uniform.copy()
     ulp_off[77] = np.nextafter(0.3, 1.0)
     wave = 0.3 + 0.01 * np.cos(2 * np.pi * grid(n))
-    for model, w, rows in ((qd_model, uniform, 0), (qd_model, ulp_off, n),
-                           (qd_model, wave, n), (cosine_model, uniform, n)):
+    steep = 0.3 + 0.5 * np.cos(2 * np.pi * grid(n))
+    lane, one_candidate, full = "lane", "one-candidate", "full"
+    for model, w, regime in ((qd_model, uniform, lane), (qd_model, ulp_off, one_candidate),
+                             (qd_model, wave, one_candidate),
+                             (cosine_model, uniform, one_candidate),
+                             (qd_model, steep, full), (cosine_model, steep, full)):
         stepper = HopfLaxStepper(model, n, 2e-3)
-        for want_origins in (False, True):
+        if stepper._lane is not None and _neighbour_gap(w) == 0.0:
+            seen = lane
+        else:
+            seen = one_candidate if _neighbour_gap(w) < stepper._s_star else full
+        assert seen == regime
+        rows = _cost_rows_written(stepper, w)
+        assert rows == (n if regime == full else 0)
+        assert _bit_equal(stepper.step(w, want_origins=True)[1],
+                          _windowed_step(stepper, w, want_origins=True)[1])
+
+
+class _ConstantPotential:
+    """A model's kinetic part with V = value at every node."""
+
+    def __init__(self, model, value):
+        self.model, self.value = model, value
+
+    def lagrangian_parts(self, xs, vs):
+        kinetic, potential = self.model.lagrangian_parts(xs, vs)
+        return kinetic, np.full_like(potential, self.value)
+
+
+def test_bit_uniform_potential_takes_the_lane():
+    """Potential.double_well(X, 0) is -0.0 at every node: the stepper takes
+    the one-lane step for it as for +0.0, and for any V that is one value
+    to the bit, bit-equal to the frozen windowed step over the benchmark's
+    probe grid n = 512, dt = 0.004."""
+    n, dt = 512, 4e-3
+    negative_zero = Mechanical(0.0, Potential.from_name("double-well(0.5,0)"))
+    models = (negative_zero, Mechanical(0.0, Potential.zero()),
+              _ConstantPotential(QuadraticDrift(), 0.25),
+              _ConstantPotential(Mechanical(0.7, Potential.zero()), -3.0))
+    assert np.signbit(HopfLaxStepper(negative_zero, n, dt).potential).all()
+    for model in models:
+        stepper = HopfLaxStepper(model, n, dt)
+        assert stepper._lane is not None
+        # at -1e300 every offset ties, the first argmin is on the cutoff and
+        # the lane, past the one-candidate rule, scores all m offsets
+        for value in (0.0, -0.0, 0.3, -1e300):
+            w = np.full(n, value)
             stepper._cost.fill(np.nan)
-            stepper.step(w, want_origins=want_origins)
-            written = ~np.isnan(stepper._cost).any(axis=1)
-            assert written.sum() == rows
+            new = _step_or_error(HopfLaxStepper.step, stepper, w)
+            assert np.isnan(stepper._cost).all()
+            ref = _step_or_error(_windowed_step, stepper, w)
+            assert (new is None) == (ref is None) == (value == -1e300)
+            if new is not None:
+                assert _bit_equal(new[0], ref[0]) and _bit_equal(new[1], ref[1])
+                assert _bit_equal(stepper.step(w)[0], ref[0])
+
+
+def _one_candidate_field(stepper, data):
+    """A field drawn around the one-candidate rule's threshold: a wave, or
+    a wave plus node noise, scaled so that its largest neighbour gap sits
+    just below, at or a few ulps above s_star, then optionally an exact tie
+    between i0 and a neighbour on one lane, a shift to |w| ~ 1e300, or
+    non-finite nodes."""
+    n, s_star = stepper.n, stepper._s_star
+    base = np.cos(2 * np.pi * data.draw(st.integers(1, 3)) * grid(n)
+                  + data.draw(st.floats(0.0, 1.0)))
+    if data.draw(st.booleans()):
+        base += data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    gap = _neighbour_gap(base)
+    target = abs(s_star) * data.draw(st.sampled_from(
+        [0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14, 1.0, 1.0 + 4e-16, 1.0 + 1e-15, 2.0]))
+    w = base * (target / gap) + data.draw(st.sampled_from([0.0, 0.3, -7.0, 1e6]))
+    for _ in range(data.draw(st.integers(0, 3))):  # nudge the largest gap by ulps
+        j = int(np.argmax(np.abs(np.roll(w, -1) - w)))
+        w[j] = np.nextafter(w[j], data.draw(st.sampled_from([-np.inf, np.inf])))
+    twist = data.draw(st.sampled_from(["none", "tie", "huge", "nan", "inf"]))
+    i0, offsets = stepper._i0, stepper.offsets
+    if twist == "tie" and 0 < i0 < offsets.size - 1:
+        side = data.draw(st.sampled_from([-1, 1]))
+        lane = data.draw(st.integers(0, n - 1))
+        y0, y1 = (lane - offsets[i0]) % n, (lane - offsets[i0 + side]) % n
+        k0, k1 = stepper.kinetic[i0], stepper.kinetic[i0 + side]
+        w[y1] = (w[y0] + k0) - k1
+        for _ in range(4):                  # walk w[y1] onto the exact tie
+            gap_to_tie = (w[y1] + k1) - (w[y0] + k0)
+            if gap_to_tie == 0.0:
+                break
+            w[y1] = np.nextafter(w[y1], -np.inf if gap_to_tie > 0.0 else np.inf)
+    elif twist == "huge":
+        w = np.float64(data.draw(st.sampled_from([1e300, -1e300]))) + w
+    elif twist in ("nan", "inf"):
+        bad = {"nan": np.nan, "inf": data.draw(st.sampled_from([np.inf, -np.inf]))}[twist]
+        w[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))] = bad
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
+       grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
+       data=st.data())
+def test_one_candidate_step_bit_equals_windowed_oracle(model_name, grid_index, data):
+    """Around the one-candidate threshold, with exact ties, |w| ~ 1e300 and
+    non-finite nodes: values and origins bit-equal the same stepper with
+    the rule turned off, and on finite fields the frozen windowed step, with
+    and without origins; the velocity-cutoff error comes in the same cases.
+    On a non-finite field the frozen step keeps the discrete minimum where
+    the refinement is NaN and the step's np.minimum keeps the NaN, so there
+    only the rule-off step is the reference."""
+    stepper = _stepper(model_name, grid_index)
+    full = copy.copy(stepper)
+    full._s_star = -1.0
+    w = _one_candidate_field(stepper, data)
+    refs = [full.step] + ([partial(_windowed_step, stepper)] if np.isfinite(w).all() else [])
+    with np.errstate(all="ignore"):
+        new = _step_or_error(HopfLaxStepper.step, stepper, w)
+        plain = None if new is None else stepper.step(w)[0]
+        for ref_step in refs:
+            try:
+                ref = ref_step(w, want_origins=True)
+            except VelocityCutoffError:
+                ref = None
+            assert (new is None) == (ref is None)
+            if new is not None:
+                assert _bit_equal(new[0], ref[0]) and _bit_equal(new[1], ref[1])
+                assert _bit_equal(plain, ref[0])
 
 
 @settings(max_examples=150, deadline=None)
