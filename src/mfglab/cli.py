@@ -279,8 +279,8 @@ def run_wasserstein(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int
 _GRID_BY_DIM = {1: (256, 256), 2: (48, 48), 3: (24, 24)}
 
 
-def run_verify_example(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
-    dim = args.n if args.n is not None else cfg.example_dim
+def run_verify_example(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
+    dim = cfg.example_dim
     if dim < 1:
         raise ConfigError(f"dimension invariant violated: the torus dimension must be "
                           f">= 1, got {dim}")
@@ -344,8 +344,6 @@ def main(argv=None) -> int:
                            help="seed for random measure-pair generation")
         if name == "alpha":
             p.add_argument("--a-grid", help="lo:hi:count grid of shifts")
-        if name == "verify-example":
-            p.add_argument("--n", type=int, default=None, help="torus dimension")
     args = parser.parse_args(argv)
 
     try:

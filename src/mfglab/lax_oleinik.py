@@ -18,10 +18,7 @@ the velocity-cutoff check and the lanes that may take the refinement.  An
 argmin on the window's edge raises whenever that edge is the velocity
 cutoff, not the antipode.  The wrapped copy and the cost table are scratch
 buffers that every step overwrites, so one stepper must not be shared
-across threads.  When dt V is the same at every node, to the bit, a
-uniform field maps to a uniform one, so when w is finite and bit-uniform
-the step runs lane 0 alone in Python floats, by the vector step's
-operations in the same order, and spreads its result over the circle.
+across threads.
 
 The one-candidate rule.  Let kappa = dt K be the kinetic row, i0 its first
 argmin and D = max_j |w[j + 1] - w[j]| around the circle.  On one lane the
@@ -45,12 +42,13 @@ that the full search would pick, and every result is bit-equal.  The test
 is monotone in D and |w[1] - w[0]| <= D, so the step first tries that one
 gap in Python floats and scans the circle only when it passes; on a rough
 field the cheap failure spares the scan.  A NaN or infinite D fails the
-test and takes the full search; the uniform lane applies the rule with
-D = 0 and scores all m offsets when it fails (|w_0| ~ 1e300, say).
+test and takes the full search.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
-mechanical models.
+mechanical models.  When dt V takes one value at every node, a uniform
+field steps to a uniform one by the same increment, so the critical-value
+probe from phi = 0 takes one step and scales it in place of the sweep.
 """
 
 from __future__ import annotations
@@ -109,12 +107,6 @@ class HopfLaxStepper:
 
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
-    With a bit-uniform dt V column the one-lane step of a finite uniform
-    field is exact: every lane reads the same costs and window, save the
-    neighbours of an argmin on the window's edge, and such a lane never
-    takes the refinement.  That lane runs in Python floats, in the vector
-    step's order of operations, subtracts the one dt V value last, and
-    writes none of the scratch buffers.
 
     A field whose largest neighbour gap D passes the one-candidate rule,
     D (1 + 8u) + 16u (|w_0| + n D + max|dt K|) < s*, has the kinetic row's
@@ -191,16 +183,6 @@ class HopfLaxStepper:
         self._ahead = self._wrapped[cells + 1:cells + self.n + 1]
         self._here = self._wrapped[cells:cells + self.n]
         self._gaps = np.empty(self.n)
-        # the kinetic rows as Python floats, for the scalar step of a uniform
-        # field: only if dt V is the same by its bits at every node, so that
-        # every lane subtracts the same p0, and K finite, so that the first
-        # Python min is numpy's first argmin
-        self._lane = None
-        bits = self.potential.view(np.uint64)
-        if (bits == bits[0]).all() and finite:
-            self._lane = (self.kinetic.tolist(), self._slope.tolist(),
-                          self._curvature.tolist(), self.offsets.tolist(),
-                          float(self.potential[0]))
 
     def step(self, w: np.ndarray, want_origins: bool = False):
         """One Hopf-Lax step; optionally returns the origin displacements.
@@ -211,11 +193,6 @@ class HopfLaxStepper:
         n, c = self.n, self.cells
         w = np.asarray(w, dtype=float)
         w0 = float(w[0])
-        if self._lane is not None:
-            bits = w.view(np.uint64)
-            if math.isfinite(w0) and w[-1] == w0 and (bits == bits[0]).all():
-                value, origin = self._lane_step(w0)
-                return np.full(n, value), np.full(n, origin) if want_origins else None
         wrapped = self._wrapped
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
@@ -274,40 +251,6 @@ class HopfLaxStepper:
             return w_next, None
         shift = self.offsets[k]
         return w_next, np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
-
-    def _lane_step(self, w0: float) -> tuple[float, float]:
-        """Value and origin of every lane of the step of the field w = w0,
-        by the vector step's operations on lane 0 in the same order.  All
-        three neighbours' w equal w0, and w_ref keeps its product with
-        w0 - w0 so that w0 = -0.0 comes out as 0.0 there too.  A uniform
-        field has no neighbour gap, so the one-candidate rule with lip = 0
-        scores only the offsets i0 - 1 .. i0 + 1."""
-        kinetic, slope, curvature, offsets, p0 = self._lane
-        if self._one_candidate(0.0, w0):
-            k = self._i0
-            cm, ck, cp = (w0 + l for l in kinetic[k - 1:k + 2])
-            interior = True
-        else:
-            costs = [w0 + l for l in kinetic]
-            ck = min(costs)
-            k = costs.index(ck)             # the first argmin, as numpy's
-            interior = 0 < k < len(costs) - 1
-            if self.boundary_is_cutoff and not interior:
-                raise VelocityCutoffError(
-                    "Hopf-Lax argmin sits on the velocity search boundary"
-                )
-            if interior:
-                cm, cp = costs[k - 1], costs[k + 1]
-        delta = 0.0
-        if interior:                        # only such a lane is refined
-            denom = cp - 2.0 * ck + cm
-            if denom > 1e-300:
-                delta = min(max(0.5 * (cm - cp) / denom, -0.5), 0.5)
-        w_ref = w0 + abs(delta) * (w0 - w0)
-        refined = w_ref + (kinetic[k] + delta * slope[k] + delta * delta * curvature[k])
-        if refined < ck:
-            return refined - p0, (offsets[k] + delta) * self.dx
-        return ck - p0, offsets[k] * self.dx
 
 
 def slice_count(t_final: float, dt: float) -> int:
@@ -376,7 +319,9 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float,
     Runs the semigroup from phi = 0, estimates c0 from the drop of the
     spatial mean between t_probe/2 and t_probe, and reports the
     oscillation of (w + c0 t) between those two probes as the
-    convergence diagnostic.
+    convergence diagnostic.  When dt V is one value at every node, each
+    step adds the same uniform increment w1, so the slices at k steps are
+    k w1 and one step replaces the sweep.
     """
     if t_probe < T_PROBE_MIN:
         raise ValueError(f"t_probe must be at least {T_PROBE_MIN:g}")
@@ -384,9 +329,14 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float,
     half = steps // 2
     k_one = max(1, min(steps, int(round(1.0 / dt))))
     stepper = HopfLaxStepper(model, n, dt)
-    w, (one, mid) = sweep(stepper, np.zeros(n), steps, [(k_one, k_one), (half, half)])
-    c_sc = semiconcavity_upper_bound(one.w[0], stepper.dx)
-    w_mid = mid.w[0]
+    if np.ptp(stepper.potential) == 0.0:
+        w1 = stepper.step(np.zeros(n))[0]
+        w, w_one, w_mid = steps * w1, k_one * w1, half * w1
+    else:
+        w, (one, mid) = sweep(stepper, np.zeros(n), steps,
+                              [(k_one, k_one), (half, half)])
+        w_one, w_mid = one.w[0], mid.w[0]
+    c_sc = semiconcavity_upper_bound(w_one, stepper.dx)
     t_mid = half * dt
     c0 = -(float(np.mean(w)) - float(np.mean(w_mid))) / (t_probe - t_mid)
     shifted = (w + c0 * t_probe) - (w_mid + c0 * t_mid)

@@ -39,9 +39,17 @@ def read_summary(out):
     return json.loads((out / "summary.json").read_text())
 
 
+def example_config(tmp_path, dim, extra=""):
+    """A config file that sets the verify-example torus dimension."""
+    path = tmp_path / f"example_{dim}.ini"
+    path.write_text(f"[run]\nexample_dim = {dim}\n{extra}")
+    return str(path)
+
+
 def test_verify_example_passes(tmp_path, capsys):
     out = tmp_path / "ex"
-    assert main(["verify-example", "--n", "1", "--out", str(out)]) == 0
+    assert main(["verify-example", "--config", example_config(tmp_path, 1),
+                 "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "PASS" in printed
     summary = read_summary(out)
@@ -51,17 +59,17 @@ def test_verify_example_passes(tmp_path, capsys):
 
 def test_verify_example_reports_defect_in_dimension_two(tmp_path, capsys):
     out = tmp_path / "ex2"
-    assert main(["verify-example", "--n", "2", "--out", str(out)]) == 0
+    assert main(["verify-example", "--config", example_config(tmp_path, 2),
+                 "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "defect" in printed
     assert "PASS" not in printed.replace("PASS/FAIL", "")
 
 
 def test_verify_example_failure_exit_code(tmp_path):
-    cfg = tmp_path / "strict.ini"
-    cfg.write_text("[tolerances]\ntol_residual_grid = 1e-9\n")
+    cfg = example_config(tmp_path, 1, "[tolerances]\ntol_residual_grid = 1e-9\n")
     out = tmp_path / "strict_out"
-    code = main(["verify-example", "--n", "1", "--config", str(cfg), "--out", str(out)])
+    code = main(["verify-example", "--config", cfg, "--out", str(out)])
     assert code == 1
     assert read_summary(out)["pass"] is False
 
@@ -180,6 +188,10 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "a_values_empty.ini": "[model]\nfamily = mechanical\n[run]\na_values =\n",
         "csv_stride_negative.ini": "[run]\ncsv_stride = -3\n",
         "shift_inf.ini": "[model]\nfamily = mechanical\nshift = inf\n",
+        "example_dim_zero.ini": "[run]\nexample_dim = 0\n",
+        "example_dim_negative.ini": "[run]\nexample_dim = -1\n",
+        "example_dim_five.ini": "[run]\nexample_dim = 5\n",
+        "example_dim_huge.ini": "[run]\nexample_dim = 1000000000\n",
     }
     commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
                 "csv_stride_negative.ini": "solve"}
@@ -194,6 +206,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         if name.startswith("fourier_"):
             commands[name] = "periodic"
             unnamed_invariant += (name,)
+        if name.startswith("example_dim_"):
+            commands[name] = "verify-example"
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
              "off_grid_calibration.ini": "calibration horizon = 0.75 is not a positive "
@@ -225,7 +239,11 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "a_values_empty.ini": "shift invariant violated: a_values must be nonempty",
              "csv_stride_negative.ini": "count invariant violated: periods and pairs "
                                         ">= 1, csv_stride >= 0",
-             "shift_inf.ini": "number invariant violated: shift must be finite"}
+             "shift_inf.ini": "number invariant violated: shift must be finite",
+             "example_dim_zero.ini": "dimension invariant violated",
+             "example_dim_negative.ini": "dimension invariant violated",
+             "example_dim_five.ini": "grid-size invariant violated",
+             "example_dim_huge.ini": "grid-size invariant violated"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -312,10 +330,11 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
         assert code == 2, grid
         assert "a-grid invariant" in capsys.readouterr().err, grid
         assert not (out / "alpha.csv").exists()
-    for dim, invariant in (("0", "dimension"), ("-1", "dimension"), ("5", "grid-size"),
-                           ("1000000000", "grid-size")):
-        assert main(["verify-example", f"--n={dim}", "--out", str(out)]) == 2, dim
-        assert f"{invariant} invariant" in capsys.readouterr().err, dim
+    # the verify-example dimension is the example_dim key, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example", "--n", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n" in capsys.readouterr().err
     for seed in ("-1", "-7"):
         assert main(["lipschitz-c", f"--seed={seed}", "--out", str(out)]) == 2, seed
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -315,29 +316,27 @@ def _cost_rows_written(stepper, w):
 
 
 def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
-    """Three regimes of the step, each asserted: a uniform field on an
-    x-independent Lagrangian takes the one-lane step; a field whose
-    neighbour gaps stay under the least kinetic slope s_star takes the
-    one-candidate step; neither writes a row of the cost buffer.  A field
-    with a larger gap fills every row.  A field one ulp off uniform, a gentle
-    wave and a uniform field under a cosine potential are one-candidate
-    steps; a steep wave on either model is not."""
+    """Two regimes of the step, each asserted: a field whose neighbour gaps
+    stay under the least kinetic slope s_star takes the one-candidate step
+    and writes no row of the cost buffer; a field with a larger gap fills
+    every row.  A uniform field and a field one ulp off uniform on the
+    x-independent drifted quadratic, a gentle wave and a uniform field
+    under a cosine potential are one-candidate steps; a steep wave on
+    either model is not."""
     n = 128
     uniform = np.full(n, 0.3)
     ulp_off = uniform.copy()
     ulp_off[77] = np.nextafter(0.3, 1.0)
     wave = 0.3 + 0.01 * np.cos(2 * np.pi * grid(n))
     steep = 0.3 + 0.5 * np.cos(2 * np.pi * grid(n))
-    lane, one_candidate, full = "lane", "one-candidate", "full"
-    for model, w, regime in ((qd_model, uniform, lane), (qd_model, ulp_off, one_candidate),
+    one_candidate, full = "one-candidate", "full"
+    for model, w, regime in ((qd_model, uniform, one_candidate),
+                             (qd_model, ulp_off, one_candidate),
                              (qd_model, wave, one_candidate),
                              (cosine_model, uniform, one_candidate),
                              (qd_model, steep, full), (cosine_model, steep, full)):
         stepper = HopfLaxStepper(model, n, 2e-3)
-        if stepper._lane is not None and _neighbour_gap(w) == 0.0:
-            seen = lane
-        else:
-            seen = one_candidate if _neighbour_gap(w) < stepper._s_star else full
+        seen = one_candidate if _neighbour_gap(w) < stepper._s_star else full
         assert seen == regime
         rows = _cost_rows_written(stepper, w)
         assert rows == (n if regime == full else 0)
@@ -356,32 +355,80 @@ class _ConstantPotential:
         return kinetic, np.full_like(potential, self.value)
 
 
-def test_bit_uniform_potential_takes_the_lane():
-    """Potential.double_well(X, 0) is -0.0 at every node: the stepper takes
-    the one-lane step for it as for +0.0, and for any V that is one value
-    to the bit, bit-equal to the frozen windowed step over the benchmark's
-    probe grid n = 512, dt = 0.004."""
+def _count_steps(monkeypatch):
+    """A list that grows by one entry on every HopfLaxStepper.step call."""
+    calls = []
+    step = HopfLaxStepper.step
+
+    def counted(self, w, want_origins=False):
+        calls.append(self.n)
+        return step(self, w, want_origins)
+
+    monkeypatch.setattr(HopfLaxStepper, "step", counted)
+    return calls
+
+
+def test_uniform_potential_bit_equals_windowed_oracle(monkeypatch):
+    """Potential.double_well(X, 0) is -0.0 at every node: for it, for +0.0
+    and for any V that is one value at every node, uniform fields step
+    bit-equal to the frozen windowed step over the benchmark's probe grid
+    n = 512, dt = 0.004, and the critical-value probe takes one step."""
     n, dt = 512, 4e-3
     negative_zero = Mechanical(0.0, Potential.from_name("double-well(0.5,0)"))
     models = (negative_zero, Mechanical(0.0, Potential.zero()),
               _ConstantPotential(QuadraticDrift(), 0.25),
               _ConstantPotential(Mechanical(0.7, Potential.zero()), -3.0))
     assert np.signbit(HopfLaxStepper(negative_zero, n, dt).potential).all()
+    calls = _count_steps(monkeypatch)
     for model in models:
         stepper = HopfLaxStepper(model, n, dt)
-        assert stepper._lane is not None
         # at -1e300 every offset ties, the first argmin is on the cutoff and
-        # the lane, past the one-candidate rule, scores all m offsets
+        # the step, past the one-candidate rule, scores all m offsets
         for value in (0.0, -0.0, 0.3, -1e300):
             w = np.full(n, value)
             stepper._cost.fill(np.nan)
             new = _step_or_error(HopfLaxStepper.step, stepper, w)
-            assert np.isnan(stepper._cost).all()
+            assert np.isnan(stepper._cost).all() == (value != -1e300)
             ref = _step_or_error(_windowed_step, stepper, w)
             assert (new is None) == (ref is None) == (value == -1e300)
             if new is not None:
                 assert _bit_equal(new[0], ref[0]) and _bit_equal(new[1], ref[1])
                 assert _bit_equal(stepper.step(w)[0], ref[0])
+        calls.clear()
+        probe = critical_value(model, 20.0, n, dt)
+        assert calls == [n] and probe.oscillation == 0.0
+
+
+_CLOSED_FORM_GRIDS = ((512, 4e-3), (256, 2e-3), (64, 5e-3))
+
+
+@pytest.mark.parametrize("n, dt", _CLOSED_FORM_GRIDS)
+def test_uniform_potential_probe_is_one_step(monkeypatch, cosine_model, n, dt):
+    """With dt V one value at every node the probe takes one step from
+    phi = 0 and scales it.  Mechanical(a, zero) gives c0 within 4 ulp of
+    the exact a^2 / 2 of the double a, the drifted quadratic gives
+    |c0| <= 1e-15, and each agrees with the slope of a stepped sweep of the
+    same stepper to 1e-11 (1 + |c0|).  A cosine V still sweeps every step."""
+    t_probe = 20.0
+    steps = slice_count(t_probe, dt)
+    half = steps // 2
+    calls = _count_steps(monkeypatch)
+    for a in (0.7, -1.3, 3.3, None):
+        model = QuadraticDrift() if a is None else Mechanical(a, Potential.zero())
+        calls.clear()
+        c0 = critical_value(model, t_probe, n, dt).c0
+        assert len(calls) == 1
+        if a is None:
+            assert abs(c0) <= 1e-15
+        else:
+            exact = Fraction(a) ** 2 / 2
+            assert abs(Fraction(c0) - exact) <= 4 * Fraction(np.spacing(float(exact)))
+        w, (mid,) = sweep(HopfLaxStepper(model, n, dt), np.zeros(n), steps, [(half, half)])
+        swept = -(float(np.mean(w)) - float(np.mean(mid.w[0]))) / (t_probe - half * dt)
+        assert abs(c0 - swept) <= 1e-11 * (1.0 + abs(c0))
+    calls.clear()
+    critical_value(cosine_model, t_probe, n, dt)
+    assert len(calls) == steps
 
 
 def _one_candidate_field(stepper, data):

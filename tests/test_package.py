@@ -103,11 +103,14 @@ def test_readme_example_runs():
 
 def test_critical_value_imports_no_numpy_ma():
     """The probe runs inside every timed subcommand; np.median's NaN check
-    would import numpy.ma on its first call, so the probe must not use it."""
+    would import numpy.ma on its first call, so the probe must not use it.
+    A cosine potential makes the probe sweep every step, not take the one
+    step of a uniform potential."""
     script = ("import sys\n"
-              "from mfglab.hamiltonians import QuadraticDrift\n"
+              "from mfglab.hamiltonians import Mechanical, Potential\n"
               "from mfglab.lax_oleinik import critical_value\n"
-              "critical_value(QuadraticDrift(), t_probe=20.0, n=64, dt=5e-3)\n"
+              "critical_value(Mechanical(1.6, Potential.cosine()), t_probe=20.0, n=64,"
+              " dt=5e-3)\n"
               "print('numpy.ma' in sys.modules)\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
