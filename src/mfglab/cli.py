@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,8 +56,30 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, passed: bool,
         "pass": bool(passed),
         "extras": extras,
     })
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    payload = _jsonify(payload)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise MFGLabError(f"summary value {_non_finite(payload)} is not finite") from None
     (out / "summary.json").write_text(text)
+
+
+def _non_finite(value, path=""):
+    """Path of the first non-finite number in a jsonified value, in key
+    order, as key.key[index]; None if every number is finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in sorted(value.items()))
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite(item, where)
+        if found is not None:
+            return found
+    return None
 
 
 def _write_csv(path: Path, header: str, rows) -> None:

@@ -12,37 +12,41 @@ and a stepper holds the (m,) kinetic row, not a table per node.
 
 A stepper reads the candidate origins through a strided (n, m) view of a
 wrapped copy of w, so a step is a few whole-array numpy calls with no
-index gather; the sub-grid value is read from the same window.  One
-lookup of the argmin's offset in a table of interior offsets gives both
-the velocity-cutoff check and the lanes that may take the refinement.  An
-argmin on the window's edge raises whenever that edge is the velocity
-cutoff, not the antipode.  The wrapped copy and the cost table are scratch
-buffers that every step overwrites, so one stepper must not be shared
-across threads.
+index gather over the window; the argmin's neighbours and the sub-grid
+value are read from the same wrapped copy.  One lookup of the argmin's
+offset in a table of interior offsets gives both the velocity-cutoff
+check and the lanes that may take the refinement.  An argmin on the
+window's edge raises whenever that edge is the velocity cutoff, not the
+antipode.  The wrapped copy and the cost block are scratch buffers that
+every step overwrites, so one stepper must not be shared across threads.
 
-The one-candidate rule.  Let kappa = dt K be the kinetic row, i0 its first
-argmin and D = max_j |w[j + 1] - w[j]| around the circle.  On one lane the
-origins of offsets i and i0 are |i - i0| nodes apart, so w differs there by
-at most |i - i0| D, and offset i can tie or beat i0 only if kappa_i -
-kappa_i0 <= |i - i0| D.  Let s* = min over i != i0 of (kappa_i - kappa_i0) /
-|i - i0|, fixed per stepper and defined only for 0 < i0 < m - 1.  Then
-D < s* makes i0 every lane's strict argmin in exact arithmetic, and the
-step scores only the offsets i0 - 1 .. i0 + 1 with one (3, n) add, in
-place of the (n, m) add, the argmin, the cutoff check and the neighbour
-gathers; both paths share one refinement.  The rounding margin, with
-u = 2^-52: a computed gap is within a factor 1 + u of the exact one, so
-exact gaps are at most D (1 + u) and every |w_j| <= W = |w_0| + n D; each
-cost w + kappa is rounded by at most u (W + max|kappa|) / 2; and each
-computed quotient of s* is within a factor 1 + u of the exact one, with
-s* <= 2 max|kappa|.  Hence every computed cost at i != i0 exceeds the one
-at i0 once D (1 + u) + u (W + 3 max|kappa|) < s*.  The step tests the
-stronger D (1 + 8u) + 16u (|w_0| + n D + max|kappa|) < s*, whose slack
-also covers the rounding of the test itself, so the rule picks the argmin
-that the full search would pick, and every result is bit-equal.  The test
-is monotone in D and |w[1] - w[0]| <= D, so the step first tries that one
-gap in Python floats and scans the circle only when it passes; on a rough
-field the cheap failure spares the scan.  A NaN or infinite D fails the
-test and takes the full search.
+The band.  Let kappa = dt K be the kinetic row, i0 its first argmin and
+D = max_j |w[j + 1] - w[j]| around the circle.  On one lane the origins of
+offsets i and i0 are |i - i0| nodes apart, so w differs there by at most
+|i - i0| D, and offset i can tie or beat i0 only if its quotient
+q_i = (kappa_i - kappa_i0) / |i - i0| is at most D.  The rounding margin,
+with u = 2^-52: a computed gap is within a factor 1 + u of the exact one,
+so exact gaps are at most D (1 + u) and every |w_j| <= W = |w_0| + n D;
+each cost w + kappa is rounded by at most u (W + max|kappa|) / 2; and a
+computed quotient is within a factor 1 + u of the exact one, with
+q_i <= 2 max|kappa|.  Hence the computed cost at i exceeds the one at i0
+on every lane once D (1 + u) + u (W + 3 max|kappa|) < q_i.  The step
+computes the stronger reach = D (1 + 8u) + 16u (|w_0| + n D + max|kappa|),
+whose slack also covers the rounding of reach itself, and excludes every
+offset whose computed quotient exceeds it.  On each side of i0 the
+threshold of the offset i0 +- r is the suffix minimum of the quotients
+over the offsets at or beyond i0 +- r on that side; thresholds grow
+outward, they are fixed per stepper, and two bisections of the reach
+into them give the band lo .. hi outside which every offset is excluded.
+An excluded offset loses strictly to i0 on every lane, so the global
+minimum lies in the band, and the band's first argmin is the global first
+argmin: every value and origin is bit-equal to the search of the whole
+window.  A band that misses both window edges holds only interior
+offsets, so its argmin needs no cutoff check.  When lo == hi the argmin
+is i0 on every lane and the step scores the offsets i0 - 1 .. i0 + 1 with
+one (3, n) add and no search; otherwise it adds only the band's columns
+into an (n, hi - lo + 1) block.  A NaN or infinite D gives a reach that
+no threshold exceeds, and the band is the whole window.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
@@ -54,6 +58,7 @@ probe from phi = 0 takes one step and scales it in place of the sweep.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +68,7 @@ from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel, Mechanical
 from .torus import grid, periodic_gradient, periodic_second_difference
 
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
-ULP = 2.0 ** -52     # spacing of doubles at 1; the one-candidate rule's round-off unit
+ULP = 2.0 ** -52     # spacing of doubles at 1; the band rule's round-off unit
 
 
 def median(values: np.ndarray) -> float:
@@ -108,12 +113,16 @@ class HopfLaxStepper:
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
 
-    A field whose largest neighbour gap D passes the one-candidate rule,
-    D (1 + 8u) + 16u (|w_0| + n D + max|dt K|) < s*, has the kinetic row's
-    interior first argmin i0 as every lane's argmin; s* is the least slope
-    (dt K_i - dt K_i0) / |i - i0| and u = 2^-52 (the module docstring
-    derives the margin).  Such a step scores the offsets i0 - 1 .. i0 + 1
-    alone and writes no row of the cost buffer.
+    A step first bounds the field's neighbour gaps D by the padded reach
+    D (1 + 8u) + 16u (|w_0| + n D + max|dt K|), u = 2^-52, and bisects it
+    into the per-side suffix minima of the quotients
+    (dt K_i - dt K_i0) / |i - i0|, i0 the kinetic row's first argmin, to
+    find the band of offsets lo .. hi that can hold an argmin (the module
+    docstring derives the margin).  A band of the one interior offset i0
+    scores i0 - 1 .. i0 + 1 alone and writes nothing to the cost block;
+    a wider band adds its hi - lo + 1 columns of the window into the block
+    and searches them.  A stepper with s_star = -1 (a non-finite kinetic
+    row) searches the whole window on every step.
     """
 
     def __init__(self, model: HamiltonianModel, n: int, dt: float):
@@ -142,42 +151,37 @@ class HopfLaxStepper:
         kinetic, potential = model.lagrangian_parts(self.nodes, velocities)
         self.kinetic = self.dt * kinetic                    # (m,) dt K over the offsets
         self.potential = self.dt * potential                # (n,) dt V over the nodes
-        # the window add is faster with a contiguous (n, m) tiling than a broadcast row
-        self._kinetic_rows = np.tile(self.kinetic, (self.n, 1))
         # wrapped[i] = w[(i - cells) % n]; row j of the window holds w at the
         # origins j - offsets, i.e. wrapped[j + 2 cells - i] for offset i
         self._wrapped = np.empty(self.n + 2 * cells)
         self._window = np.lib.stride_tricks.sliding_window_view(self._wrapped, m)[:, ::-1]
-        self._cost = np.empty((self.n, m))
-        # the refinement's neighbour terms of the kinetic row at each k, edges
-        # clamped: 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm); scaling by 0.5 is
-        # exact, so delta times a term equals 0.5 delta (lp - lm) bit for bit
+        self._block = np.empty(self.n * m)    # the (n, width) costs of a band
+        # per offset k, edges clamped: the kinetic row at k - 1, k and k + 1
+        # and the refinement's terms 0.5 (lp - lm) and 0.5 (lp - 2 lk + lm);
+        # scaling by 0.5 is exact, so delta times a term equals
+        # 0.5 delta (lp - lm) bit for bit
         padded = np.pad(self.kinetic, 1, mode="edge")
         lm, lk, lp = padded[:-2], padded[1:-1], padded[2:]
-        self._slope = 0.5 * (lp - lm)
-        self._curvature = 0.5 * (lp - 2.0 * lk + lm)
+        self._terms = np.stack((lm, lk, lp, 0.5 * (lp - lm), 0.5 * (lp - 2.0 * lk + lm)))
         self._interior = np.abs(self.offsets) < cells        # offsets inside the window
-        rows = np.arange(self.n)
-        # flat indices of (j, k - 1), (j, k), (j, k + 1) at k = 0, and the
-        # wrapped indices of the origins of those three offsets
-        self._flat3 = rows * m + np.array([[-1], [0], [1]])
-        self._origin3 = rows + 2 * cells + np.array([[1], [0], [-1]])
-        # the one-candidate rule: i0 is the kinetic row's first argmin and
-        # s_star = s* the least slope (K_i - K_i0) / |i - i0| that any
-        # other offset climbs; -1 turns the rule off
-        finite = bool(np.isfinite(self.kinetic).all())
-        self._i0 = int(self.kinetic.argmin())
+        # the wrapped indices of the origins of offsets k - 1, k, k + 1 at k = 0
+        self._origin3 = np.arange(self.n) + 2 * cells - np.array([[-1], [0], [1]])
+        # the band: i0 is the kinetic row's first argmin; left[r - 1] and
+        # right[r - 1] are the least quotient (K_j - K_i0) / |j - i0| over the
+        # offsets j at or beyond i0 - r and i0 + r, and s_star = s* the least
+        # of all; -1 turns the band off and every step searches the window
+        self._i0 = i0 = int(self.kinetic.argmin())
         self._s_star = -1.0
+        if np.isfinite(self.kinetic).all():
+            climb = (self.kinetic - self.kinetic[i0]) / np.abs(np.arange(m) - i0).clip(1)
+            self._left = np.minimum.accumulate(climb[:i0]).tolist()[::-1]
+            self._right = np.minimum.accumulate(climb[:i0:-1]).tolist()[::-1]
+            self._s_star = min(self._left[:1] + self._right[:1])
         self._kinetic_max = float(np.max(np.abs(self.kinetic)))
-        if finite and 0 < self._i0 < m - 1:
-            reach = np.abs(np.arange(m) - self._i0)
-            others = reach > 0
-            climb = (self.kinetic[others] - self.kinetic[self._i0]) / reach[others]
-            self._s_star = float(climb.min())
+        if 0 < i0 < m - 1:
             # row i of the transposed window holds every lane's origin at
-            # offset i; the rule reads rows i0 - 1 .. i0 + 1 and K there
-            self._rows3 = self._window.T[self._i0 - 1:self._i0 + 2]
-            self._kinetic3 = self.kinetic[self._i0 - 1:self._i0 + 2, None]
+            # offset i; a band of one interior offset reads rows i0 - 1 .. i0 + 1
+            self._rows3 = self._window.T[i0 - 1:i0 + 2]
         # neighbours on the circle: wrapped[c + 1 + j] - wrapped[c + j] for
         # j < n covers every pair, the wrap pair (w[n - 1], w[0]) included
         self._ahead = self._wrapped[cells + 1:cells + self.n + 1]
@@ -190,49 +194,64 @@ class HopfLaxStepper:
         Displacement d(x) means the minimising origin was y = x - d at the
         earlier slice.  Ties go to the smallest signed displacement.
         """
-        n, c = self.n, self.cells
+        n, c, m = self.n, self.cells, self.offsets.size
         w = np.asarray(w, dtype=float)
-        w0 = float(w[0])
         wrapped = self._wrapped
         wrapped[c:c + n] = w
         wrapped[:c] = wrapped[n:n + c]
         wrapped[c + n:] = wrapped[c:2 * c]
-        # |w[1] - w[0]| is one of the gaps that D bounds and the test is
-        # monotone in D, so a pair that fails it spares the scan
-        if self._one_candidate(abs(float(w[1]) - w0), w0):
-            gaps = np.subtract(self._ahead, self._here, out=self._gaps)
-            lip = float(np.abs(gaps, out=gaps).max())   # NaN or inf if w is not finite
-            if self._one_candidate(lip, w0):
-                rows = self._rows3
-                return self._refine(self._i0, True, rows + self._kinetic3, rows, want_origins)
-        cost = np.add(self._window, self._kinetic_rows, out=self._cost)
+        lo, hi = self._band(float(w[0]))
+        if lo == hi and 0 < lo < m - 1:
+            rows = self._rows3
+            terms = self._terms[:, lo]
+            return self._refine(lo, True, rows + terms[:3, None], rows, terms, want_origins)
+        width = hi + 1 - lo
+        cost = np.add(self._window[:, lo:hi + 1], self.kinetic[lo:hi + 1],
+                      out=self._block[:n * width].reshape(n, width))
         k = cost.argmin(axis=1)
-        interior = self._interior[k]
-        if self.boundary_is_cutoff and not interior.all():
-            raise VelocityCutoffError(
-                "Hopf-Lax argmin sits on the velocity search boundary"
-            )
-        # the argmin and its two neighbours; on the window's edge a
-        # neighbour is clipped or read from the next row, and such a lane
-        # never takes the refinement
-        return self._refine(k, interior, cost.take(self._flat3 + k, mode="clip"),
-                            wrapped.take(self._origin3 - k, mode="clip"), want_origins)
+        k += lo
+        interior = True
+        if lo == 0 or hi == m - 1:
+            interior = self._interior[k]
+            if self.boundary_is_cutoff and not interior.all():
+                raise VelocityCutoffError(
+                    "Hopf-Lax argmin sits on the velocity search boundary"
+                )
+        # the argmin and its two neighbours, recomputed from the window as
+        # the band's add computed them; on the window's edge a neighbour is
+        # clipped or read from the next lane, and such a lane never takes
+        # the refinement
+        terms = self._terms.take(k, axis=1)
+        origins_w = wrapped.take(self._origin3 - k, mode="clip")
+        return self._refine(k, interior, origins_w + terms[:3], origins_w, terms,
+                            want_origins)
 
-    def _one_candidate(self, lip: float, w0: float) -> bool:
-        """Whether i0 is every lane's first argmin, for a field whose
-        neighbour gaps are at most lip and whose value at node 0 is w0."""
-        return (lip * (1.0 + 8.0 * ULP) + 16.0 * ULP * (abs(w0) + self.n * lip
+    def _band(self, w0: float) -> tuple[int, int]:
+        """The offsets lo .. hi that can hold a lane's argmin, for the field
+        in the wrapped buffer whose value at node 0 is w0."""
+        if self._s_star < 0.0:
+            return 0, self.offsets.size - 1
+        gaps = np.subtract(self._ahead, self._here, out=self._gaps)
+        lip = float(np.abs(gaps, out=gaps).max())   # NaN or inf if w is not finite
+        reach = lip * (1.0 + 8.0 * ULP) + 16.0 * ULP * (abs(w0) + self.n * lip
                                                       + self._kinetic_max)
-                < self._s_star)
+        # a NaN or infinite reach compares below no threshold, so the
+        # bisections reach both ends of the window
+        i0 = self._i0
+        return i0 - bisect_right(self._left, reach), i0 + bisect_right(self._right, reach)
 
-    def _refine(self, k, interior, costs, origins_w, want_origins):
+    def _refine(self, k, interior, costs, origins_w, terms, want_origins):
         """The step's value and origins from the argmin k, the lanes that
-        may take the refinement, and the (3, n) costs and w at the offsets
-        k - 1, k, k + 1.  k and interior are per lane, or one offset and True."""
+        may take the refinement, the (3, n) costs and w at the offsets
+        k - 1, k, k + 1, and the columns of the per-offset terms at k.  k,
+        interior and terms are per lane, or one offset's and True."""
         cm, ck, cp = costs
         wm, wk, wp = origins_w
+        _, lk, _, slope, curvature = terms
         denom = cp - 2.0 * ck + cm
-        safe = interior & (denom > 1e-300)
+        safe = denom > 1e-300
+        if interior is not True:
+            safe &= interior
         delta = np.zeros(ck.size)
         np.divide(0.5 * (cm - cp), denom, out=delta, where=safe)
         np.minimum(np.maximum(delta, -0.5, out=delta), 0.5, out=delta)
@@ -240,17 +259,19 @@ class HopfLaxStepper:
         # w is linear between the argmin origin and its neighbour on the
         # side of delta, which holds the refined origin x - disp
         w_ref = wk + np.abs(delta) * (np.where(delta > 0.0, wp, wm) - wk)
-        l_ref = (self.kinetic.take(k) + delta * self._slope.take(k)
-                 + delta**2 * self._curvature.take(k))
+        l_ref = lk + delta * slope + delta**2 * curvature
         refined = w_ref + l_ref
-        # a lane off the refinement has delta = 0 and refined == ck; numpy's
-        # minimum returns its second operand on a tie, so ck is kept there
-        w_next = np.minimum(refined, ck)
+        # the refinement wins only where it is strictly below the discrete
+        # minimum: a lane off the refinement has refined == ck and keeps ck,
+        # and so does a lane beside an infinite node, whose refinement is
+        # inf / inf = NaN
+        better = refined < ck
+        w_next = np.where(better, refined, ck)
         w_next -= self.potential
         if not want_origins:
             return w_next, None
         shift = self.offsets[k]
-        return w_next, np.where(refined < ck, (shift + delta) * self.dx, shift * self.dx)
+        return w_next, np.where(better, (shift + delta) * self.dx, shift * self.dx)
 
 
 def slice_count(t_final: float, dt: float) -> int:
@@ -283,22 +304,25 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int,
     """
     w = np.asarray(phi, dtype=float)
     records = []
+    slices, stepping = {}, {}            # step index -> the records it writes
     for k0, k1 in windows:
         if not 0 <= k0 <= k1 <= steps:
             raise ValueError(f"sweep window ({k0}, {k1}) outside 0..{steps}")
-        records.append(SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)),
-                                   np.empty((k1 - k0, w.size))))
-    bounds = [(rec, k0, k1) for rec, (k0, k1) in zip(records, windows)]
-    for k in range(steps + 1):
-        for rec, k0, k1 in bounds:
-            if k0 <= k <= k1:
-                rec.w[k - k0] = w
-        if k == steps:
-            break
-        stepping = [(rec, k0) for rec, k0, k1 in bounds if k0 <= k < k1]
-        w, origins = stepper.step(w, want_origins=bool(stepping))
-        for rec, k0 in stepping:
-            rec.origins[k - k0] = origins
+        rec = SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)), np.empty((k1 - k0, w.size)))
+        records.append(rec)
+        for k in range(k0, k1 + 1):
+            slices.setdefault(k, []).append(rec)
+            if k < k1:
+                stepping.setdefault(k, []).append(rec)
+    for k in range(steps):
+        for rec in slices.get(k, ()):
+            rec.w[k - rec.start] = w
+        recs = stepping.get(k, ())
+        w, origins = stepper.step(w, want_origins=bool(recs))
+        for rec in recs:
+            rec.origins[k - rec.start] = origins
+    for rec in slices.get(steps, ()):
+        rec.w[steps - rec.start] = w
     return w, records
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from mfglab.cli import RUNNERS, main
@@ -402,9 +404,9 @@ def test_solve_subcommand_artifacts(tmp_path, qd_config):
 
 def test_one_candidate_rule_leaves_artifacts_unchanged(tmp_path, monkeypatch):
     """converge and lipschitz-c write byte-identical artifacts with the
-    Hopf-Lax stepper's one-candidate rule as it is and turned off by
-    s_star = -1, on small configs where the converge sweep takes the rule
-    on steps whose field is not uniform."""
+    Hopf-Lax stepper's band rule as it is and turned off by s_star = -1,
+    on small configs where the converge sweep takes a one-offset band and
+    a band narrower than the window on steps whose field is not uniform."""
     from mfglab.lax_oleinik import HopfLaxStepper
 
     small = QD_CONFIG.replace("n = 256", "n = 128").replace("0.002", "0.004")
@@ -415,13 +417,14 @@ def test_one_candidate_rule_leaves_artifacts_unchanged(tmp_path, monkeypatch):
         "lipschitz-c": QD_CONFIG.replace("0.002", "0.004").replace(
             "family = quadratic-drift", "family = mechanical\nshift = 1.6\npotential = cosine"),
     }
-    passed = []
-    rule = HopfLaxStepper._one_candidate
+    widths = set()
+    band = HopfLaxStepper._band
 
-    def spy(self, lip, w0):
-        ok = rule(self, lip, w0)
-        passed.append(ok and lip > 0.0)
-        return ok
+    def spy(self, w0):
+        lo, hi = band(self, w0)
+        if np.ptp(self._wrapped) > 0.0:
+            widths.add((hi - lo + 1, self.offsets.size))
+        return lo, hi
 
     def run(tag):
         artifacts = {}
@@ -434,9 +437,10 @@ def test_one_candidate_rule_leaves_artifacts_unchanged(tmp_path, monkeypatch):
         return artifacts
 
     with monkeypatch.context() as patch:
-        patch.setattr(HopfLaxStepper, "_one_candidate", spy)
+        patch.setattr(HopfLaxStepper, "_band", spy)
         as_is = run("as-is")
-    assert any(passed)
+    assert any(width == 1 for width, _ in widths)
+    assert any(1 < width < m for width, m in widths)
     build = HopfLaxStepper.__init__
 
     def rule_off(self, *args, **kwargs):
@@ -445,3 +449,31 @@ def test_one_candidate_rule_leaves_artifacts_unchanged(tmp_path, monkeypatch):
 
     monkeypatch.setattr(HopfLaxStepper, "__init__", rule_off)
     assert run("rule-off") == as_is
+
+
+def test_non_finite_summary_value_exits_1(tmp_path, monkeypatch, capsys):
+    """A NaN or infinite value bound for summary.json exits 1 with one
+    stderr line that names its key, and no summary is written; the same
+    config with finite values writes the summary."""
+    import mfglab.cli as cli
+
+    cfg = tmp_path / "qd.ini"
+    cfg.write_text(QD_CONFIG.replace("n = 256", "n = 64").replace("0.002", "0.005"))
+    probe = cli.critical_value
+    out = tmp_path / "finite"
+    assert main(["critical-value", "--config", str(cfg), "--out", str(out)]) == 0
+    assert math.isfinite(read_summary(out)["extras"]["oscillation"])
+    for bad in (math.nan, math.inf):
+        def broken(*args, bad=bad, **kwargs):
+            result = probe(*args, **kwargs)
+            result.oscillation = bad
+            return result
+
+        monkeypatch.setattr(cli, "critical_value", broken)
+        out = tmp_path / f"bad-{bad}"
+        capsys.readouterr()
+        assert main(["critical-value", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "extras.oscillation" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()

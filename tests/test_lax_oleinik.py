@@ -298,50 +298,89 @@ def test_uniform_field_bit_equals_windowed_oracle(model_name, grid_index, value,
     assert _bit_equal(stepper.step(w)[0], ref[0])
 
 
+U = 2.0 ** -52   # spacing of doubles at 1
+
+
 def _neighbour_gap(w):
     """Largest |w[j + 1] - w[j]| around the circle, as the step scans it."""
     return float(np.max(np.abs(np.roll(w, -1) - w)))
 
 
-def _cost_rows_written(stepper, w):
-    """Rows of the (n, m) cost buffer that a step of w writes, checked
+def _reach(stepper, w):
+    """The band rule's padded gap bound of w as the module docstring
+    states it: D (1 + 8u) + 16u (|w_0| + n D + max|dt K|)."""
+    lip = _neighbour_gap(w)
+    return lip * (1.0 + 8.0 * U) + 16.0 * U * (abs(float(w[0])) + stepper.n * lip
+                                              + float(np.max(np.abs(stepper.kinetic))))
+
+
+def _thresholds(stepper):
+    """Each offset j != i0 with its threshold, the least quotient
+    (dt K_i - dt K_i0) / |i - i0| over the offsets i on j's side of the
+    kinetic row's first argmin i0 with |i - i0| >= |j - i0|."""
+    kinetic = stepper.kinetic
+    i0, m = int(np.argmin(kinetic)), kinetic.size
+    side = np.arange(m) - i0
+    quotient = (kinetic - kinetic[i0]) / np.maximum(np.abs(side), 1)
+    return {j: float(np.min(quotient[(side * side[j] > 0) & (np.abs(side) >= abs(side[j]))]))
+            for j in range(m) if j != i0}
+
+
+def _band_of(stepper, w):
+    """The offsets lo .. hi that the band rule lets hold an argmin for w:
+    i0 and every offset whose threshold the reach does not stay under."""
+    reach = _reach(stepper, w)
+    inside = [int(np.argmin(stepper.kinetic))]
+    inside += [j for j, t in _thresholds(stepper).items() if not reach < t]
+    return min(inside), max(inside)
+
+
+def _block_entries_written(stepper, w):
+    """Entries of the band's cost block that a step of w writes, checked
     to be the same with and without origins."""
     counts = set()
     for want_origins in (False, True):
-        stepper._cost.fill(np.nan)
+        stepper._block.fill(np.nan)
         stepper.step(w, want_origins=want_origins)
-        counts.add(int((~np.isnan(stepper._cost).any(axis=1)).sum()))
+        counts.add(int((~np.isnan(stepper._block)).sum()))
     (count,) = counts
     return count
 
 
 def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
-    """Two regimes of the step, each asserted: a field whose neighbour gaps
-    stay under the least kinetic slope s_star takes the one-candidate step
-    and writes no row of the cost buffer; a field with a larger gap fills
-    every row.  A uniform field and a field one ulp off uniform on the
-    x-independent drifted quadratic, a gentle wave and a uniform field
-    under a cosine potential are one-candidate steps; a steep wave on
-    either model is not."""
+    """A step writes n entries of the cost block per offset of its band
+    and nothing else, and a band of one interior offset writes none.  A
+    uniform field and a field one ulp off uniform on the x-independent
+    drifted quadratic, a gentle wave and a uniform field under a cosine
+    potential take one offset; a rough wave on the drifted quadratic and a
+    steep one under the cosine potential take a band inside the window
+    (m = 5 offsets here), the steep wave on the drifted quadratic a band
+    on the window's edge, and a field with an infinite node the whole window."""
     n = 128
     uniform = np.full(n, 0.3)
     ulp_off = uniform.copy()
     ulp_off[77] = np.nextafter(0.3, 1.0)
     wave = 0.3 + 0.01 * np.cos(2 * np.pi * grid(n))
+    rough = 0.3 + 0.2 * np.cos(2 * np.pi * grid(n))
     steep = 0.3 + 0.5 * np.cos(2 * np.pi * grid(n))
-    one_candidate, full = "one-candidate", "full"
-    for model, w, regime in ((qd_model, uniform, one_candidate),
-                             (qd_model, ulp_off, one_candidate),
-                             (qd_model, wave, one_candidate),
-                             (cosine_model, uniform, one_candidate),
-                             (qd_model, steep, full), (cosine_model, steep, full)):
+    gap = wave.copy()
+    gap[5] = np.inf
+    one, inside, edge = "one", "inside", "edge"
+    cases = ((qd_model, uniform, one), (qd_model, ulp_off, one), (qd_model, wave, one),
+             (cosine_model, uniform, one), (qd_model, rough, inside),
+             (cosine_model, steep, inside), (qd_model, steep, edge), (qd_model, gap, edge))
+    for model, w, regime in cases:
         stepper = HopfLaxStepper(model, n, 2e-3)
-        seen = one_candidate if _neighbour_gap(w) < stepper._s_star else full
+        lo, hi = _band_of(stepper, w)
+        m = stepper.offsets.size
+        seen = one if lo == hi else inside if 0 < lo and hi < m - 1 else edge
         assert seen == regime
-        rows = _cost_rows_written(stepper, w)
-        assert rows == (n if regime == full else 0)
-        assert _bit_equal(stepper.step(w, want_origins=True)[1],
-                          _windowed_step(stepper, w, want_origins=True)[1])
+        with np.errstate(invalid="ignore"):      # inf - inf beside the infinite node
+            written = _block_entries_written(stepper, w)
+            origins = stepper.step(w, want_origins=True)[1]
+            assert _bit_equal(origins, _windowed_step(stepper, w, want_origins=True)[1])
+        assert written == (0 if regime == one else n * (hi + 1 - lo))
+        assert stepper._band(float(w[0])) == (lo, hi)   # the buffer holds w now
 
 
 class _ConstantPotential:
@@ -383,12 +422,13 @@ def test_uniform_potential_bit_equals_windowed_oracle(monkeypatch):
     for model in models:
         stepper = HopfLaxStepper(model, n, dt)
         # at -1e300 every offset ties, the first argmin is on the cutoff and
-        # the step, past the one-candidate rule, scores all m offsets
+        # the step, whose reach now spans the window, scores all m offsets
         for value in (0.0, -0.0, 0.3, -1e300):
             w = np.full(n, value)
-            stepper._cost.fill(np.nan)
+            stepper._block.fill(np.nan)
             new = _step_or_error(HopfLaxStepper.step, stepper, w)
-            assert np.isnan(stepper._cost).all() == (value != -1e300)
+            written = int((~np.isnan(stepper._block)).sum())
+            assert written == (stepper._block.size if value == -1e300 else 0)
             ref = _step_or_error(_windowed_step, stepper, w)
             assert (new is None) == (ref is None) == (value == -1e300)
             if new is not None:
@@ -431,37 +471,76 @@ def test_uniform_potential_probe_is_one_step(monkeypatch, cosine_model, n, dt):
     assert len(calls) == steps
 
 
-def _one_candidate_field(stepper, data):
-    """A field drawn around the one-candidate rule's threshold: a wave, or
-    a wave plus node noise, scaled so that its largest neighbour gap sits
-    just below, at or a few ulps above s_star, then optionally an exact tie
-    between i0 and a neighbour on one lane, a shift to |w| ~ 1e300, or
-    non-finite nodes."""
-    n, s_star = stepper.n, stepper._s_star
+def _float_key(x):
+    """An integer that orders doubles as their values do, one step per ulp."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _key_float(key):
+    """The double of a _float_key."""
+    bits = key if key >= 0 else -key | -0x8000000000000000
+    return float(np.int64(bits).view(np.float64))
+
+
+def _first_key(lo, hi, holds):
+    """Smallest key in lo .. hi at which the monotone predicate holds."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _band_field(stepper, data):
+    """A field whose reach sits just below, at or just above one drawn
+    threshold, any offset's: a wave, or a wave plus node noise, at half
+    the threshold's gap, whose top node is raised to the double where the
+    reach crosses it (at level 0 the reach can land on the threshold).  Then optionally an exact tie on one lane between two
+    of i0, the band's edges and the offsets just past them, a shift to
+    |w| ~ 1e300, or non-finite nodes."""
+    n, offsets = stepper.n, stepper.offsets
+    target = data.draw(st.sampled_from(sorted(set(_thresholds(stepper).values()))))
     base = np.cos(2 * np.pi * data.draw(st.integers(1, 3)) * grid(n)
                   + data.draw(st.floats(0.0, 1.0)))
     if data.draw(st.booleans()):
         base += data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
-    gap = _neighbour_gap(base)
-    target = abs(s_star) * data.draw(st.sampled_from(
-        [0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14, 1.0, 1.0 + 4e-16, 1.0 + 1e-15, 2.0]))
-    w = base * (target / gap) + data.draw(st.sampled_from([0.0, 0.3, -7.0, 1e6]))
-    for _ in range(data.draw(st.integers(0, 3))):  # nudge the largest gap by ulps
-        j = int(np.argmax(np.abs(np.roll(w, -1) - w)))
-        w[j] = np.nextafter(w[j], data.draw(st.sampled_from([-np.inf, np.inf])))
-    twist = data.draw(st.sampled_from(["none", "tie", "huge", "nan", "inf"]))
-    i0, offsets = stepper._i0, stepper.offsets
-    if twist == "tie" and 0 < i0 < offsets.size - 1:
-        side = data.draw(st.sampled_from([-1, 1]))
+    base = np.roll(base, n // 2 - int(np.argmax(base)))   # the top node away from node 0
+    # the top node at the drawn level, so at level 0 its ulps are finer than the target's
+    w = (base - base.max()) * (0.5 * target / _neighbour_gap(base)) + data.draw(
+        st.sampled_from([0.0, 0.0, 0.3, -7.0, 1e6]))
+    top = n // 2
+    # raising the top node widens its two gaps, so the reach grows with it
+    low, high = _float_key(w[top]), _float_key(w[top] + 4.0 * target + 1.0)
+
+    def reach_at(key):
+        w[top] = _key_float(key)
+        return _reach(stepper, w)
+
+    side = data.draw(st.sampled_from(["below", "at", "above"]))
+    key = _first_key(low, high, lambda k: not reach_at(k) < target)
+    if side == "below":
+        key -= 1
+    elif side == "above":
+        key = _first_key(key, high, lambda k: reach_at(k) > target)
+    reach_at(key)
+    twist = data.draw(st.sampled_from(["none", "none", "tie", "huge", "nan", "inf"]))
+    if twist == "tie":
+        lo, hi = _band_of(stepper, w)
+        i0 = int(np.argmin(stepper.kinetic))
+        edges = sorted({i for i in (i0, lo, hi, lo - 1, hi + 1) if 0 <= i < offsets.size})
+        a, b = data.draw(st.permutations(edges))[:2] if len(edges) > 1 else (i0, i0)
         lane = data.draw(st.integers(0, n - 1))
-        y0, y1 = (lane - offsets[i0]) % n, (lane - offsets[i0 + side]) % n
-        k0, k1 = stepper.kinetic[i0], stepper.kinetic[i0 + side]
-        w[y1] = (w[y0] + k0) - k1
-        for _ in range(4):                  # walk w[y1] onto the exact tie
-            gap_to_tie = (w[y1] + k1) - (w[y0] + k0)
+        ya, yb = (lane - offsets[a]) % n, (lane - offsets[b]) % n
+        ka, kb = stepper.kinetic[a], stepper.kinetic[b]
+        w[yb] = (w[ya] + ka) - kb
+        for _ in range(4):                  # walk w[yb] onto the exact tie
+            gap_to_tie = (w[yb] + kb) - (w[ya] + ka)
             if gap_to_tie == 0.0:
                 break
-            w[y1] = np.nextafter(w[y1], -np.inf if gap_to_tie > 0.0 else np.inf)
+            w[yb] = np.nextafter(w[yb], -np.inf if gap_to_tie > 0.0 else np.inf)
     elif twist == "huge":
         w = np.float64(data.draw(st.sampled_from([1e300, -1e300]))) + w
     elif twist in ("nan", "inf"):
@@ -470,27 +549,31 @@ def _one_candidate_field(stepper, data):
     return w
 
 
+_BAND_MODELS = {**_ORACLE_MODELS, "free-past-cutoff": _X_INDEPENDENT["free-past-cutoff"]}
+
+
 @settings(max_examples=300, deadline=None)
-@given(model_name=st.sampled_from(sorted(_ORACLE_MODELS)),
+@given(model_name=st.sampled_from(sorted(_BAND_MODELS)),
        grid_index=st.integers(0, len(_ORACLE_GRIDS) - 1),
        data=st.data())
 def test_one_candidate_step_bit_equals_windowed_oracle(model_name, grid_index, data):
-    """Around the one-candidate threshold, with exact ties, |w| ~ 1e300 and
-    non-finite nodes: values and origins bit-equal the same stepper with
-    the rule turned off, and on finite fields the frozen windowed step, with
-    and without origins; the velocity-cutoff error comes in the same cases.
-    On a non-finite field the frozen step keeps the discrete minimum where
-    the refinement is NaN and the step's np.minimum keeps the NaN, so there
-    only the rule-off step is the reference."""
-    stepper = _stepper(model_name, grid_index)
+    """With the reach just below, at or just above any offset's threshold,
+    bands on either window edge (the drifted free model's i0 is on the
+    cutoff), exact ties between band-edge offsets, |w| ~ 1e300 and
+    non-finite nodes: the step takes the band that the thresholds give,
+    and its values and origins bit-equal the same stepper with the band
+    rule turned off and the frozen windowed step, with and without
+    origins; the velocity-cutoff error comes in the same cases."""
+    n, dt = _ORACLE_GRIDS[grid_index]
+    stepper = HopfLaxStepper(_BAND_MODELS[model_name], n, dt)
     full = copy.copy(stepper)
     full._s_star = -1.0
-    w = _one_candidate_field(stepper, data)
-    refs = [full.step] + ([partial(_windowed_step, stepper)] if np.isfinite(w).all() else [])
+    w = _band_field(stepper, data)
     with np.errstate(all="ignore"):
         new = _step_or_error(HopfLaxStepper.step, stepper, w)
+        assert stepper._band(float(w[0])) == _band_of(stepper, w)
         plain = None if new is None else stepper.step(w)[0]
-        for ref_step in refs:
+        for ref_step in (full.step, partial(_windowed_step, stepper)):
             try:
                 ref = ref_step(w, want_origins=True)
             except VelocityCutoffError:
@@ -525,8 +608,8 @@ def test_potential_shifts_values_not_origins(shift, potential, grid_index, data)
 
 
 def test_stepper_holds_no_per_node_lagrangian():
-    """A built stepper holds two (n, m) arrays, the cost buffer and the
-    kinetic tiling, and no (n, m) Lagrangian table per node."""
+    """A built stepper holds one (n, m) array, the band's cost block, and
+    no (n, m) Lagrangian table per node."""
     n, dt = 4096, 1e-3
     model = Mechanical(1.6, Potential.cosine())
     tracemalloc.start()
