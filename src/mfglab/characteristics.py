@@ -115,12 +115,6 @@ class FlowMap:
         bit-equal to a one-span call."""
         return self._solve_g(self.g(y) + s)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,G,v\n")
-            for j, x in enumerate(self.df.nodes):
-                fh.write(f"{x:.17g},{self.g_nodes[j]:.17g},{self.df.v[j]:.17g}\n")
-
 
 def _over(fn, z):
     """fn(z) / z for fn = log1p or expm1, continued by its limit 1 at z = 0."""

@@ -5,6 +5,10 @@ with a fixed schema plus CSV artifacts and a plotting script into the
 output directory, and exits 0 on success, 1 on a numerical-tolerance
 failure, 2 on invalid input.  Identical configs produce byte-identical
 summaries; the only randomness (measure-pair generation) is seeded.
+
+The pass/fail bounds are the constants below; only converge's final d1
+bound is a config key.  A run that fails a check still writes its summary
+and names the check, its value and its bound on one stderr line.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import ConfigError, MFGLabError
 from .lax_oleinik import alpha_function, critical_value, weak_kam_solution
 from .measures import random_fourier_density, wasserstein1
 from .mfg import (
+    LIPSCHITZ_SLACK,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
     periodic_regime,
@@ -32,6 +37,14 @@ from .mfg import (
 
 SUMMARY_KEYS = ("c0", "tau", "c_mT", "periodicity_defect", "nontriviality_gap",
                 "lipschitz_ratio_max", "convergence_table")
+
+CONVEXITY_TOL = 1e-2         # alpha: least second difference of alpha >= -this
+PERIODICITY_TOL = 1e-4       # periodic: d1 between slices one period apart
+NONTRIVIALITY_TOL = 1e-3     # periodic: least d1 spread of m_bar from m_bar(0) ...
+INVARIANT_RADIUS = 1e-2      # ... unless m_T lies within this d1 of m_star
+CONVERGE_SLACK = 0.1         # converge: a deviation may rise by this factor
+RESIDUAL_CLOSED_TOL = 1e-10  # verify-example: closed-form residuals
+RESIDUAL_GRID_TOL = 1e-3     # verify-example: sampled-grid residuals
 
 
 def _jsonify(value):
@@ -46,14 +59,16 @@ def _jsonify(value):
     return value
 
 
-def _write_summary(out: Path, command: str, cfg: RunConfig, passed: bool,
-                   fields: dict, extras: dict) -> None:
+def _write_summary(out: Path, command: str, cfg: RunConfig, failure,
+                   fields: dict, extras: dict) -> int:
+    """Write summary.json and return the run's exit code: 0, or 1 when a
+    check failed, with the failure on one stderr line."""
     payload = {key: None for key in SUMMARY_KEYS}
     payload.update(fields)
     payload.update({
         "command": command,
         "config": cfg.as_dict(),
-        "pass": bool(passed),
+        "pass": failure is None,
         "extras": extras,
     })
     payload = _jsonify(payload)
@@ -62,6 +77,10 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, passed: bool,
     except ValueError:
         raise MFGLabError(f"summary value {_non_finite(payload)} is not finite") from None
     (out / "summary.json").write_text(text)
+    if failure is None:
+        return 0
+    print(f"check failed: {failure}", file=sys.stderr)
+    return 1
 
 
 def _non_finite(value, path=""):
@@ -131,6 +150,15 @@ print("plots written to", HERE)
 """
 
 
+def _failure(checks):
+    """The first of the checks (name, value, relation, bound) that fails,
+    as one line, or None; relation is "<=" or ">=", and NaN fails both."""
+    for name, value, relation, bound in checks:
+        if not (value <= bound if relation == "<=" else value >= bound):
+            return f"{name}: {value:.6g} is not {relation} {bound:.6g}"
+    return None
+
+
 def _auto_stride(cfg: RunConfig, n_slices: int) -> int:
     if cfg.csv_stride > 0:
         return cfg.csv_stride
@@ -138,8 +166,8 @@ def _auto_stride(cfg: RunConfig, n_slices: int) -> int:
 
 
 def _probe(cfg: RunConfig, model):
-    """The critical-value probe of the config, held to tol_c0."""
-    return critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
+    """The critical-value probe of the config."""
+    return critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe)
 
 
 def _regime(cfg: RunConfig, model) -> tuple:
@@ -153,12 +181,11 @@ def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> 
     wk = weak_kam_solution(model, probe)
     _write_csv(out / "u0.csv", "x,u0",
                zip(np.arange(cfg.n) / cfg.n, wk.u0))
-    _write_summary(out, "critical-value", cfg, True,
-                   {"c0": probe.c0},
-                   {"oscillation": probe.oscillation,
-                    "stationary_residual": wk.max_residual(),
-                    "kink_nodes": int(np.sum(wk.kink_mask))})
-    return 0
+    return _write_summary(out, "critical-value", cfg, None,
+                          {"c0": probe.c0},
+                          {"oscillation": probe.oscillation,
+                           "stationary_residual": wk.max_residual(),
+                           "kink_nodes": int(np.sum(wk.kink_mask))})
 
 
 def _parse_a_grid(text: str) -> np.ndarray:
@@ -184,22 +211,21 @@ def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     else:
         a_values = np.asarray(cfg.a_values, dtype=float)
     alphas = np.array([
-        alpha_function(model, float(a), cfg.t_probe, cfg.n, cfg.dt_probe, cfg.tol_c0)
+        alpha_function(model, float(a), cfg.t_probe, cfg.n, cfg.dt_probe)
         for a in a_values
     ])
     _write_csv(out / "alpha.csv", "a,alpha", zip(a_values, alphas))
-    convexity = None
-    passed = True
+    convexity = failure = None
     if a_values.size >= 3:
         spacing = np.diff(a_values)
         if np.allclose(spacing, spacing[0], rtol=1e-9):
             second = alphas[2:] - 2.0 * alphas[1:-1] + alphas[:-2]
             convexity = float(np.min(second))
-            passed = convexity >= -cfg.tol_convexity
-    _write_summary(out, "alpha", cfg, passed, {},
-                   {"a_values": a_values, "alpha": alphas,
-                    "convexity_min_second_difference": convexity})
-    return 0 if passed else 1
+            failure = _failure([("convexity_min_second_difference", convexity, ">=",
+                                 -CONVEXITY_TOL)])
+    return _write_summary(out, "alpha", cfg, failure, {},
+                          {"a_values": a_values, "alpha": alphas,
+                           "convexity_min_second_difference": convexity})
 
 
 def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
@@ -215,11 +241,10 @@ def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     _write_csv(out / "m.csv", "t,x,w",
                ((sol.times[k], x, w) for k in range(0, sol.times.size, stride)
                 for x, w in zip(sol.m_positions[k], sol.m_weights)))
-    _write_summary(out, "solve", cfg, True, {},
-                   {"c": sol.c,
-                    "coupling_final": float(sol.coupling_series[-1]),
-                    "horizon": cfg.horizon})
-    return 0
+    return _write_summary(out, "solve", cfg, None, {},
+                          {"c": sol.c,
+                           "coupling_final": float(sol.coupling_series[-1]),
+                           "horizon": cfg.horizon})
 
 
 def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
@@ -235,16 +260,17 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     _write_csv(out / "mbar.csv", "t,x,mass",
                ((ps.times[k], x, w) for k in range(0, ps.times.size, stride)
                 for x, w in zip(ps.m_bar[k].positions, ps.m_bar[k].weights)))
-    ps.flow.write_csv(out / "flow.csv")
-    passed = ps.periodicity_defect <= cfg.tol_periodicity and (
-        ps.distance_to_invariant < 1e-2 or ps.nontriviality_gap >= cfg.tol_nontriviality)
-    _write_summary(out, "periodic", cfg, passed,
-                   {"c0": ps.c0, "tau": ps.tau, "c_mT": ps.c_mt,
-                    "periodicity_defect": ps.periodicity_defect,
-                    "nontriviality_gap": ps.nontriviality_gap},
-                   {"mather_class": ps.drift.classification,
-                    "distance_to_invariant": ps.distance_to_invariant})
-    return 0 if passed else 1
+    _write_csv(out / "flow.csv", "x,G,v", zip(ps.flow.df.nodes, ps.flow.g_nodes, ps.flow.df.v))
+    checks = [("periodicity_defect", ps.periodicity_defect, "<=", PERIODICITY_TOL)]
+    if not ps.distance_to_invariant < INVARIANT_RADIUS:  # m_T away from m_star
+        checks.append(("nontriviality_gap", ps.nontriviality_gap, ">=", NONTRIVIALITY_TOL))
+    failure = _failure(checks)
+    return _write_summary(out, "periodic", cfg, failure,
+                          {"c0": ps.c0, "tau": ps.tau, "c_mT": ps.c_mt,
+                           "periodicity_defect": ps.periodicity_defect,
+                           "nontriviality_gap": ps.nontriviality_gap},
+                          {"mather_class": ps.drift.classification,
+                           "distance_to_invariant": ps.distance_to_invariant})
 
 
 def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
@@ -255,16 +281,18 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
-    report = lipschitz_c_experiment(pairs, _regime(cfg, model), functional, dt=cfg.dt,
-                                    tolerance=cfg.tol_lipschitz_slack)
+    report = lipschitz_c_experiment(pairs, _regime(cfg, model), functional, dt=cfg.dt)
     _write_csv(out / "ratios.csv", "d1,gap,ratio",
                zip(report.distances, report.gaps, report.ratios))
-    passed = report.violations == 0
-    _write_summary(out, "lipschitz-c", cfg, passed,
-                   {"lipschitz_ratio_max": report.max_ratio},
-                   {"bound": report.bound, "k1": report.k1,
-                    "violations": report.violations, "pairs": len(pairs)})
-    return 0 if passed else 1
+    failure = None
+    if report.violations:  # pairs whose ratio exceeds bound + LIPSCHITZ_SLACK
+        failure = (f"lipschitz_ratio_max: {report.max_ratio:.6g} is not <= bound + slack "
+                   f"{report.bound:.6g} + {LIPSCHITZ_SLACK:g} ({report.violations} of "
+                   f"{len(pairs)} pairs)")
+    return _write_summary(out, "lipschitz-c", cfg, failure,
+                          {"lipschitz_ratio_max": report.max_ratio},
+                          {"bound": report.bound, "k1": report.k1,
+                           "violations": report.violations, "pairs": len(pairs)})
 
 
 def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
@@ -276,27 +304,26 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
         window=cfg.window, dt=cfg.dt)
     table = [[T, d, u] for T, d, u in report.rows()]
     _write_csv(out / "converge.csv", "horizon,d1_deviation,u_deviation", table)
-    slack = 1.0 + cfg.tol_converge_slack
-    d1 = report.d1_deviation
-    uu = report.u_deviation
-    monotone = all(d1[i + 1] <= d1[i] * slack for i in range(len(d1) - 1)) and \
-        all(uu[i + 1] <= uu[i] * slack for i in range(len(uu) - 1))
-    passed = monotone and d1[-1] <= cfg.tol_converge_final
-    _write_summary(out, "converge", cfg, passed,
-                   {"convergence_table": table, "c_mT": report.c_mt},
-                   {"window": report.window})
-    return 0 if passed else 1
+    slack = 1.0 + CONVERGE_SLACK
+    rises = [(f"{name} at T = {now[0]:g} vs {slack:g} x its T = {before[0]:g} value",
+              now[col], "<=", before[col] * slack)
+             for col, name in ((1, "d1_deviation"), (2, "u_deviation"))
+             for before, now in zip(table, table[1:])]
+    failure = _failure(rises + [(f"d1_deviation at T = {table[-1][0]:g} vs tol_converge_final",
+                                 table[-1][1], "<=", cfg.tol_converge_final)])
+    return _write_summary(out, "converge", cfg, failure,
+                          {"convergence_table": table, "c_mT": report.c_mt},
+                          {"window": report.window})
 
 
 def run_wasserstein(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     m1 = cfg.build_measure(cfg.m1)
     m2 = cfg.build_measure(cfg.m2)
     d1 = wasserstein1(m1, m2)
-    m1.write_csv(out / "m1.csv")
-    m2.write_csv(out / "m2.csv")
-    _write_summary(out, "wasserstein", cfg, True, {},
-                   {"d1": d1, "m1": cfg.m1, "m2": cfg.m2})
-    return 0
+    _write_csv(out / "m1.csv", "x,mass", zip(m1.positions, m1.weights))
+    _write_csv(out / "m2.csv", "x,mass", zip(m2.positions, m2.weights))
+    return _write_summary(out, "wasserstein", cfg, None, {},
+                          {"d1": d1, "m1": cfg.m1, "m2": cfg.m2})
 
 
 _GRID_BY_DIM = {1: (256, 256), 2: (48, 48), 3: (24, 24)}
@@ -325,19 +352,16 @@ def run_verify_example(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> 
     }
     for key, value in results.items():
         print(f"{key.replace('_', ' ')}: {value:.6e}")
-    passed = True
+    failure = None
     if dim == 1:
-        passed = (results["hjb_closed"] <= cfg.tol_residual_closed
-                  and results["transport_closed"] <= cfg.tol_residual_closed
-                  and results["hjb_grid"] <= cfg.tol_residual_grid
-                  and results["transport_grid"] <= cfg.tol_residual_grid)
-        print("PASS" if passed else "FAIL")
+        failure = _failure([(key, value, "<=", RESIDUAL_CLOSED_TOL if key.endswith("closed")
+                             else RESIDUAL_GRID_TOL) for key, value in results.items()])
+        print("FAIL" if failure else "PASS")
     else:
         print(f"note: the stated pair leaves a transport defect of size "
               f"{(dim - 1) * 2 * np.pi:.6g} in dimension {dim}")
-    _write_summary(out, "verify-example", cfg, passed, {},
-                   {"dim": dim, **results})
-    return 0 if passed else 1
+    return _write_summary(out, "verify-example", cfg, failure, {},
+                          {"dim": dim, **results})
 
 
 RUNNERS = {

@@ -1,7 +1,9 @@
 """Run configuration: plain-text key/value files with sections, parsed
 into a validated RunConfig.  Reproducibility of experiments is the
 product, so there are no environment overrides and the resolved config is
-embedded verbatim in every JSON summary."""
+embedded verbatim in every JSON summary.  The pass/fail bounds of the
+experiments are constants beside the checks that read them, not keys;
+tol_converge_final, the final d1 bound of converge, is the one a run sets."""
 
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ def _syntax_error(exc: configparser.Error) -> str:
 class RunConfig:
     # model
     family: str = "quadratic-drift"
-    model_dim: int = 1
     shift: float = 0.0
     potential: str = "zero"
     # grid
@@ -60,24 +61,12 @@ class RunConfig:
     a_values: list = field(default_factory=lambda: [0.0])
     example_dim: int = 1
     csv_stride: int = 0  # 0 = auto
-    # tolerances
-    tol_c0: float = 0.05
-    tol_periodicity: float = 1e-4
-    tol_nontriviality: float = 1e-3
-    tol_lipschitz_slack: float = 1e-9
-    tol_convexity: float = 1e-2
-    tol_residual_closed: float = 1e-10
-    tol_residual_grid: float = 1e-3
+    # tolerances (the fixed pass/fail bounds are constants beside their checks)
     tol_converge_final: float = 5e-3
-    tol_converge_slack: float = 0.1
 
-    _FLOATS = {
-        "shift", "dt", "t_probe", "dt_probe", "horizon", "window",
-        "c", "tol_c0", "tol_periodicity", "tol_nontriviality",
-        "tol_lipschitz_slack", "tol_convexity", "tol_residual_closed",
-        "tol_residual_grid", "tol_converge_final", "tol_converge_slack",
-    }
-    _INTS = {"model_dim", "n", "periods", "pairs", "example_dim", "csv_stride"}
+    _FLOATS = {"shift", "dt", "t_probe", "dt_probe", "horizon", "window", "c",
+               "tol_converge_final"}
+    _INTS = {"n", "periods", "pairs", "example_dim", "csv_stride"}
     _LISTS = {"horizons", "a_values"}
 
     @classmethod
@@ -92,7 +81,7 @@ class RunConfig:
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls()
-        aliases = {"f": "coupling", "dim": "model_dim"}
+        aliases = {"f": "coupling"}
         for section in parser.sections():
             for key, raw in parser.items(section):
                 key = aliases.get(key, key).replace("-", "_")
@@ -127,9 +116,6 @@ class RunConfig:
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"number invariant violated: {name} must be finite, "
                                   f"got {getattr(self, name)}")
-        if self.model_dim != 1:
-            raise ConfigError(f"dimension invariant violated: the grid scheme is 1-d, "
-                              f"dim must be 1, got {self.model_dim}")
         dx = 1.0 / n
         vmax = VELOCITY_CUTOFF
         for label, dt in (("dt", self.dt), ("dt_probe", self.dt_probe)):

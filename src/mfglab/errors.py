@@ -10,7 +10,7 @@ class VelocityCutoffError(MFGLabError):
 
 
 class NotConvergedError(MFGLabError):
-    """A long-time limit did not settle within the requested tolerance."""
+    """A long-time limit did not settle within its tolerance."""
 
 
 class AmbiguousClassificationError(MFGLabError):

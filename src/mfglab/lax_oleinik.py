@@ -50,9 +50,10 @@ no threshold exceeds, and the band is the whole window.
 
 Long-horizon runs of the same operator give the critical value of the
 Hamiltonian, its stationary solution, and the alpha function of shifted
-mechanical models.  When dt V takes one value at every node, a uniform
-field steps to a uniform one by the same increment, so the critical-value
-probe from phi = 0 takes one step and scales it in place of the sweep.
+mechanical models, each probe held to PROBE_TOL.  When dt V takes one
+value at every node, a uniform field steps to a uniform one by the same
+increment, so the critical-value probe from phi = 0 takes one step and
+scales it in place of the sweep.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel, Mechanical
 from .torus import grid, periodic_gradient, periodic_second_difference
 
 T_PROBE_MIN = 20.0  # shortest probe over which the long-time slope settles
+PROBE_TOL = 0.05    # largest oscillation of w + c0 t the probe accepts
 ULP = 2.0 ** -52     # spacing of doubles at 1; the band rule's round-off unit
 
 
@@ -336,16 +338,16 @@ class CriticalValueResult:
     semiconcavity: float  # measured at t = 1
 
 
-def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float,
-                   tol_c0: float = 0.05) -> CriticalValueResult:
+def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
+                   ) -> CriticalValueResult:
     """Critical value from the long-time slope of the semigroup.
 
     Runs the semigroup from phi = 0, estimates c0 from the drop of the
     spatial mean between t_probe/2 and t_probe, and reports the
     oscillation of (w + c0 t) between those two probes as the
-    convergence diagnostic.  When dt V is one value at every node, each
-    step adds the same uniform increment w1, so the slices at k steps are
-    k w1 and one step replaces the sweep.
+    convergence diagnostic, held to PROBE_TOL.  When dt V is one value at
+    every node, each step adds the same uniform increment w1, so the
+    slices at k steps are k w1 and one step replaces the sweep.
     """
     if t_probe < T_PROBE_MIN:
         raise ValueError(f"t_probe must be at least {T_PROBE_MIN:g}")
@@ -369,9 +371,9 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float,
         c0=c0, oscillation=oscillation, t_probe=t_probe, n=n,
         w_final=w, semiconcavity=c_sc,
     )
-    if oscillation > tol_c0:
+    if oscillation > PROBE_TOL:
         raise NotConvergedError(
-            f"critical value diagnostic {oscillation:.3g} exceeds tol {tol_c0:.3g}"
+            f"critical value diagnostic {oscillation:.3g} exceeds tol {PROBE_TOL:.3g}"
         )
     return result
 
@@ -409,10 +411,10 @@ def weak_kam_solution(model: HamiltonianModel, probe: CriticalValueResult
                          kink_mask=kinks, c0=c0)
 
 
-def alpha_function(model: Mechanical, a: float, t_probe: float, n: int, dt: float,
-                   tol_c0: float = 0.05) -> float:
+def alpha_function(model: Mechanical, a: float, t_probe: float, n: int, dt: float
+                   ) -> float:
     """Mather alpha function: critical value of H_a(x,p) = (p+a)^2/2 + V(x)."""
     if not isinstance(model, Mechanical):
         raise TypeError("alpha_function expects a mechanical model")
     shifted = Mechanical(shift=float(a), potential=model.potential)
-    return critical_value(shifted, t_probe, n, dt, tol_c0).c0
+    return critical_value(shifted, t_probe, n, dt).c0

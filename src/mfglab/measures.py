@@ -25,8 +25,7 @@ BLOCK_POINTS = 2**14   # inverse-flow points per TransportTable block
 class CircleMeasure:
     """Probability measure on T^1, as node masses or weighted atoms."""
 
-    def __init__(self, kind: str, positions: np.ndarray, weights: np.ndarray,
-                 mass_drift: float = 0.0):
+    def __init__(self, kind: str, positions: np.ndarray, weights: np.ndarray):
         weights = np.asarray(weights, dtype=float)
         positions = wrap(positions)
         if np.any(weights < -MASS_TOL):
@@ -37,7 +36,6 @@ class CircleMeasure:
         self.kind = kind
         self.positions = positions
         self.weights = weights
-        self.mass_drift = float(mass_drift)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -94,13 +92,6 @@ class CircleMeasure:
         """Integral of f against the measure."""
         return float(np.sum(self.weights * f(self.positions)))
 
-    def write_csv(self, path) -> None:
-        header = "x,mass" if self.kind == DENSITY else "x,w"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for x, w in zip(self.positions, self.weights):
-                fh.write(f"{x:.17g},{w:.17g}\n")
-
 
 def wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
     """Exact circular W1 = min_c int |F1 - F2 - c| with the optimal c a
@@ -151,21 +142,21 @@ class TransportTable:
         jac *= n / 2.0
         self.jac = jac
 
-    def masses(self, m: CircleMeasure):
+    def masses(self, m: CircleMeasure) -> np.ndarray:
         """Node masses of the pushed densities, one row per span, each
-        renormalised to unit mass, and each row's renormalisation drift."""
+        renormalised to unit mass; a renormalisation of MASS_DRIFT_TOL or
+        more raises MassDriftError."""
         d = m.density_values
         values = ((1.0 - self._frac) * d[self._cell]
                   + self._frac * np.roll(d, -1)[self._cell]) * self.jac
         totals = values.mean(axis=1)
-        drift = np.abs(totals - 1.0)
-        worst = float(np.max(drift))
+        worst = float(np.max(np.abs(totals - 1.0)))
         if worst >= MASS_DRIFT_TOL:
             raise MassDriftError(
                 f"push-forward mass drift {worst:.3g} exceeds {MASS_DRIFT_TOL:.3g}"
             )
         values /= (totals * self.nodes.size)[:, None]
-        return values, drift
+        return values
 
     def means(self, densities, f_nodes) -> np.ndarray:
         """Means of f under the pushed densities, one row per span and one
@@ -208,16 +199,15 @@ class TransportTable:
 def pushforward(fm, m: CircleMeasure, s: float) -> CircleMeasure:
     """Push m by the characteristic flow over the time-to-go s, Phi_s # m.
 
-    Particle measures move their atoms; densities take one row of a
-    TransportTable and carry its renormalisation drift on the result.
+    Particle measures move their atoms; densities take the row of a
+    one-span TransportTable.
     """
     if s == 0:
         return m
     if m.kind == PARTICLES:
         return CircleMeasure(PARTICLES, fm.phi(s, m.positions), m.weights.copy())
     table = TransportTable(fm, [s], m.n)
-    masses, drift = table.masses(m)
-    return CircleMeasure(DENSITY, table.nodes, masses[0], mass_drift=drift[0])
+    return CircleMeasure(DENSITY, table.nodes, table.masses(m)[0])
 
 
 def invariant_density(df) -> CircleMeasure:

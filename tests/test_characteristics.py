@@ -314,12 +314,17 @@ def test_wrap_bit_equals_float_remainder(x):
 
 
 def test_flow_csv_export(tmp_path, qd_drift):
+    """periodic writes the flow's G-table as x,G,v rows, one per node, every
+    number in .17g; its probe here is the one behind qd_drift."""
+    from mfglab.cli import main
+
+    cfg = tmp_path / "qd.ini"
+    cfg.write_text("[grid]\nn = 256\ndt = 0.004\n[run]\ndt_probe = 0.002\n")
+    assert main(["periodic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     fm = FlowMap(qd_drift)
-    path = tmp_path / "flow.csv"
-    fm.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,G,v"
-    assert len(lines) == 1 + qd_drift.nodes.size
+    rows = "".join(f"{x:.17g},{g:.17g},{v:.17g}\n"
+                   for x, g, v in zip(qd_drift.nodes, fm.g_nodes, qd_drift.v))
+    assert (tmp_path / "flow.csv").read_text() == "x,G,v\n" + rows
 
 
 def test_winding_equals_signed_period(qd_drift, wavy_drift):

@@ -11,7 +11,6 @@ from mfglab.errors import ConfigError
 QD_CONFIG = """\
 [model]
 family = quadratic-drift
-dim = 1
 
 [grid]
 n = 256
@@ -41,6 +40,12 @@ def read_summary(out):
     return json.loads((out / "summary.json").read_text())
 
 
+def assert_one_failure_line(err, *parts):
+    """stderr is one 'check failed:' line that holds every part."""
+    assert err.startswith("check failed: ") and err.count("\n") == 1, err
+    assert all(part in err for part in parts), err
+
+
 def example_config(tmp_path, dim, extra=""):
     """A config file that sets the verify-example torus dimension."""
     path = tmp_path / f"example_{dim}.ini"
@@ -68,12 +73,16 @@ def test_verify_example_reports_defect_in_dimension_two(tmp_path, capsys):
     assert "PASS" not in printed.replace("PASS/FAIL", "")
 
 
-def test_verify_example_failure_exit_code(tmp_path):
-    cfg = example_config(tmp_path, 1, "[tolerances]\ntol_residual_grid = 1e-9\n")
+def test_verify_example_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import mfglab.cli as cli
+
+    monkeypatch.setattr(cli, "RESIDUAL_GRID_TOL", 1e-9)
     out = tmp_path / "strict_out"
-    code = main(["verify-example", "--config", cfg, "--out", str(out)])
+    code = main(["verify-example", "--config", example_config(tmp_path, 1),
+                 "--out", str(out)])
     assert code == 1
     assert read_summary(out)["pass"] is False
+    assert_one_failure_line(capsys.readouterr().err, "hjb_grid: ", "is not <= 1e-09")
 
 
 def test_periodic_summary_schema(tmp_path, qd_config):
@@ -148,8 +157,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "dt_large.ini": "[grid]\nn = 256\ndt = 0.2\n",
         "dt_small.ini": "[grid]\nn = 256\ndt = 1e-5\n",
         "bad_n.ini": "[grid]\nn = 300\ndt = 0.002\n",
-        "bad_tol.ini": "[tolerances]\ntol_c0 = -1\n",
-        "nan_tol.ini": "[tolerances]\ntol_periodicity = nan\n",
+        "bad_tol.ini": "[tolerances]\ntol_converge_final = -1\n",
+        "nan_tol.ini": "[tolerances]\ntol_converge_final = nan\n",
         "unknown_key.ini": "[grid]\nresolution = 256\n",
         "removed_key.ini": "[run]\nk_test = 8\n",
         "bad_int.ini": "[grid]\nn = abc\n",
@@ -197,8 +206,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     }
     commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
                 "csv_stride_negative.ini": "solve"}
-    unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "no_section.ini",
-                         "duplicate_key.ini", "unknown_potential.ini",
+    unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "dim_two.ini",
+                         "no_section.ini", "duplicate_key.ini", "unknown_potential.ini",
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
                          "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini")
     for name in cases:
@@ -233,8 +242,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "fourier_nan.ini": "custom-fourier needs finite coefficients",
              "fourier_inf.ini": "custom-fourier needs finite coefficients",
              "fourier_huge.ini": "custom-fourier needs a finite Lipschitz constant",
-             "dim_two.ini": "dimension invariant violated",
-             "nan_tol.ini": "tolerance invariant violated: tol_periodicity",
+             "dim_two.ini": "unknown config key [model] dim",
+             "bad_tol.ini": "tolerance invariant violated: tol_converge_final",
+             "nan_tol.ini": "tolerance invariant violated: tol_converge_final",
              "c_nan.ini": "number invariant violated: c must be finite",
              "c_inf.ini": "number invariant violated: c must be finite",
              "a_values_nan.ini": "number invariant violated: a_values must be finite",
@@ -263,17 +273,65 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     assert "malformed config file" in capsys.readouterr().err
 
 
-def test_tol_c0_reaches_the_periodic_runners(tmp_path, capsys):
-    """The probe behind periodic, lipschitz-c and converge is held to the
-    config's tol_c0, as the critical-value subcommand's is."""
+def test_tol_c0_reaches_the_periodic_runners(tmp_path, monkeypatch, capsys):
+    """The probe behind periodic, lipschitz-c and converge is held to
+    PROBE_TOL (the bound once set by the tol_c0 key), as the critical-value
+    subcommand's is."""
+    import mfglab.lax_oleinik as lax_oleinik
+
+    monkeypatch.setattr(lax_oleinik, "PROBE_TOL", 1e-9)
     cfg = tmp_path / "tight.ini"
     cfg.write_text("[model]\nfamily = mechanical\npotential = cosine\nshift = 1.6\n"
-                   "[grid]\nn = 128\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
-                   "[tolerances]\ntol_c0 = 1e-9\n")
-    for command in ("periodic", "lipschitz-c", "converge"):
+                   "[grid]\nn = 128\ndt = 0.004\n[run]\ndt_probe = 0.004\n")
+    for command in ("critical-value", "periodic", "lipschitz-c", "converge"):
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1, command
         assert "critical value diagnostic" in capsys.readouterr().err, command
+
+
+SMALL_QD = QD_CONFIG.replace("n = 256", "n = 128").replace("0.002", "0.004")
+SMALL_CONVERGE = SMALL_QD + "horizons = 2 4\nwindow = 0.5\nphi = cosine\n"
+SMALL_MECHANICAL = ("[model]\nfamily = mechanical\npotential = cosine\n"
+                    "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n")
+
+
+@pytest.mark.parametrize("command, text, flags, bounds, parts", [
+    ("alpha", SMALL_MECHANICAL, ["--a-grid=-0.3:0.3:3"], {"CONVEXITY_TOL": -1.0},
+     ["convexity_min_second_difference: ", "is not >= 1\n"]),
+    ("periodic", SMALL_QD, [], {"PERIODICITY_TOL": -1.0},
+     ["periodicity_defect: ", "is not <= -1\n"]),
+    ("periodic", SMALL_QD, [], {"NONTRIVIALITY_TOL": 1.0},
+     ["nontriviality_gap: ", "is not >= 1\n"]),
+    ("lipschitz-c", SMALL_QD, ["--seed=7"], {"LIPSCHITZ_SLACK": -1e3},
+     ["lipschitz_ratio_max: ", " + -1000 (3 of 3 pairs)\n"]),
+    ("converge", SMALL_CONVERGE, [], {"CONVERGE_SLACK": -1.0},
+     ["d1_deviation at T = 4 vs 0 x its T = 2 value: ", "is not <= 0\n"]),
+    ("converge", SMALL_CONVERGE + "tol_converge_final = 1e-9\n", [], {},
+     ["d1_deviation at T = 4 vs tol_converge_final: ", "is not <= 1e-09\n"]),
+    ("verify-example", "[run]\nexample_dim = 1\n", [], {"RESIDUAL_CLOSED_TOL": 0.0},
+     ["hjb_closed: ", "is not <= 0\n"]),
+], ids=["alpha", "periodicity", "nontriviality", "lipschitz-c", "converge-rise",
+        "converge-final", "verify-example"])
+def test_failed_check_names_itself_on_stderr(tmp_path, monkeypatch, capsys, command,
+                                             text, flags, bounds, parts):
+    """A run that fails one of its checks exits 1, still writes its summary
+    with "pass": false, and names the check, its value and its bound on one
+    stderr line.  The bound is tightened by patching its constant in every
+    package module that binds it."""
+    import sys
+
+    for name, value in bounds.items():
+        modules = [module for key, module in list(sys.modules.items())
+                   if key.startswith("mfglab") and hasattr(module, name)]
+        assert modules, name
+        for module in modules:
+            monkeypatch.setattr(module, name, value)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert read_summary(out)["pass"] is False
+    assert_one_failure_line(capsys.readouterr().err, *parts)
 
 
 def test_periodic_runners_probe_once(tmp_path, monkeypatch):

@@ -721,9 +721,12 @@ def test_critical_value_requires_long_probe(qd_model):
         critical_value(qd_model, t_probe=5.0, n=128, dt=2e-3)
 
 
-def test_critical_value_not_converged_diagnostic(cosine_model):
-    with pytest.raises(NotConvergedError):
-        critical_value(cosine_model, t_probe=50.0, n=512, dt=2e-3, tol_c0=1e-14)
+def test_critical_value_not_converged_diagnostic(cosine_model, monkeypatch):
+    import mfglab.lax_oleinik as lax_oleinik
+
+    monkeypatch.setattr(lax_oleinik, "PROBE_TOL", 1e-14)
+    with pytest.raises(NotConvergedError, match="exceeds tol 1e-14"):
+        critical_value(cosine_model, t_probe=50.0, n=512, dt=2e-3)
 
 
 def test_critical_value_grid_refinement(cosine_model):

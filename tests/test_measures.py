@@ -141,7 +141,6 @@ def test_pushforward_density_rigid_rotation(rotation_flow):
     xs = grid(n)
     target = 1.0 + np.cos(2 * np.pi * (xs - 0.3))
     assert np.max(np.abs(out.density_values - target)) < 1e-4
-    assert out.mass_drift < 1e-4
 
 
 def test_pushforward_particles_rigid_rotation(rotation_flow):
@@ -200,7 +199,7 @@ def _reference_masses(fm, spans, m):
     values = periodic_interp(xinv, m.density_values) * jac
     totals = values.mean(axis=1)
     values /= (totals * n)[:, None]
-    return values, np.abs(totals - 1.0)
+    return values
 
 
 def test_transport_table_matches_interpolation_at_inverse_nodes():
@@ -213,12 +212,10 @@ def test_transport_table_matches_interpolation_at_inverse_nodes():
                         tau=float(np.sum(1.0 / np.abs(v)) / n))
         fm = FlowMap(df)
         spans = df.tau * np.arange(40) / 39
-        masses, drift = TransportTable(fm, spans, n).masses(m)
-        ref, ref_drift = _reference_masses(fm, spans, m)
-        assert np.array_equal(masses, ref) and np.array_equal(drift, ref_drift)
+        masses = TransportTable(fm, spans, n).masses(m)
+        assert np.array_equal(masses, _reference_masses(fm, spans, m))
         one = pushforward(fm, m, 0.63)  # a one-row table
-        ref, ref_drift = _reference_masses(fm, [0.63], m)
-        assert np.array_equal(one.weights, ref[0]) and one.mass_drift == ref_drift[0]
+        assert np.array_equal(one.weights, _reference_masses(fm, [0.63], m)[0])
 
 
 def test_transport_table_blocks_bit_equal_one_span_calls():
@@ -288,7 +285,7 @@ def test_transport_table_means_match_masses(n, rows, amplitude):
     got = table.means([m.density_values for m in measures], f)
     assert got.shape == (rows, len(measures))
     for column, m in zip(got.T, measures):
-        assert np.max(np.abs(column - table.masses(m)[0] @ f)) <= 1e-14 * np.max(np.abs(f))
+        assert np.max(np.abs(column - table.masses(m) @ f)) <= 1e-14 * np.max(np.abs(f))
     stacked = np.array([m.density_values for m in measures])
     assert np.array_equal(table.means(stacked, f), got)
     assert table.means([], f).shape == (rows, 0)
@@ -325,7 +322,7 @@ def test_transport_table_means_peak_memory():
     f = np.cos(4 * np.pi * grid(512))
     peaks = []
     for average in (lambda: table.means(densities, f),
-                    lambda: [table.masses(CircleMeasure.from_density_values(d))[0] @ f
+                    lambda: [table.masses(CircleMeasure.from_density_values(d)) @ f
                              for d in densities]):
         tracemalloc.start()
         try:
@@ -343,13 +340,18 @@ def test_pushforward_mass_drift_error():
 
 
 def test_measure_csv(tmp_path):
-    dens = CircleMeasure.from_name("lebesgue", 64)
-    part = atoms([0.1, 0.9], [0.5, 0.5])
-    p1, p2 = tmp_path / "d.csv", tmp_path / "p.csv"
-    dens.write_csv(p1)
-    part.write_csv(p2)
-    assert p1.read_text().splitlines()[0] == "x,mass"
-    assert p2.read_text().splitlines()[0] == "x,w"
+    """wasserstein writes each measure as x,mass rows of its nodes and node
+    masses, every number in .17g."""
+    from mfglab.cli import main
+
+    cfg = tmp_path / "ws.ini"
+    cfg.write_text("[grid]\nn = 64\ndt = 0.004\n[measures]\nm1 = lebesgue\n"
+                   "m2 = gaussian-bump(0.3,0.1)\n")
+    assert main(["wasserstein", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for name, measure in (("m1", "lebesgue"), ("m2", "gaussian-bump(0.3,0.1)")):
+        m = CircleMeasure.from_name(measure, 64)
+        rows = "".join(f"{x:.17g},{w:.17g}\n" for x, w in zip(m.positions, m.weights))
+        assert (tmp_path / f"{name}.csv").read_text() == "x,mass\n" + rows
 
 
 def test_random_fourier_density_valid():

@@ -1,10 +1,14 @@
 import ast
+import configparser
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import mfglab
+from mfglab.config import RunConfig
 
 RUNTIME_DEPENDENCIES = {"numpy", "scipy", "mfglab"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,3 +120,32 @@ def test_critical_value_imports_no_numpy_ma():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert run.stdout.strip() == "False"
+
+
+def test_every_tolerance_key_is_set_by_a_workload(monkeypatch):
+    """A tol_* key of RunConfig is a bound that some benchmark config sets;
+    a bound that no run sets is a constant beside its check, not a key."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    keys = set()
+    for workload in workloads.WORKLOADS.values():
+        for variant in workload.variants():
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(workload.config_text(variant))
+            keys.update(key for section in parser.sections() for key in parser[section])
+    tolerances = {f.name for f in dataclasses.fields(RunConfig) if f.name.startswith("tol_")}
+    assert tolerances and sorted(tolerances - keys) == []
+
+
+def test_readme_config_sample_parses(tmp_path):
+    """The README's config sample is a config the CLI accepts as it stands."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0].split("```")[0])
+    cfg = RunConfig.from_file(path)
+    assert (cfg.family, cfg.n, cfg.horizons) == ("quadratic-drift", 512, [5.0, 10.0, 20.0, 40.0])
