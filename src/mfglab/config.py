@@ -19,6 +19,8 @@ from .lax_oleinik import T_PROBE_MIN, slice_count
 from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
 
+MAX_RUN_BYTES = 2**32  # largest float64 store a solve run may ask for
+
 
 def _syntax_error(exc: configparser.Error) -> str:
     """configparser's multi-line message as one line that names the line."""
@@ -59,14 +61,13 @@ class RunConfig:
     phi: str = "zero"
     c: float = 0.0
     a_values: list = field(default_factory=lambda: [0.0])
-    example_dim: int = 1
     csv_stride: int = 0  # 0 = auto
     # tolerances (the fixed pass/fail bounds are constants beside their checks)
     tol_converge_final: float = 5e-3
 
     _FLOATS = {"shift", "dt", "t_probe", "dt_probe", "horizon", "window", "c",
                "tol_converge_final"}
-    _INTS = {"n", "periods", "pairs", "example_dim", "csv_stride"}
+    _INTS = {"n", "periods", "pairs", "csv_stride"}
     _LISTS = {"horizons", "a_values"}
 
     @classmethod
@@ -158,6 +159,11 @@ class RunConfig:
                 raise ConfigError(f"time-grid invariant violated: {label} = {t:g} is not "
                                   f"a positive integer multiple of {step_label} = {step:g}"
                                   ) from None
+        # solve stores w, origins and positions, each at most (K + 1) x n float64
+        solve_bytes = 3 * (slice_count(self.horizon, self.dt) + 1) * n * 8
+        if solve_bytes > MAX_RUN_BYTES:
+            raise ConfigError(f"memory invariant violated: solve would store {solve_bytes:.3g} "
+                              f"bytes, over the budget of {MAX_RUN_BYTES:.3g} bytes")
 
     # -- builders -----------------------------------------------------------
     def build_model(self):

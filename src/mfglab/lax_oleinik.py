@@ -381,7 +381,6 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
 @dataclass
 class WeakKamResult:
     u0: np.ndarray
-    gradient: np.ndarray
     residuals: np.ndarray
     kink_mask: np.ndarray  # True where the node is excluded as a kink
     c0: float
@@ -403,12 +402,10 @@ def weak_kam_solution(model: HamiltonianModel, probe: CriticalValueResult
     u0 = probe.w_final + c0 * probe.t_probe
     u0 = u0 - float(np.min(u0))
     dx = 1.0 / probe.n
-    du0 = periodic_gradient(u0, dx)
-    residuals = np.abs(model.h(grid(probe.n), du0) - c0)
+    residuals = np.abs(model.h(grid(probe.n), periodic_gradient(u0, dx)) - c0)
     threshold = -max(probe.semiconcavity, 1.0)
     kinks = periodic_second_difference(u0, dx) < threshold
-    return WeakKamResult(u0=u0, gradient=du0, residuals=residuals,
-                         kink_mask=kinks, c0=c0)
+    return WeakKamResult(u0=u0, residuals=residuals, kink_mask=kinks, c0=c0)
 
 
 def alpha_function(model: Mechanical, a: float, t_probe: float, n: int, dt: float

@@ -73,8 +73,8 @@ def periodic_run(qd_model, coupling_cos, m_cos, qd_regime):
 
 def test_criterion_1_example_identity():
     start = time.perf_counter()
-    closed = ExplicitInstance(dim=1, n_grid=64, n_time=64)
-    sampled = ExplicitInstance(dim=1, n_grid=256, n_time=256)
+    closed = ExplicitInstance(n_grid=64, n_time=64)
+    sampled = ExplicitInstance(n_grid=256, n_time=256)
     values = (
         hjb_residual(closed, closed_form=True),
         transport_residual(closed, closed_form=True),

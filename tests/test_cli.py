@@ -46,31 +46,16 @@ def assert_one_failure_line(err, *parts):
     assert all(part in err for part in parts), err
 
 
-def example_config(tmp_path, dim, extra=""):
-    """A config file that sets the verify-example torus dimension."""
-    path = tmp_path / f"example_{dim}.ini"
-    path.write_text(f"[run]\nexample_dim = {dim}\n{extra}")
-    return str(path)
-
-
 def test_verify_example_passes(tmp_path, capsys):
     out = tmp_path / "ex"
-    assert main(["verify-example", "--config", example_config(tmp_path, 1),
-                 "--out", str(out)]) == 0
+    assert main(["verify-example", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "PASS" in printed
     summary = read_summary(out)
     assert summary["pass"] is True
     assert summary["extras"]["hjb_closed"] <= 1e-10
-
-
-def test_verify_example_reports_defect_in_dimension_two(tmp_path, capsys):
-    out = tmp_path / "ex2"
-    assert main(["verify-example", "--config", example_config(tmp_path, 2),
-                 "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "defect" in printed
-    assert "PASS" not in printed.replace("PASS/FAIL", "")
+    # dt != dx, so the grid transport residual measures the scheme, not round-off
+    assert 1e-6 < summary["extras"]["transport_grid"] <= 1e-3
 
 
 def test_verify_example_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -78,8 +63,7 @@ def test_verify_example_failure_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "RESIDUAL_GRID_TOL", 1e-9)
     out = tmp_path / "strict_out"
-    code = main(["verify-example", "--config", example_config(tmp_path, 1),
-                 "--out", str(out)])
+    code = main(["verify-example", "--out", str(out)])
     assert code == 1
     assert read_summary(out)["pass"] is False
     assert_one_failure_line(capsys.readouterr().err, "hjb_grid: ", "is not <= 1e-09")
@@ -203,9 +187,12 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "example_dim_negative.ini": "[run]\nexample_dim = -1\n",
         "example_dim_five.ini": "[run]\nexample_dim = 5\n",
         "example_dim_huge.ini": "[run]\nexample_dim = 1000000000\n",
+        "solve_9_tib.ini": "[grid]\nn = 64\ndt = 0.05\n[run]\nhorizon = 1e9\n",
+        "solve_161_gb.ini": "[grid]\nn = 4096\ndt = 2.44140625e-05\n[run]\nhorizon = 40\n",
     }
     commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
-                "csv_stride_negative.ini": "solve"}
+                "csv_stride_negative.ini": "solve", "solve_9_tib.ini": "solve",
+                "solve_161_gb.ini": "solve"}
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "dim_two.ini",
                          "no_section.ini", "duplicate_key.ini", "unknown_potential.ini",
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
@@ -219,6 +206,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             unnamed_invariant += (name,)
         if name.startswith("example_dim_"):
             commands[name] = "verify-example"
+            unnamed_invariant += (name,)
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
              "off_grid_calibration.ini": "calibration horizon = 0.75 is not a positive "
@@ -252,10 +240,14 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "csv_stride_negative.ini": "count invariant violated: periods and pairs "
                                         ">= 1, csv_stride >= 0",
              "shift_inf.ini": "number invariant violated: shift must be finite",
-             "example_dim_zero.ini": "dimension invariant violated",
-             "example_dim_negative.ini": "dimension invariant violated",
-             "example_dim_five.ini": "grid-size invariant violated",
-             "example_dim_huge.ini": "grid-size invariant violated"}
+             "example_dim_zero.ini": "unknown config key [run] example_dim",
+             "example_dim_negative.ini": "unknown config key [run] example_dim",
+             "example_dim_five.ini": "unknown config key [run] example_dim",
+             "example_dim_huge.ini": "unknown config key [run] example_dim",
+             "solve_9_tib.ini": "memory invariant violated: solve would store 3.07e+13 "
+                                "bytes, over the budget of 4.29e+09 bytes",
+             "solve_161_gb.ini": "memory invariant violated: solve would store 1.61e+11 "
+                                 "bytes"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -308,7 +300,7 @@ SMALL_MECHANICAL = ("[model]\nfamily = mechanical\npotential = cosine\n"
      ["d1_deviation at T = 4 vs 0 x its T = 2 value: ", "is not <= 0\n"]),
     ("converge", SMALL_CONVERGE + "tol_converge_final = 1e-9\n", [], {},
      ["d1_deviation at T = 4 vs tol_converge_final: ", "is not <= 1e-09\n"]),
-    ("verify-example", "[run]\nexample_dim = 1\n", [], {"RESIDUAL_CLOSED_TOL": 0.0},
+    ("verify-example", "", [], {"RESIDUAL_CLOSED_TOL": 0.0},
      ["hjb_closed: ", "is not <= 0\n"]),
 ], ids=["alpha", "periodicity", "nontriviality", "lipschitz-c", "converge-rise",
         "converge-final", "verify-example"])
@@ -390,7 +382,7 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
         assert code == 2, grid
         assert "a-grid invariant" in capsys.readouterr().err, grid
         assert not (out / "alpha.csv").exists()
-    # the verify-example dimension is the example_dim key, not a flag
+    # verify-example samples fixed grids; it takes no size flag
     with pytest.raises(SystemExit) as exc:
         main(["verify-example", "--n", "1", "--out", str(out)])
     assert exc.value.code == 2
