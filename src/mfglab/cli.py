@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explicit_solution as explicit
-from .config import RunConfig
+from .config import RunConfig, require_store
 from .errors import ConfigError, MFGLabError
 from .lax_oleinik import alpha_function, critical_value, weak_kam_solution
 from .measures import random_fourier_density, wasserstein1
@@ -30,6 +30,7 @@ from .mfg import (
     LIPSCHITZ_SLACK,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
+    period_grid,
     periodic_regime,
     periodic_solution,
     solve_finite_horizon,
@@ -251,8 +252,11 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
-    ps = periodic_solution(m_t, _regime(cfg, model), functional, dt=cfg.dt,
-                           periods=cfg.periods)
+    regime = _regime(cfg, model)
+    k_per = period_grid(regime, cfg.dt)[4]
+    # masses, u_bar and m_bar's positions: three (periods k + 1) x n arrays
+    require_store("periodic", 3 * (cfg.periods * k_per + 1) * cfg.n * 8)
+    ps = periodic_solution(m_t, regime, functional, dt=cfg.dt, periods=cfg.periods)
     stride = _auto_stride(cfg, ps.times.size)
     _write_csv(out / "ubar.csv", "t,x,u",
                ((ps.times[k], x, u) for k in range(0, ps.times.size, stride)
@@ -278,10 +282,16 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError(f"seed invariant violated: --seed must be >= 0, got {args.seed}")
     model = cfg.build_model()
     functional = cfg.build_coupling()
+    regime = _regime(cfg, model)
+    k_per = period_grid(regime, cfg.dt)[4]
+    # each of the 2 pairs measures: its positions, weights and density values
+    # and the two stacked copies means takes (five n-vectors), and means'
+    # pushed mass, f-weighted sums and their ratio (three k + 1 columns)
+    require_store("lipschitz-c", 2 * cfg.pairs * (5 * cfg.n + 3 * (k_per + 1)) * 8)
     rng = np.random.default_rng(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
-    report = lipschitz_c_experiment(pairs, _regime(cfg, model), functional, dt=cfg.dt)
+    report = lipschitz_c_experiment(pairs, regime, functional, dt=cfg.dt)
     _write_csv(out / "ratios.csv", "d1,gap,ratio",
                zip(report.distances, report.gaps, report.ratios))
     failure = None

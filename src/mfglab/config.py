@@ -19,7 +19,15 @@ from .lax_oleinik import T_PROBE_MIN, slice_count
 from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
 
-MAX_RUN_BYTES = 2**32  # largest float64 store a solve run may ask for
+MAX_RUN_BYTES = 2**32  # largest float64 store a run may ask for
+
+
+def require_store(command: str, nbytes: int) -> None:
+    """Refuse, before it allocates, a run whose estimated store of nbytes
+    exceeds MAX_RUN_BYTES (the memory invariant)."""
+    if nbytes > MAX_RUN_BYTES:
+        raise ConfigError(f"memory invariant violated: {command} would store {nbytes:.3g} "
+                          f"bytes, over the budget of {MAX_RUN_BYTES:.3g} bytes")
 
 
 def _syntax_error(exc: configparser.Error) -> str:
@@ -160,10 +168,7 @@ class RunConfig:
                                   f"a positive integer multiple of {step_label} = {step:g}"
                                   ) from None
         # solve stores w, origins and positions, each at most (K + 1) x n float64
-        solve_bytes = 3 * (slice_count(self.horizon, self.dt) + 1) * n * 8
-        if solve_bytes > MAX_RUN_BYTES:
-            raise ConfigError(f"memory invariant violated: solve would store {solve_bytes:.3g} "
-                              f"bytes, over the budget of {MAX_RUN_BYTES:.3g} bytes")
+        require_store("solve", 3 * (slice_count(self.horizon, self.dt) + 1) * n * 8)
 
     # -- builders -----------------------------------------------------------
     def build_model(self):

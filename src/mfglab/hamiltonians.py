@@ -29,7 +29,12 @@ class Potential:
     def __init__(self, name, fn):
         self.name = name
         self._fn = fn
-        if abs(float(fn(0.0)) - float(fn(1.0))) > 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite V is refused below
+            ends = float(fn(0.0)), float(fn(1.0))
+        if not np.isfinite(ends).all():
+            raise ValueError(f"potential invariant violated: '{name}' is not finite at "
+                             f"x = 0 and 1, V = {ends}")
+        if abs(ends[0] - ends[1]) > 1e-12:
             raise ValueError(f"potential '{name}' is not periodic: V(0) != V(1)")
 
     @classmethod
@@ -96,7 +101,11 @@ class HamiltonianModel:
         cutoff = MOMENTUM_CUTOFF
         xs = grid(VALIDATE_NODES)
         ps = np.linspace(-cutoff, cutoff, VALIDATE_MOMENTA)
-        hv = np.stack([self.h(xs, np.full(xs.shape, p)) for p in ps])
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite H is refused below
+            hv = np.stack([self.h(xs, np.full(xs.shape, p)) for p in ps])
+        if not np.isfinite(hv).all():
+            raise ValueError(f"Hamiltonian invariant violated: H is not finite on the "
+                             f"sample grid |p| <= {cutoff:g}")
         d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
         if not np.all(d2 > 0.0):
             raise ValueError("Hamiltonian is not strictly convex in p on the sample grid")

@@ -19,7 +19,7 @@ MASS_TOL = 1e-12
 MASS_DRIFT_TOL = 1e-4  # largest renormalisation a push-forward may need
 RANDOM_MODES = 4       # Fourier modes of random_fourier_density
 RANDOM_FLOOR = 0.1     # its smallest density value before renormalising
-BLOCK_POINTS = 2**14   # inverse-flow points per TransportTable block
+BLOCK_POINTS = 2**14   # inverse-flow points a TransportTable push holds at once
 
 
 class CircleMeasure:
@@ -71,9 +71,13 @@ class CircleMeasure:
             if not (np.isfinite(center) and np.isfinite(width) and width > 0.0):
                 raise ValueError(f"gaussian-bump needs a finite centre and a finite "
                                  f"width > 0, got {name!r}")
+            if not 0.0 < width * width < np.inf:
+                raise ValueError(f"width invariant violated: the width of {name!r} squares "
+                                 f"to {width * width:g}, not a positive finite number")
             vals = np.zeros(n)
-            for k in range(-3, 4):
-                vals += np.exp(-((xs - center + k) ** 2) / (2.0 * width**2))
+            with np.errstate(over="ignore"):    # exp(-inf) is 0; a zero total is refused
+                for k in range(-3, 4):
+                    vals += np.exp(-((xs - center + k) ** 2) / (2.0 * width**2))
             return cls.from_density_values(vals)
         raise ValueError(f"unknown measure id {name!r}")
 
@@ -111,45 +115,58 @@ def wasserstein1(m1: CircleMeasure, m2: CircleMeasure) -> float:
 
 
 class TransportTable:
-    """Interpolation stencils of the inverse-flow nodes Phi_{s_k}^-1(x_j) on
-    the n-node grid and their centered-difference Jacobian, one row per
-    time-to-go s_k.
+    """Push-forward of grid densities over a list of time-to-go spans s_k,
+    one row per span, by the inverse-flow nodes Phi_{s_k}^-1(x_j) on the
+    n-node grid.
 
-    Row k pushes a grid density over the span s_k, so a table built once
-    serves every measure transported over the same spans.
+    The table holds only the grid, the flow and the spans; each push
+    streams the spans in blocks of BLOCK_POINTS // n rows, building a
+    block's interpolation stencil and centered-difference Jacobian from
+    one phi_inverse call and dropping them after the block.  So no
+    (rows, n) array is held beyond the result, and each push calls the
+    flow once per block.
     """
 
     def __init__(self, fm, spans, n: int):
         self.nodes = grid(n)
-        spans = np.asarray(spans, dtype=float)
-        xinv = np.empty((spans.size, n))
-        # a column of spans gives one row per span, each bit-equal to a
-        # one-span call; blocks of BLOCK_POINTS keep the call's temporaries small
+        self.flow = fm
+        self.spans = np.asarray(spans, dtype=float)
+
+    def _blocks(self):
+        """Each block of spans: its row slice, the interp_stencil cell and
+        fraction of its inverse-flow nodes, and their Jacobian."""
+        n = self.nodes.size
         rows = max(1, BLOCK_POINTS // n)
-        for first in range(0, spans.size, rows):
-            block = spans[first:first + rows, None]
-            xinv[first:first + rows] = fm.phi_inverse(block, self.nodes)
-        # the stencil's temporaries come and go before the Jacobian is held
-        self._cell, self._frac = interp_stencil(xinv, n)
-        # centered differences x[j + 1] - x[j - 1] around the circle; the
-        # inverse map is an orientation-preserving circle map: consecutive
-        # gaps are small and positive, so %1 picks the right branch
-        jac = np.empty_like(xinv)
-        np.subtract(xinv[:, 2:], xinv[:, :-2], out=jac[:, 1:-1])
-        np.subtract(xinv[:, 1], xinv[:, -1], out=jac[:, 0])
-        np.subtract(xinv[:, 0], xinv[:, -2], out=jac[:, -1])
-        jac %= 1.0
-        jac *= n / 2.0
-        self.jac = jac
+        for first in range(0, self.spans.size, rows):
+            block = slice(first, first + rows)
+            column = self.spans[block, None]
+            # a column of spans gives one row per span, each bit-equal to a
+            # one-span call; a flow that gives one row broadcasts
+            xinv = np.empty((column.shape[0], n))
+            xinv[...] = self.flow.phi_inverse(column, self.nodes)
+            cell, frac = interp_stencil(xinv, n)
+            # centered differences x[j + 1] - x[j - 1] around the circle; the
+            # inverse map is an orientation-preserving circle map: consecutive
+            # gaps are small and positive, so %1 picks the right branch
+            jac = np.empty_like(xinv)
+            np.subtract(xinv[:, 2:], xinv[:, :-2], out=jac[:, 1:-1])
+            np.subtract(xinv[:, 1], xinv[:, -1], out=jac[:, 0])
+            np.subtract(xinv[:, 0], xinv[:, -2], out=jac[:, -1])
+            jac %= 1.0
+            jac *= n / 2.0
+            yield block, cell, frac, jac
 
     def masses(self, m: CircleMeasure) -> np.ndarray:
         """Node masses of the pushed densities, one row per span, each
         renormalised to unit mass; a renormalisation of MASS_DRIFT_TOL or
         more raises MassDriftError."""
         d = m.density_values
-        values = ((1.0 - self._frac) * d[self._cell]
-                  + self._frac * np.roll(d, -1)[self._cell]) * self.jac
-        totals = values.mean(axis=1)
+        d_next = np.roll(d, -1)
+        values = np.empty((self.spans.size, self.nodes.size))
+        totals = np.empty(self.spans.size)
+        for block, cell, frac, jac in self._blocks():
+            np.multiply((1.0 - frac) * d[cell] + frac * d_next[cell], jac, out=values[block])
+            totals[block] = values[block].mean(axis=1)
         worst = float(np.max(np.abs(totals - 1.0)))
         if worst >= MASS_DRIFT_TOL:
             raise MassDriftError(
@@ -167,17 +184,13 @@ class TransportTable:
         The push is linear in the density, so each block of rows takes
         one bincount of the stencil weights to pull f back onto the grid
         and one to pull back unit mass, and two matmuls then serve every
-        density at once; no (rows, n) array is held per density.
+        density at once; no (rows, n) array is held.
         """
         n = self.nodes.size
         columns = np.asarray(densities, dtype=float).reshape(-1, n).T.copy()   # (n, M)
-        rows = self.jac.shape[0]
-        mass = np.empty((rows, columns.shape[1]))  # sums of the pushed values
-        integral = np.empty_like(mass)            # the same sums weighted by f
-        step = max(1, BLOCK_POINTS // n)
-        for first in range(0, rows, step):
-            block = slice(first, first + step)
-            cell, frac, jac = self._cell[block], self._frac[block], self.jac[block]
+        mass = np.empty((self.spans.size, columns.shape[1]))  # sums of the pushed values
+        integral = np.empty_like(mass)                       # the same sums weighted by f
+        for block, cell, frac, jac in self._blocks():
             base = n * np.arange(cell.shape[0])[:, None]
             left = (cell + base).ravel()
             right = ((cell + 1) % n + base).ravel()

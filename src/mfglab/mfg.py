@@ -144,7 +144,7 @@ def periodic_regime(model: HamiltonianModel, probe: CriticalValueResult
     return wk.c0, wk.u0, drift_field(wk.u0, model)
 
 
-def _period_grid(regime, dt):
+def period_grid(regime, dt):
     """The periodic regime (c0, u0, df), its period tau, and the period
     grid: k steps of tau / k, the step nearest dt."""
     c0, u0, df = regime
@@ -165,14 +165,12 @@ def periodic_solution(m_t: CircleMeasure, regime: tuple,
     m_T to round-off; c(m_T) = c0 minus the period average of F.
     """
     _require_density(m_t)
-    c0, u0, df, tau, k_per, dt_adj = _period_grid(regime, dt)
+    c0, u0, df, tau, k_per, dt_adj = period_grid(regime, dt)
     steps = periods * k_per
     times = dt_adj * np.arange(steps + 1)
     flow = FlowMap(df)
 
     nodes = grid(m_t.n)
-    # the table is dropped as soon as it has pushed m_t, before m_bar and
-    # u_bar are built
     masses = TransportTable(flow, dt_adj * np.arange(steps, -1, -1), m_t.n).masses(m_t)
     m_bar = [CircleMeasure(DENSITY, nodes, row) for row in masses]
     f_series = masses @ functional.f(nodes)
@@ -219,7 +217,7 @@ def lipschitz_c_experiment(pairs, regime: tuple, functional: CouplingFunctional,
     violates the bound Lip(f) K1 when its ratio exceeds it by more than
     LIPSCHITZ_SLACK.
     """
-    _c0, _u0, df, tau, k_per, dt_adj = _period_grid(regime, dt)
+    _c0, _u0, df, tau, k_per, dt_adj = period_grid(regime, dt)
     k1 = flow_lipschitz_constant(df).k1
     bound = functional.lipschitz * k1
     table = TransportTable(FlowMap(df), dt_adj * np.arange(k_per + 1), df.nodes.size)
@@ -274,7 +272,7 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     if window > horizons[0]:
         raise ValueError(f"window {window:g} exceeds the smallest horizon {horizons[0]:g}")
     phi = np.asarray(phi, dtype=float)
-    c0, _u0, df, tau, k_per, dt_p = _period_grid(regime, dt)
+    c0, _u0, df, tau, k_per, dt_p = period_grid(regime, dt)
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     w_steps = slice_count(window, dt)

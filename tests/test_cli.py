@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from mfglab.cli import RUNNERS, main
 from mfglab.config import RunConfig
 from mfglab.errors import ConfigError
+
+# a numpy warning on a CLI path is a fault: each input error is one stderr line
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QD_CONFIG = """\
 [model]
@@ -173,6 +177,13 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "bump_inf_width.ini": "[measures]\nm1 = gaussian-bump(0.3,inf)\n",
         "bump_nan_centre.ini": "[measures]\nm1 = gaussian-bump(nan,0.1)\n",
         "bump_underflow.ini": "[measures]\nm1 = gaussian-bump(0.3,1e-5)\n",
+        "bump_subnormal_square.ini": "[measures]\nm1 = gaussian-bump(0.3,1e-160)\n",
+        "bump_zero_square.ini": "[measures]\nm1 = gaussian-bump(0.5,1e-300)\n",
+        "bump_inf_square.ini": "[measures]\nm1 = gaussian-bump(0.5,1e200)\n",
+        "shift_overflow.ini": "[model]\nfamily = mechanical\npotential = cosine\n"
+                              "shift = 1e200\n",
+        "potential_overflow.ini": "[model]\nfamily = mechanical\n"
+                                  "potential = double-well(1e308,1e308)\n",
         "fourier_nan.ini": "[coupling]\nf = custom-fourier(nan,0)\n",
         "fourier_inf.ini": "[coupling]\nf = custom-fourier(inf,0)\n",
         "fourier_huge.ini": "[coupling]\nf = custom-fourier(1e308,1e308)\n",
@@ -227,6 +238,14 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "bump_inf_width.ini": "finite width > 0",
              "bump_nan_centre.ini": "finite centre",
              "bump_underflow.ini": "positive total",
+             "bump_subnormal_square.ini": "positive total",
+             "bump_zero_square.ini": "width invariant violated: the width of "
+                                     "'gaussian-bump(0.5,1e-300)' squares to 0",
+             "bump_inf_square.ini": "width invariant violated: the width of "
+                                    "'gaussian-bump(0.5,1e200)' squares to inf",
+             "shift_overflow.ini": "Hamiltonian invariant violated: H is not finite",
+             "potential_overflow.ini": "potential invariant violated: "
+                                       "'double-well(1e+308,1e+308)' is not finite",
              "fourier_nan.ini": "custom-fourier needs finite coefficients",
              "fourier_inf.ini": "custom-fourier needs finite coefficients",
              "fourier_huge.ini": "custom-fourier needs a finite Lipschitz constant",
@@ -255,6 +274,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
         assert code == 2, name
         err = capsys.readouterr().err
+        assert err.count("\n") == 1, name
         assert "invariant" in err or name in unnamed_invariant
         assert named.get(name, "") in err, name
         if name.startswith("off_grid"):
@@ -263,6 +283,27 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xec\x80[grid]\n")
     assert main(["critical-value", "--config", str(binary), "--out", str(tmp_path / "out")]) == 2
     assert "malformed config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("periodic", "periods"), ("lipschitz-c", "pairs")])
+def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, key):
+    """periodic's three (periods k + 1) x n arrays and lipschitz-c's
+    2 pairs measures are estimated once the probe gives tau, and a run over
+    config.MAX_RUN_BYTES exits 2 on one line before it allocates them."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n{key} = 1000000000\n")
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: memory invariant violated: {command} would store ")
+    assert err.count("\n") == 1
+    assert peak < 5e6
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_tol_c0_reaches_the_periodic_runners(tmp_path, monkeypatch, capsys):
