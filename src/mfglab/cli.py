@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import explicit_solution as explicit
 from .config import RunConfig, require_store
 from .errors import ConfigError, MFGLabError
-from .lax_oleinik import alpha_function, critical_value, weak_kam_solution
+from .lax_oleinik import alpha_function, critical_value, slice_count, weak_kam_solution
 from .measures import random_fourier_density, wasserstein1
 from .mfg import (
     LIPSCHITZ_SLACK,
@@ -68,7 +69,7 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, failure,
     payload.update(fields)
     payload.update({
         "command": command,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "pass": failure is None,
         "extras": extras,
     })
@@ -200,6 +201,7 @@ def _parse_a_grid(text: str) -> np.ndarray:
     if count < 1 or not np.isfinite([lo, hi]).all():
         raise ConfigError(f"a-grid invariant violated: --a-grid needs finite lo, hi "
                           f"and count >= 1, got {text!r}")
+    require_store("alpha", 2 * count * 8)  # the shifts and their alpha values
     return np.linspace(lo, hi, count)
 
 
@@ -207,29 +209,28 @@ def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     if not hasattr(model, "potential"):
         raise ConfigError("the alpha function needs a mechanical model")
-    if args.a_grid:
-        a_values = _parse_a_grid(args.a_grid)
-    else:
-        a_values = np.asarray(cfg.a_values, dtype=float)
+    shifts = _parse_a_grid(args.a_grid)
     alphas = np.array([
         alpha_function(model, float(a), cfg.t_probe, cfg.n, cfg.dt_probe)
-        for a in a_values
+        for a in shifts
     ])
-    _write_csv(out / "alpha.csv", "a,alpha", zip(a_values, alphas))
+    _write_csv(out / "alpha.csv", "a,alpha", zip(shifts, alphas))
     convexity = failure = None
-    if a_values.size >= 3:
-        spacing = np.diff(a_values)
+    if shifts.size >= 3:
+        spacing = np.diff(shifts)
         if np.allclose(spacing, spacing[0], rtol=1e-9):
             second = alphas[2:] - 2.0 * alphas[1:-1] + alphas[:-2]
             convexity = float(np.min(second))
             failure = _failure([("convexity_min_second_difference", convexity, ">=",
                                  -CONVEXITY_TOL)])
     return _write_summary(out, "alpha", cfg, failure, {},
-                          {"a_values": a_values, "alpha": alphas,
+                          {"a_values": shifts, "alpha": alphas,
                            "convexity_min_second_difference": convexity})
 
 
 def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
+    # w, origins and positions, each at most (K + 1) x n float64
+    require_store("solve", 3 * (slice_count(cfg.horizon, cfg.dt) + 1) * cfg.n * 8)
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
@@ -301,7 +302,7 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
                    f"{len(pairs)} pairs)")
     return _write_summary(out, "lipschitz-c", cfg, failure,
                           {"lipschitz_ratio_max": report.max_ratio},
-                          {"bound": report.bound, "k1": report.k1,
+                          {"bound": report.bound, "k1": report.k1, "seed": args.seed,
                            "violations": report.violations, "pairs": len(pairs)})
 
 
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=0,
                            help="seed for random measure-pair generation")
         if name == "alpha":
-            p.add_argument("--a-grid", help="lo:hi:count grid of shifts")
+            p.add_argument("--a-grid", default="0:0:1", help="lo:hi:count grid of shifts")
     args = parser.parse_args(argv)
 
     try:

@@ -1,14 +1,15 @@
 """Run configuration: plain-text key/value files with sections, parsed
-into a validated RunConfig.  Reproducibility of experiments is the
-product, so there are no environment overrides and the resolved config is
-embedded verbatim in every JSON summary.  The pass/fail bounds of the
+into a validated RunConfig.  The fields of RunConfig are the keys: a key
+is a field's name, in any section (DEFAULT included), parsed by the
+field's declared type (int, float, str, or list, a list of numbers), and
+any other name is an unknown key.  Reproducibility of experiments is the
+product, so there are no environment overrides and the resolved config,
+every field, is embedded verbatim in every JSON summary.  The pass/fail bounds of the
 experiments are constants beside the checks that read them, not keys;
 tol_converge_final, the final d1 bound of converge, is the one a run sets."""
 
-from __future__ import annotations
-
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
 
 MAX_RUN_BYTES = 2**32  # largest float64 store a run may ask for
+_KINDS = {int: "an integer", float: "a number", list: "a list of numbers"}
 
 
 def require_store(command: str, nbytes: int) -> None:
@@ -54,7 +56,7 @@ class RunConfig:
     n: int = 512
     dt: float = 1e-3
     # coupling / measures
-    coupling: str = "cosine4pi"
+    f: str = "cosine4pi"  # the coupling F(m) = int f dm
     m_t: str = "one-plus-cosine"
     m1: str = "one-plus-cosine"
     m2: str = "lebesgue"
@@ -68,15 +70,9 @@ class RunConfig:
     pairs: int = 50
     phi: str = "zero"
     c: float = 0.0
-    a_values: list = field(default_factory=lambda: [0.0])
     csv_stride: int = 0  # 0 = auto
     # tolerances (the fixed pass/fail bounds are constants beside their checks)
     tol_converge_final: float = 5e-3
-
-    _FLOATS = {"shift", "dt", "t_probe", "dt_probe", "horizon", "window", "c",
-               "tol_converge_final"}
-    _INTS = {"n", "periods", "pairs", "csv_stride"}
-    _LISTS = {"horizons", "a_values"}
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -90,26 +86,22 @@ class RunConfig:
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls()
-        aliases = {"f": "coupling"}
-        for section in parser.sections():
+        types = {spec.name: spec.type for spec in fields(cls)}
+        for section in [parser.default_section, *parser.sections()]:
             for key, raw in parser.items(section):
-                key = aliases.get(key, key).replace("-", "_")
-                if not hasattr(cfg, key) or key.startswith("_"):
+                kind = types.get(key)
+                if kind is None:
                     raise ConfigError(f"unknown config key [{section}] {key}")
                 try:
-                    if key in cls._LISTS:
-                        value = [float(tok) for tok in raw.replace(",", " ").split()]
-                    elif key in cls._INTS:
-                        value = int(raw)
-                    elif key in cls._FLOATS:
-                        value = float(raw)
-                    else:
+                    if kind is str:
                         value = raw.strip()
+                    elif kind is list:
+                        value = [float(tok) for tok in raw.replace(",", " ").split()]
+                    else:
+                        value = kind(raw)
                 except ValueError:
-                    kind = ("an integer" if key in cls._INTS else
-                            "a list of numbers" if key in cls._LISTS else "a number")
                     raise ConfigError(f"number invariant violated: [{section}] {key} "
-                                      f"must be {kind}, got {raw!r}") from None
+                                      f"must be {_KINDS[kind]}, got {raw!r}") from None
                 setattr(cfg, key, value)
         cfg.validate()
         return cfg
@@ -118,10 +110,9 @@ class RunConfig:
         n = self.n
         if n < 64 or n > 4096 or (n & (n - 1)) != 0:
             raise ConfigError("grid invariant violated: n must be a power of two in [64, 4096]")
-        for name in sorted(self._FLOATS):
-            if name.startswith("tol_") and not getattr(self, name) > 0.0:  # NaN too
-                raise ConfigError(f"tolerance invariant violated: {name} must be > 0")
-        for name in sorted(self._FLOATS | self._LISTS):
+        if not self.tol_converge_final > 0.0:  # NaN too
+            raise ConfigError("tolerance invariant violated: tol_converge_final must be > 0")
+        for name in sorted(spec.name for spec in fields(self) if spec.type in (float, list)):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"number invariant violated: {name} must be finite, "
                                   f"got {getattr(self, name)}")
@@ -152,8 +143,6 @@ class RunConfig:
                               f"below {T_PROBE_MIN:g}")
         if self.periods < 1 or self.pairs < 1 or self.csv_stride < 0:
             raise ConfigError("count invariant violated: periods and pairs >= 1, csv_stride >= 0")
-        if not self.a_values:
-            raise ConfigError("shift invariant violated: a_values must be nonempty")
         on_grid = [("horizon", self.horizon, "dt", self.dt),
                    *(("horizons entry", h, "dt", self.dt) for h in self.horizons),
                    ("window", self.window, "dt", self.dt),
@@ -167,13 +156,11 @@ class RunConfig:
                 raise ConfigError(f"time-grid invariant violated: {label} = {t:g} is not "
                                   f"a positive integer multiple of {step_label} = {step:g}"
                                   ) from None
-        # solve stores w, origins and positions, each at most (K + 1) x n float64
-        require_store("solve", 3 * (slice_count(self.horizon, self.dt) + 1) * n * 8)
 
     # -- builders -----------------------------------------------------------
     def build_model(self):
         try:
-            if self.family in ("quadratic-drift", "quadratic_drift"):
+            if self.family == "quadratic-drift":
                 model = QuadraticDrift()
             elif self.family == "mechanical":
                 model = Mechanical(self.shift, Potential.from_name(self.potential))
@@ -186,7 +173,7 @@ class RunConfig:
 
     def build_coupling(self) -> CouplingFunctional:
         try:
-            return CouplingFunctional.from_name(self.coupling)
+            return CouplingFunctional.from_name(self.f)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -203,12 +190,3 @@ class RunConfig:
         if self.phi == "cosine":
             return np.cos(2.0 * np.pi * xs)
         raise ConfigError(f"unknown initial value id {self.phi!r}")
-
-    def as_dict(self) -> dict:
-        out = {}
-        for name in sorted(vars(self)):
-            if name.startswith("_"):
-                continue
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, list) else value
-        return out

@@ -34,7 +34,9 @@ class Potential:
         if not np.isfinite(ends).all():
             raise ValueError(f"potential invariant violated: '{name}' is not finite at "
                              f"x = 0 and 1, V = {ends}")
-        if abs(ends[0] - ends[1]) > 1e-12:
+        # V(1) rounds at the scale of V's range: sin(pi) is 1.2e-16, not 0
+        span = np.ptp(fn(grid(VALIDATE_NODES)))
+        if abs(ends[0] - ends[1]) > 1e-12 * span:
             raise ValueError(f"potential '{name}' is not periodic: V(0) != V(1)")
 
     @classmethod
@@ -92,11 +94,12 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def validate(self) -> None:
-        """Discrete convexity/superlinearity checks on a sample grid.
+        """Discrete superlinearity/convexity checks on a sample grid.
 
-        Raises ValueError when a sampled second difference in p is not
-        strictly positive or when H(x, +-P)/P falls under
-        SUPERLINEAR_SLOPE_MIN.
+        Raises ValueError, in this order, when H is not finite there, when
+        H(x, +-P)/P falls under SUPERLINEAR_SLOPE_MIN, when the least
+        sampled H(x, .) sits on the edge p = +-P, or when a sampled second
+        difference in p is not strictly positive.
         """
         cutoff = MOMENTUM_CUTOFF
         xs = grid(VALIDATE_NODES)
@@ -106,15 +109,18 @@ class HamiltonianModel:
         if not np.isfinite(hv).all():
             raise ValueError(f"Hamiltonian invariant violated: H is not finite on the "
                              f"sample grid |p| <= {cutoff:g}")
-        d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
-        if not np.all(d2 > 0.0):
-            raise ValueError("Hamiltonian is not strictly convex in p on the sample grid")
         top = np.minimum(hv[-1], hv[0]) / cutoff
         if not np.all(top >= SUPERLINEAR_SLOPE_MIN):
             raise ValueError(
                 f"Hamiltonian grows too slowly at |p| = {cutoff}: "
                 f"min H(x, +-P)/P = {float(np.min(top)):.3g} < {SUPERLINEAR_SLOPE_MIN}"
             )
+        if np.isin(np.argmin(hv, axis=0), (0, ps.size - 1)).any():
+            raise ValueError(f"Hamiltonian invariant violated: the least sampled H(x, .) "
+                             f"over |p| <= {cutoff:g} sits on the edge p = +-{cutoff:g}")
+        d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
+        if not np.all(d2 > 0.0):
+            raise ValueError("Hamiltonian is not strictly convex in p on the sample grid")
 
 
 def _check_velocity(v) -> np.ndarray:

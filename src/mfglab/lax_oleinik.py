@@ -115,12 +115,9 @@ class HopfLaxStepper:
     Not thread-safe: every step overwrites the stepper's scratch buffers.
     The arrays a step returns are fresh and stay valid after later steps.
 
-    A step first bounds the field's neighbour gaps D by the padded reach
-    D (1 + 8u) + 16u (|w_0| + n D + max|dt K|), u = 2^-52, and bisects it
-    into the per-side suffix minima of the quotients
-    (dt K_i - dt K_i0) / |i - i0|, i0 the kinetic row's first argmin, to
-    find the band of offsets lo .. hi that can hold an argmin (the module
-    docstring derives the margin).  A band of the one interior offset i0
+    A step first finds the band of offsets lo .. hi that can hold an
+    argmin (the band rule, which the module docstring derives with its
+    rounding margin).  A band of the one interior offset i0
     scores i0 - 1 .. i0 + 1 alone and writes nothing to the cost block;
     a wider band adds its hi - lo + 1 columns of the window into the block
     and searches them.  A stepper with s_star = -1 (a non-finite kinetic

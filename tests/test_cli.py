@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -110,6 +111,7 @@ def test_lipschitz_subcommand_seeded(tmp_path, qd_config):
     summary = read_summary(out)
     assert summary["extras"]["violations"] == 0
     assert summary["lipschitz_ratio_max"] <= summary["extras"]["bound"]
+    assert summary["extras"]["seed"] == 7  # the pairs are not in the embedded config
 
 
 def test_alpha_subcommand_grid(tmp_path):
@@ -200,6 +202,23 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "example_dim_huge.ini": "[run]\nexample_dim = 1000000000\n",
         "solve_9_tib.ini": "[grid]\nn = 64\ndt = 0.05\n[run]\nhorizon = 1e9\n",
         "solve_161_gb.ini": "[grid]\nn = 4096\ndt = 2.44140625e-05\n[run]\nhorizon = 40\n",
+        # a key is a RunConfig field: no method, class attribute or second spelling
+        "key_validate.ini": "[run]\nvalidate = 1\n",
+        "key_as_dict.ini": "[run]\nas_dict = 1\n",
+        "key_build_model.ini": "[model]\nbuild_model = 1\n",
+        "key_from_file.ini": "[run]\nfrom_file = 1\n",
+        "key_floats.ini": "[run]\n_FLOATS = 1\n",
+        "key_coupling.ini": "[coupling]\ncoupling = zero\n",
+        "key_dt_probe.ini": "[run]\ndt-probe = 0.004\n",
+        "key_a_values.ini": "[run]\na_values = 0\n",
+        "key_default_section.ini": "[DEFAULT]\nvalidate = 1\n[grid]\nn = 64\n",
+        "default_section_bad_n.ini": "[DEFAULT]\nn = 300\n",
+        "family_underscore.ini": "[model]\nfamily = quadratic_drift\n",
+        "shift_on_edge.ini": "[model]\nfamily = mechanical\nshift = 1e150\n",
+        "potential_deep.ini": "[model]\nfamily = mechanical\n"
+                              "potential = double-well(0.5,1e308)\n",
+        "potential_deep_1e19.ini": "[model]\nfamily = mechanical\n"
+                                   "potential = double-well(0.5,1e19)\n",
     }
     commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
                 "csv_stride_negative.ini": "solve", "solve_9_tib.ini": "solve",
@@ -207,7 +226,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "dim_two.ini",
                          "no_section.ini", "duplicate_key.ini", "unknown_potential.ini",
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
-                         "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini")
+                         "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini",
+                         "a_values_nan.ini", "a_values_empty.ini", "family_underscore.ini",
+                         "potential_deep.ini", "potential_deep_1e19.ini")
     for name in cases:
         if name.startswith("bump_"):
             commands[name] = "wasserstein"
@@ -217,6 +238,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             unnamed_invariant += (name,)
         if name.startswith("example_dim_"):
             commands[name] = "verify-example"
+            unnamed_invariant += (name,)
+        if name.startswith("key_"):
             unnamed_invariant += (name,)
     named = {"bad_int.ini": "[grid] n", "bad_list.ini": "[run] horizons",
              "off_grid_horizon.ini": "horizon = 0.0015",
@@ -254,8 +277,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "nan_tol.ini": "tolerance invariant violated: tol_converge_final",
              "c_nan.ini": "number invariant violated: c must be finite",
              "c_inf.ini": "number invariant violated: c must be finite",
-             "a_values_nan.ini": "number invariant violated: a_values must be finite",
-             "a_values_empty.ini": "shift invariant violated: a_values must be nonempty",
+             "a_values_nan.ini": "unknown config key [run] a_values",
+             "a_values_empty.ini": "unknown config key [run] a_values",
              "csv_stride_negative.ini": "count invariant violated: periods and pairs "
                                         ">= 1, csv_stride >= 0",
              "shift_inf.ini": "number invariant violated: shift must be finite",
@@ -266,7 +289,22 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "solve_9_tib.ini": "memory invariant violated: solve would store 3.07e+13 "
                                 "bytes, over the budget of 4.29e+09 bytes",
              "solve_161_gb.ini": "memory invariant violated: solve would store 1.61e+11 "
-                                 "bytes"}
+                                 "bytes",
+             "key_validate.ini": "unknown config key [run] validate",
+             "key_as_dict.ini": "unknown config key [run] as_dict",
+             "key_build_model.ini": "unknown config key [model] build_model",
+             "key_from_file.ini": "unknown config key [run] from_file",
+             "key_floats.ini": "unknown config key [run] _floats",
+             "key_coupling.ini": "unknown config key [coupling] coupling",
+             "key_dt_probe.ini": "unknown config key [run] dt-probe",
+             "key_a_values.ini": "unknown config key [run] a_values",
+             "key_default_section.ini": "unknown config key [DEFAULT] validate",
+             "default_section_bad_n.ini": "grid invariant violated",
+             "family_underscore.ini": "unknown model family 'quadratic_drift'",
+             "shift_on_edge.ini": "Hamiltonian invariant violated: the least sampled "
+                                  "H(x, .) over |p| <= 10 sits on the edge p = +-10",
+             "potential_deep.ini": "Hamiltonian grows too slowly at |p| = 10",
+             "potential_deep_1e19.ini": "Hamiltonian grows too slowly at |p| = 10"}
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -304,6 +342,48 @@ def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, k
     assert err.count("\n") == 1
     assert peak < 5e6
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_solve_memory_invariant_is_solve_s_own(tmp_path, capsys):
+    """solve's (K + 1) x n store is estimated by solve alone: a horizon that
+    solve could not hold leaves the subcommands that never read it alone."""
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                   "horizon = 40000000\n")
+    for command in ("wasserstein", "critical-value"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("invalid input: memory invariant violated: solve would store 1.54e+13 "
+                   "bytes, over the budget of 4.29e+09 bytes\n")
+    assert peak < 5e6
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_every_field_is_a_key_of_its_declared_type(tmp_path):
+    """A config file sets each RunConfig field under its own name, parsed
+    to the type the field declares, and the summary embeds every field
+    under that name."""
+    fields = dataclasses.fields(RunConfig)
+    assert len(fields) == 20
+    for spec in fields:
+        default = getattr(RunConfig(), spec.name)
+        text = ", ".join(map(str, default)) if spec.type is list else str(default)
+        path = tmp_path / f"{spec.name}.ini"
+        path.write_text(f"[any]\n{spec.name} = {text}\n")
+        value = getattr(RunConfig.from_file(path), spec.name)
+        assert type(value) is spec.type and value == default, spec.name
+        if spec.type is list:
+            assert all(type(v) is float for v in value), spec.name
+    out = tmp_path / "ws"
+    assert main(["wasserstein", "--out", str(out)]) == 0
+    assert sorted(read_summary(out)["config"]) == sorted(spec.name for spec in fields)
 
 
 def test_tol_c0_reaches_the_periodic_runners(tmp_path, monkeypatch, capsys):
@@ -423,6 +503,13 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
         assert code == 2, grid
         assert "a-grid invariant" in capsys.readouterr().err, grid
         assert not (out / "alpha.csv").exists()
+    # a count whose shifts could not be held is refused before they are allocated
+    code = main(["alpha", "--config", str(mech), "--a-grid=0:1:1000000000000000",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: memory invariant violated: alpha would store ")
+    assert err.count("\n") == 1 and not (out / "alpha.csv").exists()
     # verify-example samples fixed grids; it takes no size flag
     with pytest.raises(SystemExit) as exc:
         main(["verify-example", "--n", "1", "--out", str(out)])

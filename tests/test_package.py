@@ -122,22 +122,38 @@ def test_critical_value_imports_no_numpy_ma():
     assert run.stdout.strip() == "False"
 
 
-def test_every_tolerance_key_is_set_by_a_workload(monkeypatch):
-    """A tol_* key of RunConfig is a bound that some benchmark config sets;
-    a bound that no run sets is a constant beside its check, not a key."""
+def _benchmark_configs(monkeypatch) -> list[str]:
+    """The config text of every variant of every benchmark workload."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
     spec.loader.exec_module(workloads)
+    return [workload.config_text(variant) for workload in workloads.WORKLOADS.values()
+            for variant in workload.variants()]
+
+
+def test_every_tolerance_key_is_set_by_a_workload(monkeypatch):
+    """A tol_* key of RunConfig is a bound that some benchmark config sets;
+    a bound that no run sets is a constant beside its check, not a key."""
     keys = set()
-    for workload in workloads.WORKLOADS.values():
-        for variant in workload.variants():
-            parser = configparser.ConfigParser(interpolation=None)
-            parser.read_string(workload.config_text(variant))
-            keys.update(key for section in parser.sections() for key in parser[section])
+    for text in _benchmark_configs(monkeypatch):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        keys.update(key for section in parser.sections() for key in parser[section])
     tolerances = {f.name for f in dataclasses.fields(RunConfig) if f.name.startswith("tol_")}
     assert tolerances and sorted(tolerances - keys) == []
+
+
+def test_benchmark_configs_parse(monkeypatch, tmp_path):
+    """Every config the benchmark writes is one the package accepts, so a
+    key it sets cannot be renamed or deleted under it."""
+    texts = _benchmark_configs(monkeypatch)
+    assert texts
+    path = tmp_path / "run.ini"
+    for text in dict.fromkeys(texts):
+        path.write_text(text)
+        RunConfig.from_file(path)
 
 
 def test_readme_config_sample_parses(tmp_path):
