@@ -8,16 +8,7 @@ from .characteristics import (
     forward_flow,
 )
 from .coupling import CouplingFunctional, monotonicity_defect
-from .errors import (
-    AmbiguousClassificationError,
-    ConfigError,
-    DegenerateBacktrackError,
-    MassDriftError,
-    MFGLabError,
-    NotConvergedError,
-    NotPeriodicRegimeError,
-    VelocityCutoffError,
-)
+from .errors import ConfigError, MFGLabError
 from .explicit_solution import ExplicitInstance, hjb_residual, transport_residual
 from .hamiltonians import (
     Mechanical,
@@ -47,25 +38,19 @@ from .mfg import (
 )
 
 __all__ = [
-    "AmbiguousClassificationError",
     "CircleMeasure",
     "ConfigError",
     "CouplingFunctional",
-    "DegenerateBacktrackError",
     "DriftField",
     "ExplicitInstance",
     "FlowMap",
     "HopfLaxStepper",
-    "MassDriftError",
     "Mechanical",
     "MFGLabError",
     "MFGSolution",
-    "NotConvergedError",
-    "NotPeriodicRegimeError",
     "PeriodicSolution",
     "Potential",
     "QuadraticDrift",
-    "VelocityCutoffError",
     "alpha_function",
     "critical_value",
     "drift_field",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousClassificationError, NotPeriodicRegimeError
+from .errors import MFGLabError
 from .hamiltonians import HamiltonianModel
 from .torus import circle_distance, grid, periodic_gradient, wrap
 
@@ -35,7 +35,7 @@ class DriftField:
 
     def require_periodic(self) -> None:
         if self.classification != PERIODIC_ORBIT:
-            raise NotPeriodicRegimeError(
+            raise MFGLabError(
                 "operation needs the periodic-orbit regime, got fixed points"
             )
 
@@ -52,7 +52,7 @@ def drift_field(u0: np.ndarray, model: HamiltonianModel) -> DriftField:
     v = np.asarray(model.dh_dp(nodes, periodic_gradient(u0, 1.0 / n)), dtype=float)
     min_abs = float(np.min(np.abs(v)))
     if V_FLOOR / 2.0 < min_abs < V_FLOOR:
-        raise AmbiguousClassificationError(
+        raise MFGLabError(
             f"min |v| = {min_abs:.3g} falls in the guard band "
             f"({V_FLOOR / 2.0:.3g}, {V_FLOOR:.3g})"
         )

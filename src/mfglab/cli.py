@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +50,6 @@ RESIDUAL_CLOSED_TOL = 1e-10  # verify-example: closed-form residuals
 RESIDUAL_GRID_TOL = 1e-3     # verify-example: sampled-grid residuals
 
 
-def _jsonify(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
 def _write_summary(out: Path, command: str, cfg: RunConfig, failure,
                    fields: dict, extras: dict) -> int:
     """Write summary.json and return the run's exit code: 0, or 1 when a
@@ -73,11 +62,13 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, failure,
         "pass": failure is None,
         "extras": extras,
     })
-    payload = _jsonify(payload)
+    numpy_values = methodcaller("tolist")  # the values json cannot write itself
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=numpy_values) + "\n"
     except ValueError:
-        raise MFGLabError(f"summary value {_non_finite(payload)} is not finite") from None
+        plain = json.loads(json.dumps(payload, default=numpy_values))
+        raise MFGLabError(f"summary value {_non_finite(plain)} is not finite") from None
     (out / "summary.json").write_text(text)
     if failure is None:
         return 0
@@ -86,8 +77,8 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, failure,
 
 
 def _non_finite(value, path=""):
-    """Path of the first non-finite number in a jsonified value, in key
-    order, as key.key[index]; None if every number is finite."""
+    """Path of the first non-finite number in a value read back from
+    JSON, in key order, as key.key[index]; None if every number is finite."""
     if isinstance(value, float):
         return None if math.isfinite(value) else path
     if isinstance(value, dict):
@@ -231,6 +222,9 @@ def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     # w, origins and positions, each at most (K + 1) x n float64
     require_store("solve", 3 * (slice_count(cfg.horizon, cfg.dt) + 1) * cfg.n * 8)
+    if not math.isfinite(cfg.c * cfg.horizon):  # the shift c t of the value field
+        raise ConfigError(f"number invariant violated: c * horizon must be finite, "
+                          f"got c = {cfg.c:g}, horizon = {cfg.horizon:g}")
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
@@ -310,8 +304,15 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
+    regime = _regime(cfg, model)
+    k_per = period_grid(regime, cfg.dt)[4]
+    w = slice_count(cfg.window, cfg.dt)
+    # rows of n float64: each horizon's w and origins windows, the transport
+    # table's period and window spans, and one backtrack's positions
+    rows = len(cfg.horizons) * (2 * w + 1) + (k_per + 1 + w + 1) + (w + 1)
+    require_store("converge", rows * cfg.n * 8)
     report = long_time_convergence_experiment(
-        cfg.build_phi(), m_t, model, _regime(cfg, model), functional, cfg.horizons,
+        cfg.build_phi(), m_t, model, regime, functional, cfg.horizons,
         window=cfg.window, dt=cfg.dt)
     table = [[T, d, u] for T, d, u in report.rows()]
     _write_csv(out / "converge.csv", "horizon,d1_deviation,u_deviation", table)

@@ -1,32 +1,9 @@
-"""Exception types raised by the numerical operations."""
+"""Two exception types, one per exit code: MFGLabError is a numerical
+failure (exit 1) and its subclass ConfigError is invalid input (exit 2)."""
 
 
 class MFGLabError(Exception):
-    """Base class for all package-specific failures."""
-
-
-class VelocityCutoffError(MFGLabError):
-    """A minimisation or backtracking step hit the velocity search boundary."""
-
-
-class NotConvergedError(MFGLabError):
-    """A long-time limit did not settle within its tolerance."""
-
-
-class AmbiguousClassificationError(MFGLabError):
-    """min |v| falls inside the guard band between the two drift regimes."""
-
-
-class NotPeriodicRegimeError(MFGLabError):
-    """An operation requiring a periodic-orbit drift field got fixed points."""
-
-
-class MassDriftError(MFGLabError):
-    """A density push-forward lost or gained more mass than allowed."""
-
-
-class DegenerateBacktrackError(MFGLabError):
-    """A characteristic backtracking chain left the velocity cutoff."""
+    """A numerical operation failed; the message names the check."""
 
 
 class ConfigError(MFGLabError):

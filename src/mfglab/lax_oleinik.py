@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvergedError, VelocityCutoffError
+from .errors import MFGLabError
 from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel, Mechanical
 from .torus import grid, periodic_gradient, periodic_second_difference
 
@@ -213,7 +213,7 @@ class HopfLaxStepper:
         if lo == 0 or hi == m - 1:
             interior = self._interior[k]
             if self.boundary_is_cutoff and not interior.all():
-                raise VelocityCutoffError(
+                raise MFGLabError(
                     "Hopf-Lax argmin sits on the velocity search boundary"
                 )
         # the argmin and its two neighbours, recomputed from the window as
@@ -369,7 +369,7 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
         w_final=w, semiconcavity=c_sc,
     )
     if oscillation > PROBE_TOL:
-        raise NotConvergedError(
+        raise MFGLabError(
             f"critical value diagnostic {oscillation:.3g} exceeds tol {PROBE_TOL:.3g}"
         )
     return result

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from .errors import MassDriftError
+from .errors import MFGLabError
 from .torus import grid, interp_stencil, wrap
 
 DENSITY = "density"
@@ -159,7 +159,7 @@ class TransportTable:
     def masses(self, m: CircleMeasure) -> np.ndarray:
         """Node masses of the pushed densities, one row per span, each
         renormalised to unit mass; a renormalisation of MASS_DRIFT_TOL or
-        more raises MassDriftError."""
+        more raises MFGLabError."""
         d = m.density_values
         d_next = np.roll(d, -1)
         values = np.empty((self.spans.size, self.nodes.size))
@@ -169,7 +169,7 @@ class TransportTable:
             totals[block] = values[block].mean(axis=1)
         worst = float(np.max(np.abs(totals - 1.0)))
         if worst >= MASS_DRIFT_TOL:
-            raise MassDriftError(
+            raise MFGLabError(
                 f"push-forward mass drift {worst:.3g} exceeds {MASS_DRIFT_TOL:.3g}"
             )
         values /= (totals * self.nodes.size)[:, None]
@@ -179,7 +179,7 @@ class TransportTable:
         """Means of f under the pushed densities, one row per span and one
         column per density: entry (k, i) is the mean of f_nodes under row k
         of masses(m_i) for the grid density values densities[i], with the
-        same renormalisation and the same MassDriftError.
+        same renormalisation and the same mass-drift check.
 
         The push is linear in the density, so each block of rows takes
         one bincount of the stencil weights to pull f back onto the grid
@@ -203,7 +203,7 @@ class TransportTable:
             integral[block] = pulled.reshape(-1, n) @ columns
         worst = float(np.max(np.abs(mass / n - 1.0), initial=0.0))
         if worst >= MASS_DRIFT_TOL:
-            raise MassDriftError(
+            raise MFGLabError(
                 f"push-forward mass drift {worst:.3g} exceeds {MASS_DRIFT_TOL:.3g}"
             )
         return integral / mass

@@ -21,7 +21,7 @@ import numpy as np
 
 from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_constant
 from .coupling import CouplingFunctional
-from .errors import DegenerateBacktrackError
+from .errors import MFGLabError
 from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel
 from .lax_oleinik import (
     CriticalValueResult,
@@ -109,7 +109,7 @@ def _backtrack(m_t: CircleMeasure, origins: np.ndarray, stepper: HopfLaxStepper,
     for k in range(steps - 1, -1, -1):
         disp = periodic_interp(positions[k + 1], origins[k])
         if np.any(np.abs(disp) > reach):
-            raise DegenerateBacktrackError(
+            raise MFGLabError(
                 "argmin chain left the velocity cutoff during backtracking"
             )
         positions[k] = wrap(positions[k + 1] - disp)

@@ -12,7 +12,7 @@ from mfglab.characteristics import (
     flow_lipschitz_constant,
     forward_flow,
 )
-from mfglab.errors import AmbiguousClassificationError, NotPeriodicRegimeError
+from mfglab.errors import MFGLabError
 from mfglab.hamiltonians import Mechanical, Potential
 from mfglab.lax_oleinik import critical_value, weak_kam_solution
 from mfglab.torus import circle_distance, grid, periodic_interp, wrap
@@ -64,13 +64,13 @@ def test_drift_field_cosine_fixed_points(cosine_model, cosine_weak_kam):
     df = drift_field(cosine_weak_kam.u0, cosine_model)
     assert df.classification == FIXED_POINTS
     assert df.tau is None
-    with pytest.raises(NotPeriodicRegimeError):
+    with pytest.raises(MFGLabError, match="periodic-orbit regime"):
         df.require_periodic()
 
 
 def test_drift_field_ambiguous_band():
     model = Mechanical(7.5e-4, Potential.zero())  # v in (V_FLOOR/2, V_FLOOR)
-    with pytest.raises(AmbiguousClassificationError):
+    with pytest.raises(MFGLabError, match="guard band"):
         drift_field(np.zeros(128), model)
 
 

@@ -202,6 +202,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "example_dim_huge.ini": "[run]\nexample_dim = 1000000000\n",
         "solve_9_tib.ini": "[grid]\nn = 64\ndt = 0.05\n[run]\nhorizon = 1e9\n",
         "solve_161_gb.ini": "[grid]\nn = 4096\ndt = 2.44140625e-05\n[run]\nhorizon = 40\n",
+        "c_times_horizon_inf.ini": "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                                   "c = 1e308\nhorizon = 3\n",
         # a key is a RunConfig field: no method, class attribute or second spelling
         "key_validate.ini": "[run]\nvalidate = 1\n",
         "key_as_dict.ini": "[run]\nas_dict = 1\n",
@@ -222,13 +224,13 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     }
     commands = {"vmax_20_solve.ini": "solve", "a_values_empty.ini": "alpha",
                 "csv_stride_negative.ini": "solve", "solve_9_tib.ini": "solve",
-                "solve_161_gb.ini": "solve"}
+                "solve_161_gb.ini": "solve", "c_times_horizon_inf.ini": "solve"}
     unnamed_invariant = ("unknown_key.ini", "removed_key.ini", "dim_two.ini",
                          "no_section.ini", "duplicate_key.ini", "unknown_potential.ini",
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
                          "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini",
                          "a_values_nan.ini", "a_values_empty.ini", "family_underscore.ini",
-                         "potential_deep.ini", "potential_deep_1e19.ini")
+                         "shift_on_edge.ini", "potential_deep.ini", "potential_deep_1e19.ini")
     for name in cases:
         if name.startswith("bump_"):
             commands[name] = "wasserstein"
@@ -290,6 +292,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                                 "bytes, over the budget of 4.29e+09 bytes",
              "solve_161_gb.ini": "memory invariant violated: solve would store 1.61e+11 "
                                  "bytes",
+             "c_times_horizon_inf.ini": "number invariant violated: c * horizon must be "
+                                        "finite, got c = 1e+308, horizon = 3",
              "key_validate.ini": "unknown config key [run] validate",
              "key_as_dict.ini": "unknown config key [run] as_dict",
              "key_build_model.ini": "unknown config key [model] build_model",
@@ -301,8 +305,7 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "key_default_section.ini": "unknown config key [DEFAULT] validate",
              "default_section_bad_n.ini": "grid invariant violated",
              "family_underscore.ini": "unknown model family 'quadratic_drift'",
-             "shift_on_edge.ini": "Hamiltonian invariant violated: the least sampled "
-                                  "H(x, .) over |p| <= 10 sits on the edge p = +-10",
+             "shift_on_edge.ini": "Hamiltonian grows too slowly at |p| = 10",
              "potential_deep.ini": "Hamiltonian grows too slowly at |p| = 10",
              "potential_deep_1e19.ini": "Hamiltonian grows too slowly at |p| = 10"}
     for name, text in cases.items():
@@ -317,19 +320,25 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         assert named.get(name, "") in err, name
         if name.startswith("off_grid"):
             assert "time-grid invariant" in err, name
+    assert not (tmp_path / "out" / "u.csv").exists()
     binary = tmp_path / "binary.ini"
     binary.write_bytes(b"\xec\x80[grid]\n")
     assert main(["critical-value", "--config", str(binary), "--out", str(tmp_path / "out")]) == 2
     assert "malformed config file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, key", [("periodic", "periods"), ("lipschitz-c", "pairs")])
-def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, key):
-    """periodic's three (periods k + 1) x n arrays and lipschitz-c's
-    2 pairs measures are estimated once the probe gives tau, and a run over
-    config.MAX_RUN_BYTES exits 2 on one line before it allocates them."""
+@pytest.mark.parametrize("command, run", [
+    pytest.param("periodic", "periods = 1000000000\n", id="periodic-periods"),
+    pytest.param("lipschitz-c", "pairs = 1000000000\n", id="lipschitz-c-pairs"),
+    pytest.param("converge", "horizons = 4000000\nwindow = 4000000\n", id="converge-window"),
+])
+def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, run):
+    """periodic's three (periods k + 1) x n arrays, lipschitz-c's 2 pairs
+    measures and converge's windows, table rows and backtrack are estimated
+    once the probe gives tau, and a run over config.MAX_RUN_BYTES exits 2
+    on one line before it allocates them."""
     cfg = tmp_path / "huge.ini"
-    cfg.write_text(f"[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n{key} = 1000000000\n")
+    cfg.write_text(f"[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n{run}")
     tracemalloc.start()
     try:
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -655,3 +664,14 @@ def test_non_finite_summary_value_exits_1(tmp_path, monkeypatch, capsys):
         assert err.count("\n") == 1 and "extras.oscillation" in err
         assert "Traceback" not in err
         assert not (out / "summary.json").exists()
+    # inside an array value the line names the index
+    monkeypatch.setattr(cli, "alpha_function",
+                        lambda model, a, *args: math.nan if a == 0.0 else 1.0)
+    mechanical = tmp_path / "mechanical.ini"
+    mechanical.write_text(SMALL_MECHANICAL)
+    out = tmp_path / "bad-alpha"
+    assert main(["alpha", "--config", str(mechanical), "--out", str(out),
+                 "--a-grid=-0.3:0.3:3"]) == 1
+    assert capsys.readouterr().err == ("numerical failure: summary value extras.alpha[1] "
+                                       "is not finite\n")
+    assert not (out / "summary.json").exists()

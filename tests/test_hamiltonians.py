@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab.errors import VelocityCutoffError
+from mfglab.errors import MFGLabError
 from mfglab.hamiltonians import HamiltonianModel, Mechanical, Potential, QuadraticDrift
 from mfglab.torus import grid
 
@@ -25,9 +25,9 @@ def test_legendre_cosine_example(cosine_model):
 
 
 def test_velocity_cutoff_errors():
-    with pytest.raises(VelocityCutoffError):
+    with pytest.raises(MFGLabError, match="exceeds the velocity cutoff"):
         Mechanical().lagrangian_parts([0.0], [11.0])
-    with pytest.raises(VelocityCutoffError):
+    with pytest.raises(MFGLabError, match="exceeds the velocity cutoff"):
         QuadraticDrift().lagrangian_parts(grid(8), [-11.0, 0.0])
 
 
@@ -60,6 +60,9 @@ def test_validate_accepts_families(qd_model, cosine_model, double_well_model):
     qd_model.validate()
     cosine_model.validate()
     double_well_model.validate()
+    # growth counts from the least sampled H(x, .), so V's offset cancels:
+    # this well is 42.5 deep and H(x, +-10)/10 falls to 0.76 on the grid
+    Mechanical(0.0, Potential.double_well(0.5, 170.0)).validate()
 
 
 class _Kinked(HamiltonianModel):

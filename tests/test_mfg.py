@@ -3,7 +3,7 @@ import pytest
 
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
-from mfglab.errors import DegenerateBacktrackError, NotPeriodicRegimeError
+from mfglab.errors import MFGLabError
 from mfglab.hamiltonians import VELOCITY_CUTOFF
 from mfglab.lax_oleinik import HopfLaxStepper, critical_value, slice_count, sweep
 from mfglab.measures import (
@@ -107,7 +107,7 @@ def test_backtrack_checks_every_step(qd_model, coupling_cos, m_cos):
     positions, _f = _backtrack(m_cos, origins, stepper, coupling_cos)
     assert np.array_equal(positions[0], m_cos.positions)
     origins[0] = 1.5 * VELOCITY_CUTOFF * DT  # only the earliest step leaves the cutoff
-    with pytest.raises(DegenerateBacktrackError):
+    with pytest.raises(MFGLabError, match="left the velocity cutoff"):
         _backtrack(m_cos, origins, stepper, coupling_cos)
 
 
@@ -145,7 +145,7 @@ def test_periodic_solution_rejects_fixed_point_regime(cosine_model, coupling_cos
     from mfglab.characteristics import drift_field
     df = drift_field(cosine_weak_kam.u0, cosine_model)
     regime = (cosine_weak_kam.c0, cosine_weak_kam.u0, df)
-    with pytest.raises(NotPeriodicRegimeError):
+    with pytest.raises(MFGLabError, match="periodic-orbit regime"):
         periodic_solution(m_cos, regime, coupling_cos, dt=DT)
 
 
