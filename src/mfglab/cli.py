@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from operator import methodcaller
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .mfg import (
     periodic_regime,
     periodic_solution,
     solve_finite_horizon,
+    window_segments,
 )
 
 SUMMARY_KEYS = ("c0", "tau", "c_mT", "periodicity_defect", "nontriviality_gap",
@@ -201,6 +202,11 @@ def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     if not hasattr(model, "potential"):
         raise ConfigError("the alpha function needs a mechanical model")
     shifts = _parse_a_grid(args.a_grid)
+    for a in shifts:  # each probe's model, refused before the first probe runs
+        try:
+            replace(model, shift=float(a)).validate()
+        except ValueError as exc:
+            raise ConfigError(f"a-grid invariant violated: shift a = {a:g}: {exc}") from None
     alphas = np.array([
         alpha_function(model, float(a), cfg.t_probe, cfg.n, cfg.dt_probe)
         for a in shifts
@@ -307,9 +313,12 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     regime = _regime(cfg, model)
     k_per = period_grid(regime, cfg.dt)[4]
     w = slice_count(cfg.window, cfg.dt)
-    # rows of n float64: each horizon's w and origins windows, the transport
-    # table's period and window spans, and one backtrack's positions
-    rows = len(cfg.horizons) * (2 * w + 1) + (k_per + 1 + w + 1) + (w + 1)
+    segments = window_segments(cfg.horizons, cfg.window, cfg.dt)
+    longest = max(last - first for first, last, _ in segments)
+    # rows of n float64: each horizon's value window, the origins of the
+    # longest sweep segment, the window and period tables' spans, and the
+    # one position row a backtrack walks
+    rows = len(cfg.horizons) * (w + 1) + longest + (w + 1) + (k_per + 1) + 1
     require_store("converge", rows * cfg.n * 8)
     report = long_time_convergence_experiment(
         cfg.build_phi(), m_t, model, regime, functional, cfg.horizons,

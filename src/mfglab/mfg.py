@@ -9,8 +9,12 @@ constant c(m_T), and the two experiments quantifying how c(m_T) depends
 on the final measure and how finite-horizon solutions approach the
 periodic regime.  The last three take the periodic regime (c0, u0,
 drift) that periodic_regime derives from one critical-value probe, and
-each carries m_T by one TransportTable over the time-to-go spans T - t it
-needs.
+each carries m_T by TransportTables over the time-to-go spans T - t it
+needs: one each for the periodic solution and the Lipschitz experiment,
+and for the convergence experiment one over a period, reduced at once to
+F, and one over its window.  The finite-horizon solution and the
+convergence experiment walk m_T back along the argmin chains with one
+row-by-row walker.
 """
 
 from __future__ import annotations
@@ -80,7 +84,10 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
     steps = slice_count(horizon, dt)
     stepper = HopfLaxStepper(model, phi.size, dt)
     _, (rec,) = sweep(stepper, phi, steps, [(0, steps)])
-    positions, f_series = _backtrack(m_t, rec.origins, stepper, functional)
+    positions = np.empty((steps + 1, m_t.n))
+    for k, row in zip(range(steps, -1, -1), _backtrack(m_t, rec.origins, stepper)):
+        positions[k] = row
+    f_series = np.array([_coupling(m_t, functional, p) for p in positions])
     times = dt * np.arange(steps + 1)
     shift = cumulative_trapezoid(f_series, dt) + c * times
     return MFGSolution(
@@ -95,26 +102,30 @@ def _require_density(m_t: CircleMeasure) -> None:
         raise ValueError("the final measure must be absolutely continuous (density)")
 
 
-def _backtrack(m_t: CircleMeasure, origins: np.ndarray, stepper: HopfLaxStepper,
-               functional: CouplingFunctional) -> tuple[np.ndarray, np.ndarray]:
+def _backtrack(m_t: CircleMeasure, origins: np.ndarray, stepper: HopfLaxStepper):
     """Atom positions of m_t carried backward along the argmin chains of
-    the L recorded steps, (L+1, A) with m_t itself last, and F along them.
+    the L recorded steps, one row at a time: m_t's own positions first,
+    then the rows L - 1 .. 0.
 
     Every step checks that the chain stays inside the velocity cutoff.
     """
-    steps = origins.shape[0]
     reach = VELOCITY_CUTOFF * stepper.dt * (1.0 + 1e-9)
-    positions = np.empty((steps + 1, m_t.n))
-    positions[steps] = m_t.positions
-    for k in range(steps - 1, -1, -1):
-        disp = periodic_interp(positions[k + 1], origins[k])
+    positions = m_t.positions
+    yield positions
+    for step_origins in origins[::-1]:
+        disp = periodic_interp(positions, step_origins)
         if np.any(np.abs(disp) > reach):
             raise MFGLabError(
                 "argmin chain left the velocity cutoff during backtracking"
             )
-        positions[k] = wrap(positions[k + 1] - disp)
-    f_series = np.array([float(np.sum(m_t.weights * functional.f(p))) for p in positions])
-    return positions, f_series
+        positions = wrap(positions - disp)
+        yield positions
+
+
+def _coupling(m_t: CircleMeasure, functional: CouplingFunctional,
+              positions: np.ndarray) -> float:
+    """F of m_t's weights on the atom positions of one backtracked row."""
+    return float(np.sum(m_t.weights * functional.f(positions)))
 
 
 @dataclass
@@ -247,6 +258,22 @@ class ConvergenceReport:
         return list(zip(self.horizons, self.d1_deviation, self.u_deviation))
 
 
+def window_segments(horizons, window: float, dt: float) -> list:
+    """The sweep segments of the convergence experiment at step dt: for
+    each run of trailing windows [T - window, T] of the sorted horizons
+    that share a step, (first step, last step, the first step of each
+    window in the run), in order."""
+    w_steps = slice_count(window, dt)
+    segments = []
+    for end in sorted(slice_count(T, dt) for T in horizons):
+        if segments and end - w_steps < segments[-1][1]:
+            first, _, starts = segments[-1]
+            segments[-1] = (first, end, starts + [end - w_steps])
+        else:
+            segments.append((end - w_steps, end, [end - w_steps]))
+    return segments
+
+
 def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
                                      model: HamiltonianModel, regime: tuple,
                                      functional: CouplingFunctional,
@@ -255,17 +282,21 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     """Deviation of finite-horizon solutions from the periodic one over
     the trailing window [T - window, T], for each horizon T.
 
-    One Hopf-Lax sweep at dt runs from phi to T_cal = CALIBRATION_FACTOR
-    times the largest horizon, keeping value slices and argmin origins only
-    on the trailing windows; m_T is backtracked, and F integrated, only
-    across them (the u gap is taken relative to the window start, so the
-    earlier path cancels).  The final slice calibrates the additive
-    constant of the stationary solution entering u_bar: u0_phi =
-    w_phi(., T_cal) + c0 T_cal, at dt like the evolution it is compared
-    with.  m_bar depends on t only through the time-to-go T - t, so one
-    transport table over the period and window spans serves every
-    horizon.  The regime's probe may run at its own step; only c0, the
-    drift and its period enter here.
+    m_bar depends on t only through the time-to-go T - t, so one transport
+    table over a period of spans, reduced at once to the period integral
+    of F, and one over the window spans serve every horizon.  One Hopf-Lax
+    sweep at dt then runs from phi to T_cal = CALIBRATION_FACTOR times the
+    largest horizon, in segments that end where a window ends (windows
+    sharing a step share a segment).  As each segment ends, m_T is
+    backtracked across its windows one row at a time, taking F and
+    d1(m(s), m_bar(s)) at each slice, and the argmin origins are dropped;
+    a window keeps only its value slices, its F integral from the window
+    start (the u gap is taken relative to it, so the earlier path cancels)
+    and its worst d1.  The final slice calibrates the additive constant of
+    the stationary solution entering u_bar: u0_phi = w_phi(., T_cal) +
+    c0 T_cal, at dt like the evolution it is compared with, so the u gaps
+    are taken after the last segment.  The regime's probe may run at its
+    own step; only c0, the drift and its period enter here.
     """
     horizons = sorted(float(T) for T in horizons)
     _require_density(m_t)
@@ -275,24 +306,46 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     c0, _u0, df, tau, k_per, dt_p = period_grid(regime, dt)
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
+    cal_steps = slice_count(t_cal, dt)
     w_steps = slice_count(window, dt)
-    ends = [slice_count(T, dt) for T in horizons]
-    stepper = HopfLaxStepper(model, phi.size, dt)
-    w_cal, records = sweep(stepper, phi, slice_count(t_cal, dt),
-                           [(end - w_steps, end) for end in ends])
-    u0_phi = w_cal + c0 * t_cal
+    segments = window_segments(horizons, window, dt)
 
-    # rows: spans T - t over one period (dt_p grid), then over the window (dt grid)
+    # m_bar at the spans T - t over one period (dt_p grid), kept only as
+    # F, and over the window (dt grid)
+    flow = FlowMap(df)
+    nodes = grid(m_t.n)
     period_spans = dt_p * np.arange(k_per + 1)
+    f_period = TransportTable(flow, period_spans, m_t.n).masses(m_t) @ functional.f(nodes)
     window_spans = dt * np.arange(w_steps + 1)
-    table = TransportTable(FlowMap(df), np.concatenate([period_spans, window_spans]),
-                           m_t.n)
-    masses = table.masses(m_t)
-    m_bar_window = masses[k_per + 1:]
-    f_period = masses[:k_per + 1] @ functional.f(table.nodes)
+    m_bar_window = TransportTable(flow, window_spans, m_t.n).masses(m_t)
     period_integral = trapezoid(f_period, dt_p)
     c_mt = c0 - period_integral / tau
     span_cum = cumulative_trapezoid(f_period, dt_p)
+
+    stepper = HopfLaxStepper(model, phi.size, dt)
+    w, done = phi, 0
+    kept = []   # per horizon: window start, value slices, int F from the start
+    d1_dev = []
+    for first, last, starts in segments:
+        w, (rec,) = sweep(stepper, w, last - done, [(first - done, last - done)])
+        done = last
+        for start in starts:
+            lo = start - first
+            f_series = np.empty(w_steps + 1)
+            worst_d1 = 0.0
+            # row j of the walk lies a time-to-go j dt before T
+            for j, positions in enumerate(_backtrack(m_t, rec.origins[lo:lo + w_steps],
+                                                     stepper)):
+                f_series[w_steps - j] = _coupling(m_t, functional, positions)
+                worst_d1 = max(worst_d1, wasserstein1(
+                    CircleMeasure(PARTICLES, positions, m_t.weights),
+                    CircleMeasure(DENSITY, nodes, m_bar_window[j])))
+            kept.append((start, rec.w[lo:lo + w_steps + 1],
+                         cumulative_trapezoid(f_series, dt)))
+            d1_dev.append(worst_d1)
+        del rec  # the segment's origins; its value slices live on in kept
+    w_cal, _ = sweep(stepper, w, cal_steps - done)
+    u0_phi = w_cal + c0 * t_cal
 
     def tail_integral(r: float) -> float:
         """int_{T-r}^{T} F(m_bar) for r >= 0 via tau-periodicity."""
@@ -300,23 +353,16 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
         return whole * period_integral + float(np.interp(part, period_spans, span_cum))
 
     tail_window = tail_integral(window)
-    d1_dev, u_dev = [], []
-    for rec in records:
-        positions, f_series = _backtrack(m_t, rec.origins, stepper, functional)
-        m_cum = cumulative_trapezoid(f_series, dt)  # int_{T - window}^{t_k} F(m)
-        worst_d1 = 0.0
+    u_dev = []
+    for start, values, m_cum in kept:
         worst_u = 0.0
         for i in range(w_steps + 1):
-            s = dt * (rec.start + i)
+            s = dt * (start + i)
             j = w_steps - i  # time-to-go T - s on the window grid
-            m_s = CircleMeasure(PARTICLES, positions[i], m_t.weights)
-            worst_d1 = max(worst_d1, wasserstein1(
-                m_s, CircleMeasure(DENSITY, table.nodes, m_bar_window[j])))
-            u_slice = rec.w[i] + float(m_cum[i]) + c_mt * s
+            u_slice = values[i] + float(m_cum[i]) + c_mt * s
             u_bar_slice = (u0_phi + (tail_window - tail_integral(window_spans[j]))
                            - s * (period_integral / tau))
             worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))
-        d1_dev.append(worst_d1)
         u_dev.append(worst_u)
     return ConvergenceReport(horizons=horizons, d1_deviation=d1_dev,
                              u_deviation=u_dev, window=window, c_mt=float(c_mt))

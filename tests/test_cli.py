@@ -353,6 +353,30 @@ def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, r
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_converge_estimate_covers_its_traced_peak(tmp_path, monkeypatch):
+    """converge's estimate, checked before the run allocates, is not below
+    the traced peak of the whole run on the benchmark's grid (n = 512,
+    dt = 0.004).  At n <= 256 a transport block's temporaries and the
+    stepper's buffers, which it does not count, outweigh its rows."""
+    import mfglab.cli as cli
+    estimates = []
+    require = cli.require_store
+    monkeypatch.setattr(cli, "require_store",
+                        lambda label, nbytes: estimates.append(nbytes) or require(label, nbytes))
+    cfg = tmp_path / "converge.ini"
+    cfg.write_text(QD_CONFIG.replace("n = 256", "n = 512").replace("dt = 0.002", "dt = 0.004")
+                   + "horizons = 1 2\nwindow = 0.5\nphi = cosine\n"
+                   + "tol_converge_final = 0.5\n")
+    tracemalloc.start()
+    try:
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(estimates) == 1 and estimates[0] >= peak, (estimates, peak)
+
+
 def test_solve_memory_invariant_is_solve_s_own(tmp_path, capsys):
     """solve's (K + 1) x n store is estimated by solve alone: a horizon that
     solve could not hold leaves the subcommands that never read it alone."""
@@ -512,6 +536,16 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
         assert code == 2, grid
         assert "a-grid invariant" in capsys.readouterr().err, grid
         assert not (out / "alpha.csv").exists()
+    # each shift's model is validated before the first probe runs
+    for grid, fault in (("8:8:1", "shift a = 8: Hamiltonian grows too slowly"),
+                        ("0:8:3", "shift a = 8: Hamiltonian grows too slowly"),
+                        ("1e150:1e150:1", "shift a = 1e+150: Hamiltonian grows too slowly"),
+                        ("1e200:1e200:1", "shift a = 1e+200: Hamiltonian invariant violated")):
+        code = main(["alpha", "--config", str(mech), f"--a-grid={grid}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, grid
+        assert err.startswith(f"invalid input: a-grid invariant violated: {fault}"), err
+        assert err.count("\n") == 1 and not (out / "alpha.csv").exists(), grid
     # a count whose shifts could not be held is refused before they are allocated
     code = main(["alpha", "--config", str(mech), "--a-grid=0:1:1000000000000000",
                  "--out", str(out)])

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
 from mfglab.errors import MFGLabError
-from mfglab.hamiltonians import VELOCITY_CUTOFF
+from mfglab.hamiltonians import VELOCITY_CUTOFF, Mechanical, Potential
 from mfglab.lax_oleinik import HopfLaxStepper, critical_value, slice_count, sweep
 from mfglab.measures import (
+    DENSITY,
     PARTICLES,
     CircleMeasure,
     TransportTable,
@@ -19,10 +22,19 @@ from mfglab.mfg import (
     _backtrack,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
+    period_grid,
+    periodic_regime,
     periodic_solution,
     solve_finite_horizon,
 )
-from mfglab.torus import cumulative_trapezoid, grid, periodic_gradient, trapezoid
+from mfglab.torus import (
+    cumulative_trapezoid,
+    grid,
+    periodic_gradient,
+    periodic_interp,
+    trapezoid,
+    wrap,
+)
 
 
 N = 256
@@ -101,14 +113,17 @@ def test_gradient_decoupling(qd_model, m_cos, coupling_cos):
         assert float(np.max(gap) - np.min(gap)) <= 1e-10
 
 
-def test_backtrack_checks_every_step(qd_model, coupling_cos, m_cos):
+def test_backtrack_checks_every_step(qd_model, m_cos):
     stepper = HopfLaxStepper(qd_model, N, DT)
     origins = np.zeros((5, N))
-    positions, _f = _backtrack(m_cos, origins, stepper, coupling_cos)
-    assert np.array_equal(positions[0], m_cos.positions)
+    rows = list(_backtrack(m_cos, origins, stepper))
+    assert len(rows) == 6 and np.array_equal(rows[-1], m_cos.positions)
     origins[0] = 1.5 * VELOCITY_CUTOFF * DT  # only the earliest step leaves the cutoff
+    walk = _backtrack(m_cos, origins, stepper)
+    for _ in range(5):  # m_T and the rows of the four later steps
+        next(walk)
     with pytest.raises(MFGLabError, match="left the velocity cutoff"):
-        _backtrack(m_cos, origins, stepper, coupling_cos)
+        next(walk)
 
 
 def test_m_path_is_lipschitz_in_time(qd_model, coupling_cos, m_cos):
@@ -351,16 +366,22 @@ def _reference_convergence(phi, m_t, model, functional, horizons, window, dt,
     return d1_dev, u_dev, c_mt
 
 
-def test_single_sweep_matches_per_horizon_route(coupling_cos, monkeypatch):
+@pytest.fixture(scope="module")
+def cosine_shifted():
+    """Mechanical(1.6, cosine) and its periodic regime at n = 256, probed at
+    dt = 0.005: a nonuniform drift whose period, tau = 0.685, is off the
+    dt grid."""
+    model = Mechanical(1.6, Potential.cosine())
+    regime = periodic_regime(model, critical_value(model, 20.0, 256, 5e-3))
+    assert np.max(regime[2].v) - np.min(regime[2].v) > 0.5
+    return model, regime
+
+
+def test_single_sweep_matches_per_horizon_route(coupling_cos, cosine_shifted, monkeypatch):
     """A nonuniform drift whose period is off the dt grid (tau = 0.685 at
     dt = 0.005), so period and window phases lie on different grids."""
-    from mfglab.hamiltonians import Mechanical, Potential
-    from mfglab.mfg import periodic_regime
-
     n, dt, horizons, window = 256, 5e-3, [1.0, 2.0], 0.25
-    model = Mechanical(1.6, Potential.cosine())
-    regime = periodic_regime(model, critical_value(model, 20.0, n, dt))
-    assert np.max(regime[2].v) - np.min(regime[2].v) > 0.5
+    model, regime = cosine_shifted
     phi = np.cos(2 * np.pi * grid(n))
     m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.2)", n)
     d1_ref, u_ref, c_ref = _reference_convergence(
@@ -377,3 +398,109 @@ def test_single_sweep_matches_per_horizon_route(coupling_cos, monkeypatch):
     assert np.max(np.abs(np.subtract(report.u_deviation, u_ref))) <= 1e-12
     assert report.c_mt == pytest.approx(c_ref, abs=1e-12)
     assert min(report.d1_deviation) > 1e-3  # far enough from m_bar to compare
+
+
+def _frozen_convergence(phi, m_t, model, regime, functional, horizons, window, dt):
+    """long_time_convergence_experiment as it ran before it streamed its
+    windows, frozen as the oracle of the streamed one: one sweep recording
+    every window's value slices and origins, one transport table over the
+    period and window spans together, and a full (w + 1, n) backtrack per
+    horizon."""
+    horizons = sorted(float(T) for T in horizons)
+    c0, _u0, df, tau, k_per, dt_p = period_grid(regime, dt)
+    t_cal = CALIBRATION_FACTOR * horizons[-1]
+    w_steps = slice_count(window, dt)
+    ends = [slice_count(T, dt) for T in horizons]
+    stepper = HopfLaxStepper(model, phi.size, dt)
+    w_cal, records = sweep(stepper, phi, slice_count(t_cal, dt),
+                           [(end - w_steps, end) for end in ends])
+    u0_phi = w_cal + c0 * t_cal
+    period_spans = dt_p * np.arange(k_per + 1)
+    window_spans = dt * np.arange(w_steps + 1)
+    table = TransportTable(FlowMap(df), np.concatenate([period_spans, window_spans]),
+                           m_t.n)
+    masses = table.masses(m_t)
+    m_bar_window = masses[k_per + 1:]
+    f_period = masses[:k_per + 1] @ functional.f(table.nodes)
+    period_integral = trapezoid(f_period, dt_p)
+    c_mt = c0 - period_integral / tau
+    span_cum = cumulative_trapezoid(f_period, dt_p)
+
+    def tail_integral(r):
+        whole, part = divmod(r, tau)
+        return whole * period_integral + float(np.interp(part, period_spans, span_cum))
+
+    tail_window = tail_integral(window)
+    reach = VELOCITY_CUTOFF * dt * (1.0 + 1e-9)
+    d1_dev, u_dev = [], []
+    for rec in records:
+        positions = np.empty((w_steps + 1, m_t.n))
+        positions[w_steps] = m_t.positions
+        for k in range(w_steps - 1, -1, -1):
+            disp = periodic_interp(positions[k + 1], rec.origins[k])
+            assert not np.any(np.abs(disp) > reach)
+            positions[k] = wrap(positions[k + 1] - disp)
+        f_series = np.array([float(np.sum(m_t.weights * functional.f(p)))
+                             for p in positions])
+        m_cum = cumulative_trapezoid(f_series, dt)
+        worst_d1 = worst_u = 0.0
+        for i in range(w_steps + 1):
+            s = dt * (rec.start + i)
+            j = w_steps - i
+            m_s = CircleMeasure(PARTICLES, positions[i], m_t.weights)
+            worst_d1 = max(worst_d1, wasserstein1(
+                m_s, CircleMeasure(DENSITY, table.nodes, m_bar_window[j])))
+            u_slice = rec.w[i] + float(m_cum[i]) + c_mt * s
+            u_bar_slice = (u0_phi + (tail_window - tail_integral(window_spans[j]))
+                           - s * (period_integral / tau))
+            worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))
+        d1_dev.append(worst_d1)
+        u_dev.append(worst_u)
+    return d1_dev, u_dev, float(c_mt)
+
+
+@pytest.mark.parametrize("horizons, window", [
+    ((3.0, 3.0), 0.5),          # one window twice: one segment
+    ((3.0, 3.2), 0.5),          # windows that overlap share a segment
+    ((2.0, 2.1, 2.2), 0.5),     # a chain of three overlapping windows
+    ((2.0, 2.5, 3.0), 0.5),     # windows that meet at one slice
+    ((2.0, 3.0), 0.004),        # a one-step window
+    ((2.0, 3.0), 2.0),          # the window is the whole smallest horizon
+])
+def test_streamed_experiment_bit_equals_frozen_oracle(coupling_cos, cosine_shifted,
+                                                      horizons, window):
+    """Every report entry of the streamed experiment equals the frozen
+    oracle's exactly, on a drift whose period is off the dt grid."""
+    model, regime = cosine_shifted
+    n, dt = 256, 0.004
+    phi = np.cos(2 * np.pi * grid(n))
+    m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.2)", n)
+    d1_ref, u_ref, c_ref = _frozen_convergence(phi, m_t, model, regime, coupling_cos,
+                                               horizons, window, dt)
+    report = long_time_convergence_experiment(phi, m_t, model, regime, coupling_cos,
+                                              horizons, window=window, dt=dt)
+    assert report.d1_deviation == d1_ref
+    assert report.u_deviation == u_ref
+    assert report.c_mt == c_ref
+    assert min(d1_ref) > 1e-4  # the walk moved m_T away from m_bar
+
+
+def test_convergence_experiment_peak_memory(qd_model, coupling_cos):
+    """The benchmark's converge inputs (n = 512, dt = 0.004, horizons 3 and 6,
+    window 0.5, cosine phi, its seed-3 bump) peak at 2.42 MB of traced
+    allocations: two horizons' value windows, one window's origins, the
+    window table, and the period table only before the sweep.  Holding both
+    windows' origins, the joint table and full backtracks peaked at 5.16 MB.
+    The bound is the measured peak plus 20%."""
+    n, dt = 512, 0.004
+    regime = periodic_regime(qd_model, critical_value(qd_model, 20.0, n, dt))
+    phi = np.cos(2 * np.pi * grid(n))
+    m_t = CircleMeasure.from_name("gaussian-bump(0.375,0.18)", n)
+    tracemalloc.start()
+    try:
+        long_time_convergence_experiment(phi, m_t, qd_model, regime, coupling_cos,
+                                         [3.0, 6.0], window=0.5, dt=dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.9e6
