@@ -29,6 +29,7 @@ from .measures import (
 )
 from .mfg import (
     MFGSolution,
+    PeriodicRegime,
     PeriodicSolution,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
@@ -48,6 +49,7 @@ __all__ = [
     "Mechanical",
     "MFGLabError",
     "MFGSolution",
+    "PeriodicRegime",
     "PeriodicSolution",
     "Potential",
     "QuadraticDrift",

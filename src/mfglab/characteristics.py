@@ -18,6 +18,8 @@ FIXED_POINTS = "fixed-points"
 PERIODIC_ORBIT = "periodic-orbit"
 
 V_FLOOR = 1e-3
+K1_POINTS = 24  # flow_lipschitz_constant samples pairs of this many points
+K1_TIMES = 9    # ... at this many spans over one period
 
 
 @dataclass(frozen=True)
@@ -158,33 +160,21 @@ def forward_flow(df: DriftField, s, x):
     return np.where(s == 0.0, x, y)[()]
 
 
-@dataclass(frozen=True)
-class FlowLipschitzReport:
-    k1: float
-    k2: float           # Lipschitz constant of x -> v(x)
-    gronwall_bound: float  # e^(tau K2)
+def flow_lipschitz_constant(df: DriftField) -> float:
+    """Measured contraction/expansion constant K1 of the flow over one period.
 
-
-def flow_lipschitz_constant(df: DriftField, n_points: int = 24,
-                            n_times: int = 9) -> FlowLipschitzReport:
-    """Measured contraction/expansion constant of the flow over one period.
-
-    K1 = max over sampled pairs and time-to-go s in [0, tau] of
-    d(Phi_s(x), Phi_s(y)) / d(x,y), with Phi forward_flow's exact flow of
-    the piecewise-linear drift, so K1 carries no integration error; pairs
-    closer than one grid cell are skipped.  Also reports the Gronwall bound
-    e^(tau K2).
+    K1 = max over pairs of K1_POINTS grid points and K1_TIMES spans
+    s in [0, tau] of d(Phi_s(x), Phi_s(y)) / d(x,y), with Phi forward_flow's
+    exact flow of the piecewise-linear drift, so K1 carries no integration
+    error; pairs closer than one grid cell are skipped.
     """
     df.require_periodic()
     tau = float(df.tau)
-    xs = grid(n_points)
-    spans = tau - tau * np.arange(n_times) / (n_times - 1)
-    imgs = forward_flow(df, spans, xs)  # (n_times, n_points)
-    first, second = np.triu_indices(n_points, 1)
+    xs = grid(K1_POINTS)
+    spans = tau - tau * np.arange(K1_TIMES) / (K1_TIMES - 1)
+    imgs = forward_flow(df, spans, xs)  # (K1_TIMES, K1_POINTS)
+    first, second = np.triu_indices(K1_POINTS, 1)
     base = circle_distance(xs[first], xs[second])
     keep = base >= df.dx
     moved = circle_distance(imgs[:, first[keep]], imgs[:, second[keep]])
-    k1 = float(np.max(moved / base[keep], initial=0.0))
-    dv = np.abs(np.diff(np.concatenate([df.v, df.v[:1]])))
-    k2 = float(np.max(dv) / df.dx)
-    return FlowLipschitzReport(k1=k1, k2=k2, gronwall_bound=float(np.exp(tau * k2)))
+    return float(np.max(moved / base[keep], initial=0.0))

@@ -30,9 +30,9 @@ from .lax_oleinik import alpha_function, critical_value, slice_count, weak_kam_s
 from .measures import random_fourier_density, wasserstein1
 from .mfg import (
     LIPSCHITZ_SLACK,
+    PeriodicRegime,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
-    period_grid,
     periodic_regime,
     periodic_solution,
     solve_finite_horizon,
@@ -164,8 +164,8 @@ def _probe(cfg: RunConfig, model):
     return critical_value(model, cfg.t_probe, cfg.n, cfg.dt_probe)
 
 
-def _regime(cfg: RunConfig, model) -> tuple:
-    """The periodic regime (c0, u0, drift) of the config's probe."""
+def _regime(cfg: RunConfig, model) -> PeriodicRegime:
+    """The periodic regime of the config's probe."""
     return periodic_regime(model, _probe(cfg, model))
 
 
@@ -254,7 +254,7 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     regime = _regime(cfg, model)
-    k_per = period_grid(regime, cfg.dt)[4]
+    k_per, _ = regime.period_grid(cfg.dt)
     # masses, u_bar and m_bar's positions: three (periods k + 1) x n arrays
     require_store("periodic", 3 * (cfg.periods * k_per + 1) * cfg.n * 8)
     ps = periodic_solution(m_t, regime, functional, dt=cfg.dt, periods=cfg.periods)
@@ -284,7 +284,7 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     model = cfg.build_model()
     functional = cfg.build_coupling()
     regime = _regime(cfg, model)
-    k_per = period_grid(regime, cfg.dt)[4]
+    k_per, _ = regime.period_grid(cfg.dt)
     # each of the 2 pairs measures: its positions, weights and density values
     # and the two stacked copies means takes (five n-vectors), and means'
     # pushed mass, f-weighted sums and their ratio (three k + 1 columns)
@@ -311,7 +311,7 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     regime = _regime(cfg, model)
-    k_per = period_grid(regime, cfg.dt)[4]
+    k_per, _ = regime.period_grid(cfg.dt)
     w = slice_count(cfg.window, cfg.dt)
     segments = window_segments(cfg.horizons, cfg.window, cfg.dt)
     longest = max(last - first for first, last, _ in segments)

@@ -283,46 +283,34 @@ def slice_count(t_final: float, dt: float) -> int:
 
 
 @dataclass
-class SweepWindow:
-    """Slices w_k for k = start .. start + L of one sweep, and the argmin
-    origin displacements of the L steps between them."""
+class SweepRecord:
+    """Every slice w_0 .. w_L of one sweep and the argmin origin
+    displacements of the L steps between them."""
 
-    start: int
     w: np.ndarray          # (L+1, N)
     origins: np.ndarray    # (L, N)
 
 
 def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int,
-          windows=()) -> tuple[np.ndarray, list]:
-    """Run `steps` Hopf-Lax steps from phi, keeping only what is asked for.
+          record: bool = False) -> tuple[np.ndarray, SweepRecord | None]:
+    """Run `steps` Hopf-Lax steps from phi.
 
-    Each (k0, k1) in `windows`, 0 <= k0 <= k1 <= steps, records the slices
-    w_k0 .. w_k1 and the origins of the steps k0 -> k1; the rest of the
-    evolution is dropped as it goes.  Returns the final slice and one
-    SweepWindow per requested window, in order.
+    Returns the final slice and, when `record` is set, a SweepRecord of
+    every slice and every step's origins; otherwise None, and the
+    evolution is dropped as it goes.  A caller that reads a few slices
+    splits its run into sweeps that end there.
     """
     w = np.asarray(phi, dtype=float)
-    records = []
-    slices, stepping = {}, {}            # step index -> the records it writes
-    for k0, k1 in windows:
-        if not 0 <= k0 <= k1 <= steps:
-            raise ValueError(f"sweep window ({k0}, {k1}) outside 0..{steps}")
-        rec = SweepWindow(k0, np.empty((k1 - k0 + 1, w.size)), np.empty((k1 - k0, w.size)))
-        records.append(rec)
-        for k in range(k0, k1 + 1):
-            slices.setdefault(k, []).append(rec)
-            if k < k1:
-                stepping.setdefault(k, []).append(rec)
+    if not record:
+        for _ in range(steps):
+            w = stepper.step(w)[0]
+        return w, None
+    rec = SweepRecord(np.empty((steps + 1, w.size)), np.empty((steps, w.size)))
+    rec.w[0] = w
     for k in range(steps):
-        for rec in slices.get(k, ()):
-            rec.w[k - rec.start] = w
-        recs = stepping.get(k, ())
-        w, origins = stepper.step(w, want_origins=bool(recs))
-        for rec in recs:
-            rec.origins[k - rec.start] = origins
-    for rec in slices.get(steps, ()):
-        rec.w[steps - rec.start] = w
-    return w, records
+        w, rec.origins[k] = stepper.step(w, want_origins=True)
+        rec.w[k + 1] = w
+    return w, rec
 
 
 @dataclass
@@ -356,9 +344,11 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
         w1 = stepper.step(np.zeros(n))[0]
         w, w_one, w_mid = steps * w1, k_one * w1, half * w1
     else:
-        w, (one, mid) = sweep(stepper, np.zeros(n), steps,
-                              [(k_one, k_one), (half, half)])
-        w_one, w_mid = one.w[0], mid.w[0]
+        # three sweeps that end at the read slices; k_one <= half, except in
+        # a one-step probe, whose half is 0
+        w_one, _ = sweep(stepper, np.zeros(n), k_one)
+        w_mid = sweep(stepper, w_one, half - k_one)[0] if half else np.zeros(n)
+        w, _ = sweep(stepper, w_mid, steps - half)
     c_sc = semiconcavity_upper_bound(w_one, stepper.dx)
     t_mid = half * dt
     c0 = -(float(np.mean(w)) - float(np.mean(w_mid))) / (t_probe - t_mid)

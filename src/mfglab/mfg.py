@@ -7,12 +7,13 @@ minimising characteristics of that evolution.  This module builds the
 finite-horizon weak solution, the time-periodic solution with its
 constant c(m_T), and the two experiments quantifying how c(m_T) depends
 on the final measure and how finite-horizon solutions approach the
-periodic regime.  The last three take the periodic regime (c0, u0,
-drift) that periodic_regime derives from one critical-value probe, and
-each carries m_T by TransportTables over the time-to-go spans T - t it
-needs: one each for the periodic solution and the Lipschitz experiment,
-and for the convergence experiment one over a period, reduced at once to
-F, and one over its window.  The finite-horizon solution and the
+periodic regime.  The last three take the PeriodicRegime (c0, u0,
+drift) that periodic_regime derives from one critical-value probe, whose
+period_grid gives the step that divides the period.  Each carries m_T by
+TransportTables over the time-to-go spans T - t it needs: one each for
+the periodic solution and the Lipschitz experiment, and for the
+convergence experiment one over a period, reduced at once to F, and one
+over its window.  The finite-horizon solution and the
 convergence experiment walk m_T back along the argmin chains with one
 row-by-row walker.
 """
@@ -20,6 +21,7 @@ row-by-row walker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +85,7 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(horizon, dt)
     stepper = HopfLaxStepper(model, phi.size, dt)
-    _, (rec,) = sweep(stepper, phi, steps, [(0, steps)])
+    _, rec = sweep(stepper, phi, steps, record=True)
     positions = np.empty((steps + 1, m_t.n))
     for k, row in zip(range(steps, -1, -1), _backtrack(m_t, rec.origins, stepper)):
         positions[k] = row
@@ -148,24 +150,29 @@ class PeriodicSolution:
     distance_to_invariant: float  # d1(m_T, m_star)
 
 
-def periodic_regime(model: HamiltonianModel, probe: CriticalValueResult
-                    ) -> tuple[float, np.ndarray, DriftField]:
+class PeriodicRegime(NamedTuple):
     """Critical value, stationary solution and drift field of one probe."""
+
+    c0: float
+    u0: np.ndarray
+    drift: DriftField
+
+    def period_grid(self, dt: float) -> tuple[int, float]:
+        """k steps of tau / k over the drift's period tau, the step nearest
+        dt; the drift must be in the periodic-orbit regime."""
+        self.drift.require_periodic()
+        k = max(1, int(round(self.drift.tau / dt)))
+        return k, self.drift.tau / k
+
+
+def periodic_regime(model: HamiltonianModel, probe: CriticalValueResult
+                    ) -> PeriodicRegime:
+    """The periodic regime of one critical-value probe."""
     wk = weak_kam_solution(model, probe)
-    return wk.c0, wk.u0, drift_field(wk.u0, model)
+    return PeriodicRegime(wk.c0, wk.u0, drift_field(wk.u0, model))
 
 
-def period_grid(regime, dt):
-    """The periodic regime (c0, u0, df), its period tau, and the period
-    grid: k steps of tau / k, the step nearest dt."""
-    c0, u0, df = regime
-    df.require_periodic()
-    tau = float(df.tau)
-    k = max(1, int(round(tau / dt)))
-    return c0, u0, df, tau, k, tau / k
-
-
-def periodic_solution(m_t: CircleMeasure, regime: tuple,
+def periodic_solution(m_t: CircleMeasure, regime: PeriodicRegime,
                       functional: CouplingFunctional, dt: float = 1e-3,
                       periods: int = 2) -> PeriodicSolution:
     """Periodic construction: m_bar rides the stationary characteristics
@@ -176,7 +183,8 @@ def periodic_solution(m_t: CircleMeasure, regime: tuple,
     m_T to round-off; c(m_T) = c0 minus the period average of F.
     """
     _require_density(m_t)
-    c0, u0, df, tau, k_per, dt_adj = period_grid(regime, dt)
+    k_per, dt_adj = regime.period_grid(dt)
+    df, tau = regime.drift, regime.drift.tau
     steps = periods * k_per
     times = dt_adj * np.arange(steps + 1)
     flow = FlowMap(df)
@@ -186,9 +194,9 @@ def periodic_solution(m_t: CircleMeasure, regime: tuple,
     m_bar = [CircleMeasure(DENSITY, nodes, row) for row in masses]
     f_series = masses @ functional.f(nodes)
     period_integral = trapezoid(f_series[: k_per + 1], dt_adj)
-    c_mt = c0 - period_integral / tau
-    u_bar = u0[None, :] + (cumulative_trapezoid(f_series, dt_adj)
-                           - times * (period_integral / tau))[:, None]
+    c_mt = regime.c0 - period_integral / tau
+    u_bar = regime.u0[None, :] + (cumulative_trapezoid(f_series, dt_adj)
+                                  - times * (period_integral / tau))[:, None]
 
     periodicity_defect = max(
         wasserstein1(m_bar[k + k_per], m_bar[k]) for k in range(steps - k_per + 1)
@@ -196,7 +204,7 @@ def periodic_solution(m_t: CircleMeasure, regime: tuple,
     m_star = invariant_density(df)
     nontriviality_gap = max(wasserstein1(m, m_bar[0]) for m in m_bar)
     return PeriodicSolution(
-        times=times, nodes=df.nodes, tau=tau, c0=c0, c_mt=c_mt,
+        times=times, nodes=df.nodes, tau=tau, c0=regime.c0, c_mt=c_mt,
         u_bar=u_bar, m_bar=m_bar, coupling_series=f_series,
         drift=df, flow=flow, m_star=m_star,
         periodicity_defect=periodicity_defect,
@@ -219,7 +227,7 @@ class LipschitzCReport:
         return float(np.max(self.ratios)) if self.ratios.size else 0.0
 
 
-def lipschitz_c_experiment(pairs, regime: tuple, functional: CouplingFunctional,
+def lipschitz_c_experiment(pairs, regime: PeriodicRegime, functional: CouplingFunctional,
                            dt: float = 1e-3) -> LipschitzCReport:
     """Ratio |c(m1) - c(m2)| / d1(m1, m2) over final-measure pairs.
 
@@ -228,8 +236,9 @@ def lipschitz_c_experiment(pairs, regime: tuple, functional: CouplingFunctional,
     violates the bound Lip(f) K1 when its ratio exceeds it by more than
     LIPSCHITZ_SLACK.
     """
-    _c0, _u0, df, tau, k_per, dt_adj = period_grid(regime, dt)
-    k1 = flow_lipschitz_constant(df).k1
+    k_per, dt_adj = regime.period_grid(dt)
+    df, tau = regime.drift, regime.drift.tau
+    k1 = flow_lipschitz_constant(df)
     bound = functional.lipschitz * k1
     table = TransportTable(FlowMap(df), dt_adj * np.arange(k_per + 1), df.nodes.size)
     kept = [(m1, m2, d) for m1, m2 in pairs if (d := wasserstein1(m1, m2)) > 1e-14]
@@ -275,7 +284,7 @@ def window_segments(horizons, window: float, dt: float) -> list:
 
 
 def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
-                                     model: HamiltonianModel, regime: tuple,
+                                     model: HamiltonianModel, regime: PeriodicRegime,
                                      functional: CouplingFunctional,
                                      horizons, window: float = 1.0,
                                      dt: float = 1e-3) -> ConvergenceReport:
@@ -303,7 +312,8 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     if window > horizons[0]:
         raise ValueError(f"window {window:g} exceeds the smallest horizon {horizons[0]:g}")
     phi = np.asarray(phi, dtype=float)
-    c0, _u0, df, tau, k_per, dt_p = period_grid(regime, dt)
+    k_per, dt_p = regime.period_grid(dt)
+    c0, df, tau = regime.c0, regime.drift, regime.drift.tau
 
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     cal_steps = slice_count(t_cal, dt)
@@ -327,7 +337,8 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     kept = []   # per horizon: window start, value slices, int F from the start
     d1_dev = []
     for first, last, starts in segments:
-        w, (rec,) = sweep(stepper, w, last - done, [(first - done, last - done)])
+        w, _ = sweep(stepper, w, first - done)
+        w, rec = sweep(stepper, w, last - first, record=True)
         done = last
         for start in starts:
             lo = start - first

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mfglab.characteristics import (
     FIXED_POINTS,
+    K1_POINTS,
+    K1_TIMES,
     PERIODIC_ORBIT,
     DriftField,
     FlowMap,
@@ -192,21 +194,19 @@ def test_forward_flow_requires_t_before_reference(qd_drift):
 
 
 def test_lipschitz_constant_rigid(qd_drift):
-    rep = flow_lipschitz_constant(qd_drift)
-    assert rep.k1 == pytest.approx(1.0, abs=1e-9)
-    assert rep.gronwall_bound == pytest.approx(1.0, abs=1e-12)
+    assert flow_lipschitz_constant(qd_drift) == pytest.approx(1.0, abs=1e-9)
 
 
-def _reference_k1(df, n_points=24, n_times=9):
+def _reference_k1(df):
     """K1 as flow_lipschitz_constant measured it before it batched its
     spans: one scalar forward_flow call per span, one pass per point."""
     tau = float(df.tau)
-    xs = grid(n_points)
-    spans = tau - tau * np.arange(n_times) / (n_times - 1)
+    xs = grid(K1_POINTS)
+    spans = tau - tau * np.arange(K1_TIMES) / (K1_TIMES - 1)
     k1 = 0.0
     for s in spans:
         imgs = forward_flow(df, float(s), xs)
-        for i in range(n_points):
+        for i in range(K1_POINTS):
             base = circle_distance(xs[i], xs[i + 1:])
             moved = circle_distance(imgs[i], imgs[i + 1:])
             keep = base >= df.dx
@@ -215,12 +215,11 @@ def _reference_k1(df, n_points=24, n_times=9):
     return k1
 
 
-def test_lipschitz_constant_gronwall_bound(wavy_drift, wavy_negative_drift):
-    rep = flow_lipschitz_constant(wavy_drift)
-    assert rep.k1 <= rep.gronwall_bound + 1e-6
-    assert rep.k1 >= 1.0 - 1e-9  # some pair must spread at least rigidly over a period
+def test_lipschitz_constant_matches_per_span_reference(wavy_drift, wavy_negative_drift):
     for df in (wavy_drift, wavy_negative_drift):
-        assert flow_lipschitz_constant(df, n_times=3).k1 == _reference_k1(df, n_times=3)
+        k1 = flow_lipschitz_constant(df)
+        assert k1 >= 1.0 - 1e-9  # some pair must spread at least rigidly over a period
+        assert k1 == _reference_k1(df)
 
 
 def test_forward_flow_batched_times_match_scalar_calls(wavy_drift, wavy_negative_drift):

@@ -28,8 +28,7 @@ from mfglab.torus import grid, periodic_interp, periodic_second_difference
 def _slices(phi, steps, model, dt):
     """Every slice w_0 .. w_steps of the Hopf-Lax evolution from phi."""
     stepper = HopfLaxStepper(model, phi.size, dt)
-    _, (rec,) = sweep(stepper, phi, steps, [(0, steps)])
-    return rec.w
+    return sweep(stepper, phi, steps, record=True)[1].w
 
 
 def test_step_preserves_rest_state(free_model, qd_model):
@@ -71,8 +70,9 @@ def test_step_ties_go_to_the_smallest_displacement(free_model):
 def test_evolve_semigroup_property(qd_model, smooth_values_128):
     """200 steps equal 125 steps followed by 75 more from the slice reached."""
     stepper = HopfLaxStepper(qd_model, 128, 2e-3)
-    w_full, (mid,) = sweep(stepper, smooth_values_128, 200, [(125, 125)])
-    w_tail, _ = sweep(stepper, mid.w[0], 75)
+    w_full, _ = sweep(stepper, smooth_values_128, 200)
+    w_mid, _ = sweep(stepper, smooth_values_128, 125)
+    w_tail, _ = sweep(stepper, w_mid, 75)
     assert np.max(np.abs(w_tail - w_full)) < 1e-6
 
 
@@ -467,8 +467,10 @@ def test_uniform_potential_probe_is_one_step(monkeypatch, cosine_model, n, dt):
         else:
             exact = Fraction(a) ** 2 / 2
             assert abs(Fraction(c0) - exact) <= 4 * Fraction(np.spacing(float(exact)))
-        w, (mid,) = sweep(HopfLaxStepper(model, n, dt), np.zeros(n), steps, [(half, half)])
-        swept = -(float(np.mean(w)) - float(np.mean(mid.w[0]))) / (t_probe - half * dt)
+        stepper = HopfLaxStepper(model, n, dt)
+        w_mid, _ = sweep(stepper, np.zeros(n), half)
+        w, _ = sweep(stepper, w_mid, steps - half)
+        swept = -(float(np.mean(w)) - float(np.mean(w_mid))) / (t_probe - half * dt)
         assert abs(c0 - swept) <= 1e-11 * (1.0 + abs(c0))
     calls.clear()
     critical_value(cosine_model, t_probe, n, dt)
@@ -655,37 +657,22 @@ def test_step_monotone_up_to_its_refinement(w, bump, model_name):
     assert np.min(upper - lower + r) >= -1e-12 * (1.0 + np.max(np.abs(w)))
 
 
-SWEEP_STEPS = 40
-_bound = st.integers(0, SWEEP_STEPS)
-
-
-@settings(max_examples=40, deadline=None)
-@given(windows=st.lists(st.tuples(_bound, _bound).map(sorted), max_size=3))
-def test_sweep_windows_match_evolve(cosine_model, smooth_values_128, windows):
-    """Recorded slices equal those of a plain step loop bit for bit, and
-    recorded origins equal the step's own origins on those slices."""
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_sweep_matches_a_step_loop(cosine_model, smooth_values_128, steps):
+    """A recorded sweep's slices and origins, and an unrecorded sweep's
+    end, equal those of a plain step loop bit for bit."""
     stepper = HopfLaxStepper(cosine_model, 128, 2e-3)
-    values = [smooth_values_128]
-    for _ in range(SWEEP_STEPS):
-        values.append(stepper.step(values[-1])[0])
-    values = np.array(values)
-    w_end, records = sweep(stepper, smooth_values_128, SWEEP_STEPS, windows)
+    values, origins = [smooth_values_128], []
+    for _ in range(steps):
+        w, d = stepper.step(values[-1], want_origins=True)
+        values.append(w)
+        origins.append(d)
+    w_end, rec = sweep(stepper, smooth_values_128, steps, record=True)
     assert np.array_equal(w_end, values[-1])
-    assert len(records) == len(windows)
-    for (k0, k1), rec in zip(windows, records):
-        assert rec.start == k0
-        assert np.array_equal(rec.w, values[k0:k1 + 1])
-        assert rec.origins.shape == (k1 - k0, 128)
-        for i, k in enumerate(range(k0, k1)):
-            assert np.array_equal(rec.origins[i],
-                                  stepper.step(values[k], want_origins=True)[1])
-
-
-def test_sweep_rejects_windows_outside_the_run(qd_model):
-    stepper = HopfLaxStepper(qd_model, 64, 5e-3)
-    for window in ((0, 11), (-1, 3), (4, 3)):
-        with pytest.raises(ValueError):
-            sweep(stepper, np.zeros(64), 10, [window])
+    assert np.array_equal(rec.w, np.array(values))
+    assert np.array_equal(rec.origins, np.array(origins).reshape(steps, 128))
+    w_plain, none = sweep(stepper, smooth_values_128, steps)
+    assert none is None and np.array_equal(w_plain, values[-1])
 
 
 def test_evolve_monotone(qd_model, smooth_values_128):
@@ -734,6 +721,31 @@ def test_critical_value_grid_refinement(cosine_model):
     coarse = critical_value(cosine_model, t_probe=20.0, n=256, dt=2e-3).c0
     fine = critical_value(cosine_model, t_probe=20.0, n=512, dt=2e-3).c0
     assert abs(fine - coarse) < 2e-2  # doubling n moves c0 below 2x tolerance
+
+
+def test_probe_reads_its_sweep_at_one_half_and_end():
+    """A potential that is not uniform takes the sweep path: c0, the
+    oscillation, the semiconcavity and w_final equal those read from a
+    plain step loop at k_one = 1/dt, half = steps // 2 and steps."""
+    model, n, dt, t_probe = Mechanical(1.6, Potential.cosine()), 128, 5e-3, 20.0
+    stepper = HopfLaxStepper(model, n, dt)
+    assert np.ptp(stepper.potential) > 0.0
+    steps = slice_count(t_probe, dt)
+    k_one, half = round(1.0 / dt), steps // 2
+    w, read = np.zeros(n), {}
+    for k in range(1, steps + 1):
+        w = stepper.step(w)[0]
+        if k in (k_one, half):
+            read[k] = w
+    t_mid = half * dt
+    c0 = -(float(np.mean(w)) - float(np.mean(read[half]))) / (t_probe - t_mid)
+    shifted = (w + c0 * t_probe) - (read[half] + c0 * t_mid)
+
+    probe = critical_value(model, t_probe, n, dt)
+    assert probe.c0 == c0
+    assert probe.oscillation == float(np.max(shifted) - np.min(shifted))
+    assert probe.semiconcavity == semiconcavity_upper_bound(read[k_one], stepper.dx)
+    assert np.array_equal(probe.w_final, w)
 
 
 def test_weak_kam_quadratic_drift(qd_model):

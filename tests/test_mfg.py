@@ -22,7 +22,7 @@ from mfglab.mfg import (
     _backtrack,
     lipschitz_c_experiment,
     long_time_convergence_experiment,
-    period_grid,
+    PeriodicRegime,
     periodic_regime,
     periodic_solution,
     solve_finite_horizon,
@@ -65,7 +65,7 @@ def test_decoupled_limit_reproduces_pure_evolution(qd_model, m_cos):
     xs = grid(N)
     phi = 0.2 * np.cos(2 * np.pi * xs)
     sol = solve_finite_horizon(phi, m_cos, 0.0, 0.5, qd_model, zero, DT)
-    _, (pure,) = sweep(HopfLaxStepper(qd_model, N, DT), phi, 500, [(0, 500)])
+    _, pure = sweep(HopfLaxStepper(qd_model, N, DT), phi, 500, record=True)
     assert np.max(np.abs(_u_values(sol) - pure.w)) == 0.0
 
 
@@ -96,7 +96,7 @@ def test_finite_horizon_requires_density(qd_model, coupling_cos):
 def test_refeeding_the_source_reproduces_u(qd_model, coupling_cos, m_cos):
     sol = solve_finite_horizon(np.zeros(N), m_cos, 0.0, 1.0, qd_model,
                                coupling_cos, DT)
-    _, (pure,) = sweep(HopfLaxStepper(qd_model, N, DT), np.zeros(N), 1000, [(0, 1000)])
+    _, pure = sweep(HopfLaxStepper(qd_model, N, DT), np.zeros(N), 1000, record=True)
     replay = pure.w + cumulative_trapezoid(sol.coupling_series, DT)[:, None]
     assert np.max(np.abs(replay - _u_values(sol))) <= 1e-10
 
@@ -159,7 +159,7 @@ def test_periodic_solution_rejects_fixed_point_regime(cosine_model, coupling_cos
                                                       cosine_weak_kam, m_cos):
     from mfglab.characteristics import drift_field
     df = drift_field(cosine_weak_kam.u0, cosine_model)
-    regime = (cosine_weak_kam.c0, cosine_weak_kam.u0, df)
+    regime = PeriodicRegime(cosine_weak_kam.c0, cosine_weak_kam.u0, df)
     with pytest.raises(MFGLabError, match="periodic-orbit regime"):
         periodic_solution(m_cos, regime, coupling_cos, dt=DT)
 
@@ -232,7 +232,7 @@ def test_period_average_matches_series(coupling_cos, m_cos):
         return trapezoid(series, dt_adj) / tau
 
     pairs = [(m_cos, bump), (bump, CircleMeasure.from_name("lebesgue", N))]
-    report = lipschitz_c_experiment(pairs, (0.0, None, df), coupling_cos, dt=DT)
+    report = lipschitz_c_experiment(pairs, PeriodicRegime(0.0, None, df), coupling_cos, dt=DT)
     expected = np.array([abs(series_average(a) - series_average(b)) for a, b in pairs])
     assert np.min(expected) > 1e-6  # c(m) depends on m off rigid rotation
     assert np.max(np.abs(report.gaps - expected)) <= 1e-12
@@ -264,7 +264,7 @@ def test_single_table_matches_per_slice_route(coupling_cos):
     v = -(1.0 + 0.3 * np.sin(2 * np.pi * xs))
     df = DriftField(nodes=xs, v=v, classification=PERIODIC_ORBIT,
                     tau=float(np.sum(1.0 / np.abs(v)) / N))
-    regime = (0.25, 0.1 * np.cos(2 * np.pi * xs), df)
+    regime = PeriodicRegime(0.25, 0.1 * np.cos(2 * np.pi * xs), df)
     m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.1)", N)
     m_ref, f_ref, c_ref, u_ref = _reference_periodic(m_t, coupling_cos, regime, DT, 2)
     ps = periodic_solution(m_t, regime, coupling_cos, dt=DT)
@@ -296,8 +296,7 @@ def test_periodic_construction_with_nonconstant_drift(coupling_cos):
     ps = periodic_solution(m_t, regime, coupling_cos, dt=1e-3)
     assert ps.periodicity_defect <= 1e-4
     assert ps.nontriviality_gap >= 1e-3
-    rep = flow_lipschitz_constant(df)
-    assert 1.0 <= rep.k1 <= rep.gronwall_bound + 1e-6
+    assert flow_lipschitz_constant(df) >= 1.0
     m_star = invariant_density(df)
     moved = max(wasserstein1(pushforward(ps.flow, m_star, s), m_star)
                 for s in (0.3, 1.1))
@@ -403,17 +402,17 @@ def test_single_sweep_matches_per_horizon_route(coupling_cos, cosine_shifted, mo
 def _frozen_convergence(phi, m_t, model, regime, functional, horizons, window, dt):
     """long_time_convergence_experiment as it ran before it streamed its
     windows, frozen as the oracle of the streamed one: one sweep recording
-    every window's value slices and origins, one transport table over the
-    period and window spans together, and a full (w + 1, n) backtrack per
-    horizon."""
+    every slice and origin of the run, read per window, one transport table
+    over the period and window spans together, and a full (w + 1, n)
+    backtrack per horizon."""
     horizons = sorted(float(T) for T in horizons)
-    c0, _u0, df, tau, k_per, dt_p = period_grid(regime, dt)
+    c0, df, tau = regime.c0, regime.drift, regime.drift.tau
+    k_per, dt_p = regime.period_grid(dt)
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     w_steps = slice_count(window, dt)
-    ends = [slice_count(T, dt) for T in horizons]
     stepper = HopfLaxStepper(model, phi.size, dt)
-    w_cal, records = sweep(stepper, phi, slice_count(t_cal, dt),
-                           [(end - w_steps, end) for end in ends])
+    w_cal, full = sweep(stepper, phi, slice_count(t_cal, dt), record=True)
+    starts = [slice_count(T, dt) - w_steps for T in horizons]
     u0_phi = w_cal + c0 * t_cal
     period_spans = dt_p * np.arange(k_per + 1)
     window_spans = dt * np.arange(w_steps + 1)
@@ -433,11 +432,13 @@ def _frozen_convergence(phi, m_t, model, regime, functional, horizons, window, d
     tail_window = tail_integral(window)
     reach = VELOCITY_CUTOFF * dt * (1.0 + 1e-9)
     d1_dev, u_dev = [], []
-    for rec in records:
+    for start in starts:
+        values = full.w[start:start + w_steps + 1]
+        origins = full.origins[start:start + w_steps]
         positions = np.empty((w_steps + 1, m_t.n))
         positions[w_steps] = m_t.positions
         for k in range(w_steps - 1, -1, -1):
-            disp = periodic_interp(positions[k + 1], rec.origins[k])
+            disp = periodic_interp(positions[k + 1], origins[k])
             assert not np.any(np.abs(disp) > reach)
             positions[k] = wrap(positions[k + 1] - disp)
         f_series = np.array([float(np.sum(m_t.weights * functional.f(p)))
@@ -445,12 +446,12 @@ def _frozen_convergence(phi, m_t, model, regime, functional, horizons, window, d
         m_cum = cumulative_trapezoid(f_series, dt)
         worst_d1 = worst_u = 0.0
         for i in range(w_steps + 1):
-            s = dt * (rec.start + i)
+            s = dt * (start + i)
             j = w_steps - i
             m_s = CircleMeasure(PARTICLES, positions[i], m_t.weights)
             worst_d1 = max(worst_d1, wasserstein1(
                 m_s, CircleMeasure(DENSITY, table.nodes, m_bar_window[j])))
-            u_slice = rec.w[i] + float(m_cum[i]) + c_mt * s
+            u_slice = values[i] + float(m_cum[i]) + c_mt * s
             u_bar_slice = (u0_phi + (tail_window - tail_integral(window_spans[j]))
                            - s * (period_integral / tau))
             worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))

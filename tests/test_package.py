@@ -96,6 +96,63 @@ def test_every_routine_has_a_caller_outside_the_tests():
         {"c.py": "from m import used, shelf\nused(); Box()\n"}) == ["lonely", "shelf"]
 
 
+def _unset_defaults(modules: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the functions and methods in `modules`
+    (name -> source), as name(parameter), that no call in `modules` or
+    `callers` sets.  A call matches a function by name, and a class call
+    matches its __init__; it sets a parameter by keyword, by position, or by
+    any *args or **kwargs, and a method's self is left implicit."""
+    calls = [node for source in {**modules, **callers}.values()
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+
+    def sets(call, index, param, offset):
+        return (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(kw.arg in (param, None) for kw in call.keywords)
+                or index is not None and index < len(call.args) + offset)
+
+    unset = []
+    for source in modules.values():
+        tree = ast.parse(source)
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, default
+                          in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            offset = int(id(fn) in owner)
+            for index, param in defaulted:
+                if not any(sets(call, index, param, offset) for call in calls
+                           if getattr(call.func, "id", getattr(call.func, "attr", None)) == name):
+                    unset.append(f"{name}({param})")
+    return sorted(unset)
+
+
+def test_every_keyword_parameter_is_set_outside_the_tests():
+    """A defaulted parameter that only tests set is a knob the program never
+    turns: it is deleted, or its value becomes a module constant."""
+    modules = {str(path): path.read_text()
+               for path in sorted((ROOT / "src" / "mfglab").glob("*.py"))}
+    callers = {str(path): path.read_text()
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert len(modules) > 1 and callers
+    assert _unset_defaults(modules, callers) == []
+    # the scanner itself: a keyword, a position past an implicit self, a
+    # *args or a **kwargs sets a parameter; a call of another name does not
+    assert _unset_defaults(
+        {"m.py": "def f(a, b=1, *, c=2, d=3): pass\n"
+                 "def g(x=0, y=1): pass\n"
+                 "def h(z=0): pass\n"
+                 "class Box:\n    def __init__(self, size=1, tag=None): pass\n"
+                 "    def put(self, item, where=0, how=0): pass\n"},
+        {"c.py": "f(1, 2, d=4)\ng(*xs)\nh(**kw)\nBox(3)\nbox.put(1, 2)\nput2(1, 2, 3)\n"}
+    ) == ["Box(tag)", "f(c)", "put(how)"]
+
+
 def test_two_error_classes_one_per_exit_code():
     """errors.py holds MFGLabError (exit 1) and its subclass ConfigError
     (exit 2), the two classes the CLI catches; no module defines another
