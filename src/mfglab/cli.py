@@ -8,7 +8,8 @@ summaries; the only randomness (measure-pair generation) is seeded.
 
 The pass/fail bounds are the constants below; only converge's final d1
 bound is a config key.  A run that fails a check still writes its summary
-and names the check, its value and its bound on one stderr line.
+and names the check, its value and its bound on one stderr line.  Each
+store is refused by its builder: an mfg experiment, or alpha's or lipschitz-c's runner.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import explicit_solution as explicit
-from .config import RunConfig, require_store
+from .config import RunConfig
 from .errors import ConfigError, MFGLabError
-from .lax_oleinik import alpha_function, critical_value, slice_count, weak_kam_solution
+from .lax_oleinik import alpha_function, critical_value, weak_kam_solution
 from .measures import random_fourier_density, wasserstein1
 from .mfg import (
     LIPSCHITZ_SLACK,
@@ -35,8 +36,8 @@ from .mfg import (
     long_time_convergence_experiment,
     periodic_regime,
     periodic_solution,
+    require_store,
     solve_finite_horizon,
-    window_segments,
 )
 
 SUMMARY_KEYS = ("c0", "tau", "c_mT", "periodicity_defect", "nontriviality_gap",
@@ -190,9 +191,9 @@ def _parse_a_grid(text: str) -> np.ndarray:
     except ValueError:
         raise ConfigError(f"a-grid invariant violated: --a-grid must be lo:hi:count "
                           f"with an integer count, got {text!r}") from None
-    if count < 1 or not np.isfinite([lo, hi]).all():
-        raise ConfigError(f"a-grid invariant violated: --a-grid needs finite lo, hi "
-                          f"and count >= 1, got {text!r}")
+    if count < 1 or not math.isfinite(hi - lo):  # a Python float: inf, no warning
+        raise ConfigError(f"a-grid invariant violated: --a-grid needs finite lo, hi, "
+                          f"hi - lo and count >= 1, got {text!r}")
     require_store("alpha", 2 * count * 8)  # the shifts and their alpha values
     return np.linspace(lo, hi, count)
 
@@ -226,8 +227,6 @@ def run_alpha(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 
 def run_solve(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
-    # w, origins and positions, each at most (K + 1) x n float64
-    require_store("solve", 3 * (slice_count(cfg.horizon, cfg.dt) + 1) * cfg.n * 8)
     if not math.isfinite(cfg.c * cfg.horizon):  # the shift c t of the value field
         raise ConfigError(f"number invariant violated: c * horizon must be finite, "
                           f"got c = {cfg.c:g}, horizon = {cfg.horizon:g}")
@@ -254,9 +253,6 @@ def run_periodic(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     regime = _regime(cfg, model)
-    k_per, _ = regime.period_grid(cfg.dt)
-    # masses, u_bar and m_bar's positions: three (periods k + 1) x n arrays
-    require_store("periodic", 3 * (cfg.periods * k_per + 1) * cfg.n * 8)
     ps = periodic_solution(m_t, regime, functional, dt=cfg.dt, periods=cfg.periods)
     stride = _auto_stride(cfg, ps.times.size)
     _write_csv(out / "ubar.csv", "t,x,u",
@@ -283,12 +279,9 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError(f"seed invariant violated: --seed must be >= 0, got {args.seed}")
     model = cfg.build_model()
     functional = cfg.build_coupling()
+    # the 2 pairs measures built here, five n-vectors each, before the probe
+    require_store("lipschitz-c", 2 * cfg.pairs * 5 * cfg.n * 8)
     regime = _regime(cfg, model)
-    k_per, _ = regime.period_grid(cfg.dt)
-    # each of the 2 pairs measures: its positions, weights and density values
-    # and the two stacked copies means takes (five n-vectors), and means'
-    # pushed mass, f-weighted sums and their ratio (three k + 1 columns)
-    require_store("lipschitz-c", 2 * cfg.pairs * (5 * cfg.n + 3 * (k_per + 1)) * 8)
     rng = np.random.default_rng(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
@@ -311,15 +304,6 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     functional = cfg.build_coupling()
     m_t = cfg.build_measure(cfg.m_t)
     regime = _regime(cfg, model)
-    k_per, _ = regime.period_grid(cfg.dt)
-    w = slice_count(cfg.window, cfg.dt)
-    segments = window_segments(cfg.horizons, cfg.window, cfg.dt)
-    longest = max(last - first for first, last, _ in segments)
-    # rows of n float64: each horizon's value window, the origins of the
-    # longest sweep segment, the window and period tables' spans, and the
-    # one position row a backtrack walks
-    rows = len(cfg.horizons) * (w + 1) + longest + (w + 1) + (k_per + 1) + 1
-    require_store("converge", rows * cfg.n * 8)
     report = long_time_convergence_experiment(
         cfg.build_phi(), m_t, model, regime, functional, cfg.horizons,
         window=cfg.window, dt=cfg.dt)

@@ -6,7 +6,8 @@ any other name is an unknown key.  Reproducibility of experiments is the
 product, so there are no environment overrides and the resolved config,
 every field, is embedded verbatim in every JSON summary.  The pass/fail bounds of the
 experiments are constants beside the checks that read them, not keys;
-tol_converge_final, the final d1 bound of converge, is the one a run sets."""
+tol_converge_final, the final d1 bound of converge, is the one a run sets.
+A run's size is refused where its store is allocated, not here."""
 
 import configparser
 from dataclasses import dataclass, field, fields
@@ -20,16 +21,7 @@ from .lax_oleinik import T_PROBE_MIN, slice_count
 from .measures import CircleMeasure
 from .mfg import CALIBRATION_FACTOR
 
-MAX_RUN_BYTES = 2**32  # largest float64 store a run may ask for
 _KINDS = {int: "an integer", float: "a number", list: "a list of numbers"}
-
-
-def require_store(command: str, nbytes: int) -> None:
-    """Refuse, before it allocates, a run whose estimated store of nbytes
-    exceeds MAX_RUN_BYTES (the memory invariant)."""
-    if nbytes > MAX_RUN_BYTES:
-        raise ConfigError(f"memory invariant violated: {command} would store {nbytes:.3g} "
-                          f"bytes, over the budget of {MAX_RUN_BYTES:.3g} bytes")
 
 
 def _syntax_error(exc: configparser.Error) -> str:

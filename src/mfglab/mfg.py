@@ -15,7 +15,8 @@ the periodic solution and the Lipschitz experiment, and for the
 convergence experiment one over a period, reduced at once to F, and one
 over its window.  The finite-horizon solution and the
 convergence experiment walk m_T back along the argmin chains with one
-row-by-row walker.
+row-by-row walker.  Each of the four refuses the store it is about to
+allocate when its own count of it exceeds MAX_RUN_BYTES (require_store).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_constant
 from .coupling import CouplingFunctional
-from .errors import MFGLabError
+from .errors import ConfigError, MFGLabError
 from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel
 from .lax_oleinik import (
     CriticalValueResult,
@@ -52,6 +53,15 @@ from .torus import cumulative_trapezoid, grid, periodic_interp, trapezoid, wrap
 CALIBRATION_FACTOR = 1.5
 # round-off slack of the Lipschitz check: a ratio over Lip(f) K1 + this fails
 LIPSCHITZ_SLACK = 1e-9
+MAX_RUN_BYTES = 2**32  # largest float64 store a run may ask for
+
+
+def require_store(command: str, nbytes: int) -> None:
+    """Refuse a store of nbytes over MAX_RUN_BYTES (the memory invariant);
+    the function that allocates the store counts it and calls this first."""
+    if nbytes > MAX_RUN_BYTES:
+        raise ConfigError(f"memory invariant violated: {command} would store {nbytes:.3g} "
+                          f"bytes, over the budget of {MAX_RUN_BYTES:.3g} bytes")
 
 
 @dataclass
@@ -84,6 +94,8 @@ def solve_finite_horizon(phi: np.ndarray, m_t: CircleMeasure, c: float,
     _require_density(m_t)
     phi = np.asarray(phi, dtype=float)
     steps = slice_count(horizon, dt)
+    # w, origins and positions, each at most (K + 1) x n float64
+    require_store("solve", 3 * (steps + 1) * phi.size * 8)
     stepper = HopfLaxStepper(model, phi.size, dt)
     _, rec = sweep(stepper, phi, steps, record=True)
     positions = np.empty((steps + 1, m_t.n))
@@ -186,6 +198,8 @@ def periodic_solution(m_t: CircleMeasure, regime: PeriodicRegime,
     k_per, dt_adj = regime.period_grid(dt)
     df, tau = regime.drift, regime.drift.tau
     steps = periods * k_per
+    # masses, u_bar and m_bar's positions: three (periods k + 1) x n arrays
+    require_store("periodic", 3 * (steps + 1) * m_t.n * 8)
     times = dt_adj * np.arange(steps + 1)
     flow = FlowMap(df)
 
@@ -238,6 +252,9 @@ def lipschitz_c_experiment(pairs, regime: PeriodicRegime, functional: CouplingFu
     """
     k_per, dt_adj = regime.period_grid(dt)
     df, tau = regime.drift, regime.drift.tau
+    # 2 pairs measures, each five n-vectors (positions, weights, density values
+    # and means' two stacked copies) and three k + 1 columns of means (mass, f sums, ratio)
+    require_store("lipschitz-c", 2 * len(pairs) * (5 * df.nodes.size + 3 * (k_per + 1)) * 8)
     k1 = flow_lipschitz_constant(df)
     bound = functional.lipschitz * k1
     table = TransportTable(FlowMap(df), dt_adj * np.arange(k_per + 1), df.nodes.size)
@@ -267,7 +284,7 @@ class ConvergenceReport:
         return list(zip(self.horizons, self.d1_deviation, self.u_deviation))
 
 
-def window_segments(horizons, window: float, dt: float) -> list:
+def _window_segments(horizons, window: float, dt: float) -> list:
     """The sweep segments of the convergence experiment at step dt: for
     each run of trailing windows [T - window, T] of the sorted horizons
     that share a step, (first step, last step, the first step of each
@@ -318,7 +335,13 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     cal_steps = slice_count(t_cal, dt)
     w_steps = slice_count(window, dt)
-    segments = window_segments(horizons, window, dt)
+    segments = _window_segments(horizons, window, dt)
+    # rows of n float64: each horizon's value window, the origins of the
+    # longest sweep segment, the window and period tables' spans, and the
+    # one position row a backtrack walks
+    longest = max(last - first for first, last, _ in segments)
+    rows = len(horizons) * (w_steps + 1) + longest + (w_steps + 1) + (k_per + 1) + 1
+    require_store("converge", rows * m_t.n * 8)
 
     # m_bar at the spans T - t over one period (dt_p grid), kept only as
     # F, and over the window (dt grid)

@@ -332,11 +332,17 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     pytest.param("lipschitz-c", "pairs = 1000000000\n", id="lipschitz-c-pairs"),
     pytest.param("converge", "horizons = 4000000\nwindow = 4000000\n", id="converge-window"),
 ])
-def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, run):
-    """periodic's three (periods k + 1) x n arrays, lipschitz-c's 2 pairs
-    measures and converge's windows, table rows and backtrack are estimated
-    once the probe gives tau, and a run over config.MAX_RUN_BYTES exits 2
-    on one line before it allocates them."""
+def test_memory_invariant_refused_before_the_store_is_built(tmp_path, capsys, monkeypatch,
+                                                            command, run):
+    """periodic's three (periods k + 1) x n arrays and converge's windows,
+    table rows and backtrack are estimated by their experiments once the
+    probe gives tau; lipschitz-c's 2 pairs measures are estimated by the
+    runner that builds them, before the probe runs.  A run over
+    mfg.MAX_RUN_BYTES exits 2 on one line before it allocates them."""
+    import mfglab.cli as cli
+    probes = []
+    probe = cli.critical_value
+    monkeypatch.setattr(cli, "critical_value", lambda *a: probes.append(a) or probe(*a))
     cfg = tmp_path / "huge.ini"
     cfg.write_text(f"[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n{run}")
     tracemalloc.start()
@@ -350,22 +356,23 @@ def test_memory_invariant_refused_once_tau_is_known(tmp_path, capsys, command, r
     assert err.startswith(f"invalid input: memory invariant violated: {command} would store ")
     assert err.count("\n") == 1
     assert peak < 5e6
+    assert len(probes) == (0 if command == "lipschitz-c" else 1)
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_converge_estimate_covers_its_traced_peak(tmp_path, monkeypatch):
-    """converge's estimate, checked before the run allocates, is not below
-    the traced peak of the whole run on the benchmark's grid (n = 512,
-    dt = 0.004).  Like every runner's estimate it counts the store that
-    grows with the run and leaves out buffers that do not, a transport
+    """converge's estimate, checked by the experiment before it allocates,
+    is not below the traced peak of the whole run on the benchmark's grid
+    (n = 512, dt = 0.004).  Like every store's estimate it counts the store
+    that grows with the run and leaves out buffers that do not, a transport
     block's temporaries and the stepper's cost block, which add at most
     2.4 MB at n <= 512: so at n <= 256 its peak is above its estimate
     (0.77 MB estimated against 1.60 MB traced at n = 128), as periodic's,
     lipschitz-c's and solve's are at small n."""
-    import mfglab.cli as cli
+    import mfglab.mfg as mfg
     estimates = []
-    require = cli.require_store
-    monkeypatch.setattr(cli, "require_store",
+    require = mfg.require_store
+    monkeypatch.setattr(mfg, "require_store",
                         lambda label, nbytes: estimates.append(nbytes) or require(label, nbytes))
     cfg = tmp_path / "converge.ini"
     cfg.write_text(QD_CONFIG.replace("n = 256", "n = 512").replace("dt = 0.002", "dt = 0.004")
@@ -535,10 +542,13 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
     mech.write_text("[model]\nfamily = mechanical\npotential = cosine\n"
                     "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n")
     out = tmp_path / "out"
-    for grid in ("1:2", "a:b:3", "0:1:2.5", "0:1:-3", "0:1:0"):
+    # the last two have finite ends whose difference hi - lo overflows
+    for grid in ("1:2", "a:b:3", "0:1:2.5", "0:1:-3", "0:1:0",
+                 "-1e308:1e308:3", "-1.7e308:1.7e308:2"):
         code = main(["alpha", "--config", str(mech), f"--a-grid={grid}", "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 2, grid
-        assert "a-grid invariant" in capsys.readouterr().err, grid
+        assert "a-grid invariant" in err and err.count("\n") == 1, err
         assert not (out / "alpha.csv").exists()
     # each shift's model is validated before the first probe runs
     for grid, fault in (("8:8:1", "shift a = 8: Hamiltonian grows too slowly"),

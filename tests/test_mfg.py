@@ -5,7 +5,8 @@ import pytest
 
 from mfglab.characteristics import PERIODIC_ORBIT, DriftField, FlowMap
 from mfglab.coupling import CouplingFunctional
-from mfglab.errors import MFGLabError
+import mfglab.mfg as mfg
+from mfglab.errors import ConfigError, MFGLabError
 from mfglab.hamiltonians import VELOCITY_CUTOFF, Mechanical, Potential
 from mfglab.lax_oleinik import HopfLaxStepper, critical_value, slice_count, sweep
 from mfglab.measures import (
@@ -505,3 +506,65 @@ def test_convergence_experiment_peak_memory(qd_model, coupling_cos):
     finally:
         tracemalloc.stop()
     assert peak < 2.9e6
+
+
+def test_each_store_is_refused_by_the_function_that_allocates_it(
+        qd_model, coupling_cos, m_cos, qd_regime_256, monkeypatch):
+    """With the budget at 1 KB, each of the four functions that allocate a
+    run's store refuses it on a small QuadraticDrift input, naming its run,
+    before it allocates: a library call gets the refusal a CLI run gets."""
+    monkeypatch.setattr(mfg, "MAX_RUN_BYTES", 1024)
+    phi = np.zeros(N)
+    calls = {
+        "solve": lambda: solve_finite_horizon(phi, m_cos, 0.0, 1.0, qd_model, coupling_cos, DT),
+        "periodic": lambda: periodic_solution(m_cos, qd_regime_256, coupling_cos, dt=DT),
+        "lipschitz-c": lambda: lipschitz_c_experiment([(m_cos, m_cos)], qd_regime_256,
+                                                      coupling_cos, dt=DT),
+        "converge": lambda: long_time_convergence_experiment(
+            phi, m_cos, qd_model, qd_regime_256, coupling_cos, [1.0], window=0.5, dt=DT),
+    }
+    for label, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"memory invariant violated: {label} would"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5, (label, peak)  # a run's store here is 0.2 to 6 MB
+
+
+@pytest.mark.parametrize("potential, shift, maxima", [
+    pytest.param(Potential.cosine(), 0.0, (0.0,), id="cosine-a0"),
+    pytest.param(Potential.double_well(0.5, 1.0), 0.3, (0.0, 0.5), id="double-well-a0.3"),
+    pytest.param(Potential.double_well(0.5, 1.0), 0.0, (0.0, 0.5), id="double-well-a0"),
+])
+def test_turnpike_in_the_fixed_point_regime(potential, shift, maxima):
+    """Where the Mather set is the maxima S of V (|a| at most a0), a
+    long-horizon m(t) spends the middle of [0, T] near S: the distance
+    int dist(x, S) dm(T/2), the W1 distance to the nearest measure on S,
+    falls as T doubles (Cardaliaguet, Dyn. Games Appl. 3, 2013).
+
+    Measured at n = 256, dt = 0.004, phi = 0, zero coupling, m_T =
+    one-plus-cosine, T = 1, 2, 4, 8: cosine 5.49e-3, 4.69e-5, 2.55e-9,
+    6.6e-16; double well a = 0.3 1.84e-2, 1.81e-3, 1.20e-6, 1.07e-12; a = 0
+    1.43e-2, 6.67e-4, 6.19e-7, 5.51e-13.  The argmin chains snap onto the
+    node, so the fall reaches round-off faster than the continuum's rate,
+    and the test bounds the fall and the level, not a rate.  The least
+    fall per doubling is 10.2x (double well at a = 0.3, T = 1 to 2); the
+    bound of 8x leaves a 22% margin.  The levels hold with margins of 8x
+    (T = 4 under 1e-5) and 9x (T = 8 under 1e-11); T = 1 is above 1e-3,
+    so m(T/2) starts away from S.  About 0.3 s per model."""
+    n, dt = 256, 0.004
+    model = Mechanical(shift, potential)
+    m_t = CircleMeasure.from_name("one-plus-cosine", n)
+    dist = []
+    for horizon in (1.0, 2.0, 4.0, 8.0):
+        sol = solve_finite_horizon(np.zeros(n), m_t, 0.0, horizon, model,
+                                   CouplingFunctional.zero(), dt)
+        x = sol.m_positions[(sol.times.size - 1) // 2]
+        gap = np.min([np.abs(wrap(x - s + 0.5) - 0.5) for s in maxima], axis=0)
+        dist.append(float(np.sum(sol.m_weights * gap)))
+    assert dist[0] > 1e-3, dist
+    assert all(later <= earlier / 8.0 for earlier, later in zip(dist, dist[1:])), dist
+    assert dist[2] < 1e-5 and dist[3] < 1e-11, dist
