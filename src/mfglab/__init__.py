@@ -15,12 +15,7 @@ from .hamiltonians import (
     Potential,
     QuadraticDrift,
 )
-from .lax_oleinik import (
-    HopfLaxStepper,
-    alpha_function,
-    critical_value,
-    weak_kam_solution,
-)
+from .lax_oleinik import HopfLaxStepper, alpha_function, critical_value
 from .measures import (
     CircleMeasure,
     invariant_density,
@@ -69,5 +64,4 @@ __all__ = [
     "solve_finite_horizon",
     "transport_residual",
     "wasserstein1",
-    "weak_kam_solution",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from . import explicit_solution as explicit
 from .config import RunConfig
 from .errors import ConfigError, MFGLabError
-from .lax_oleinik import alpha_function, critical_value, weak_kam_solution
+from .lax_oleinik import alpha_function, critical_value
 from .measures import random_fourier_density, wasserstein1
 from .mfg import (
     LIPSCHITZ_SLACK,
@@ -173,14 +173,13 @@ def _regime(cfg: RunConfig, model) -> PeriodicRegime:
 def run_critical_value(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     model = cfg.build_model()
     probe = _probe(cfg, model)
-    wk = weak_kam_solution(model, probe)
     _write_csv(out / "u0.csv", "x,u0",
-               zip(np.arange(cfg.n) / cfg.n, wk.u0))
+               zip(np.arange(cfg.n) / cfg.n, probe.u0))
     return _write_summary(out, "critical-value", cfg, None,
                           {"c0": probe.c0},
                           {"oscillation": probe.oscillation,
-                           "stationary_residual": wk.max_residual(),
-                           "kink_nodes": int(np.sum(wk.kink_mask))})
+                           "stationary_residual": probe.residual,
+                           "kink_nodes": int(np.sum(probe.kink_mask))})
 
 
 def _parse_a_grid(text: str) -> np.ndarray:
@@ -382,7 +381,11 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                              f"{exc.strerror}") from None
         code = RUNNERS[args.command](cfg, out, args)
         (out / "plot.py").write_text(_PLOT_SCRIPT)
         return code

@@ -75,7 +75,12 @@ class CouplingFunctional:
             return cls.cosine4pi()
         m = re.fullmatch(r"custom-fourier\(([^)]*)\)", name)
         if m:
-            return cls.fourier([c for c in m.group(1).split(",") if c.strip()])
+            try:
+                coeffs = [float(c) for c in m.group(1).split(",")]
+            except ValueError:
+                raise ValueError(f"could not convert the coefficients of {name!r} "
+                                 f"to numbers") from None
+            return cls.fourier(coeffs)
         raise ValueError(f"unknown coupling id {name!r}")
 
 

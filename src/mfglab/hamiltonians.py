@@ -70,7 +70,11 @@ class Potential:
         if name == "cosine":
             return cls.cosine()
         if name.startswith("double-well(") and name.endswith(")"):
-            args = [float(a) for a in name[len("double-well("):-1].split(",")]
+            try:
+                args = [float(a) for a in name[len("double-well("):-1].split(",")]
+            except ValueError:
+                raise ValueError(f"could not convert the parameters of {name!r} "
+                                 f"to numbers") from None
             if len(args) != 2:
                 raise ValueError("double-well takes two parameters: (X, amp)")
             return cls.double_well(*args)

@@ -48,9 +48,11 @@ one (3, n) add and no search; otherwise it adds only the band's columns
 into an (n, hi - lo + 1) block.  A NaN or infinite D gives a reach that
 no threshold exceeds, and the band is the whole window.
 
-Long-horizon runs of the same operator give the critical value of the
-Hamiltonian, its stationary solution, and the alpha function of shifted
-mechanical models, each probe held to PROBE_TOL.  When dt V takes one
+A long-horizon run of the same operator, the critical-value probe, gives
+the critical value c0 of the Hamiltonian together with its stationary
+(weak KAM) solution u0, the concave kinks of u0 and its stationary
+residual, all in one CriticalValueResult and held to PROBE_TOL; probes of
+shifted mechanical models give the alpha function.  When dt V takes one
 value at every node, a uniform field steps to a uniform one by the same
 increment, so the critical-value probe from phi = 0 takes one step and
 scales it in place of the sweep.
@@ -317,15 +319,14 @@ def sweep(stepper: HopfLaxStepper, phi: np.ndarray, steps: int,
 class CriticalValueResult:
     c0: float
     oscillation: float
-    t_probe: float
-    n: int
-    w_final: np.ndarray
-    semiconcavity: float  # measured at t = 1
+    u0: np.ndarray         # stationary solution, min u0 = 0
+    kink_mask: np.ndarray  # True where the node is excluded as a kink
+    residual: float        # max |H(x, Du0) - c0| over the nodes off the kinks
 
 
 def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
                    ) -> CriticalValueResult:
-    """Critical value from the long-time slope of the semigroup.
+    """Critical value and stationary solution from the long-time semigroup.
 
     Runs the semigroup from phi = 0, estimates c0 from the drop of the
     spatial mean between t_probe/2 and t_probe, and reports the
@@ -333,6 +334,12 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
     convergence diagnostic, held to PROBE_TOL.  When dt V is one value at
     every node, each step adds the same uniform increment w1, so the
     slices at k steps are k w1 and one step replaces the sweep.
+
+    The stationary solution is the long-time limit u0 = w(., t_probe) +
+    c0 t_probe, normalised to min u0 = 0.  The stationary residual
+    |H(x, Du0) - c0| uses centered differences; nodes whose second
+    difference falls under -max(C_sc, 1), with C_sc the semiconcavity at
+    t = 1, are concave kinks and are left out of its max.
     """
     if t_probe < T_PROBE_MIN:
         raise ValueError(f"t_probe must be at least {T_PROBE_MIN:g}")
@@ -354,45 +361,16 @@ def critical_value(model: HamiltonianModel, t_probe: float, n: int, dt: float
     c0 = -(float(np.mean(w)) - float(np.mean(w_mid))) / (t_probe - t_mid)
     shifted = (w + c0 * t_probe) - (w_mid + c0 * t_mid)
     oscillation = float(np.max(shifted) - np.min(shifted))
-    result = CriticalValueResult(
-        c0=c0, oscillation=oscillation, t_probe=t_probe, n=n,
-        w_final=w, semiconcavity=c_sc,
-    )
     if oscillation > PROBE_TOL:
         raise MFGLabError(
             f"critical value diagnostic {oscillation:.3g} exceeds tol {PROBE_TOL:.3g}"
         )
-    return result
-
-
-@dataclass
-class WeakKamResult:
-    u0: np.ndarray
-    residuals: np.ndarray
-    kink_mask: np.ndarray  # True where the node is excluded as a kink
-    c0: float
-
-    def max_residual(self) -> float:
-        keep = ~self.kink_mask
-        return float(np.max(self.residuals[keep]))
-
-
-def weak_kam_solution(model: HamiltonianModel, probe: CriticalValueResult
-                      ) -> WeakKamResult:
-    """Stationary solution u0 as the long-time limit w(., t) + c0 t.
-
-    Normalised to min u0 = 0.  The stationary residual |H(x, Du0) - c0|
-    uses centered differences; nodes whose second difference falls under
-    -max(C_sc, 1) are concave kinks and are masked out of the report.
-    """
-    c0 = probe.c0
-    u0 = probe.w_final + c0 * probe.t_probe
+    u0 = w + c0 * t_probe
     u0 = u0 - float(np.min(u0))
-    dx = 1.0 / probe.n
-    residuals = np.abs(model.h(grid(probe.n), periodic_gradient(u0, dx)) - c0)
-    threshold = -max(probe.semiconcavity, 1.0)
-    kinks = periodic_second_difference(u0, dx) < threshold
-    return WeakKamResult(u0=u0, residuals=residuals, kink_mask=kinks, c0=c0)
+    residuals = np.abs(model.h(stepper.nodes, periodic_gradient(u0, stepper.dx)) - c0)
+    kinks = periodic_second_difference(u0, stepper.dx) < -max(c_sc, 1.0)
+    return CriticalValueResult(c0=c0, oscillation=oscillation, u0=u0, kink_mask=kinks,
+                               residual=float(np.max(residuals[~kinks])))
 
 
 def alpha_function(model: Mechanical, a: float, t_probe: float, n: int, dt: float

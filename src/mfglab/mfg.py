@@ -30,13 +30,7 @@ from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_co
 from .coupling import CouplingFunctional
 from .errors import ConfigError, MFGLabError
 from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel
-from .lax_oleinik import (
-    CriticalValueResult,
-    HopfLaxStepper,
-    slice_count,
-    sweep,
-    weak_kam_solution,
-)
+from .lax_oleinik import CriticalValueResult, HopfLaxStepper, slice_count, sweep
 from .measures import (
     DENSITY,
     PARTICLES,
@@ -180,8 +174,7 @@ class PeriodicRegime(NamedTuple):
 def periodic_regime(model: HamiltonianModel, probe: CriticalValueResult
                     ) -> PeriodicRegime:
     """The periodic regime of one critical-value probe."""
-    wk = weak_kam_solution(model, probe)
-    return PeriodicRegime(wk.c0, wk.u0, drift_field(wk.u0, model))
+    return PeriodicRegime(probe.c0, probe.u0, drift_field(probe.u0, model))
 
 
 def periodic_solution(m_t: CircleMeasure, regime: PeriodicRegime,

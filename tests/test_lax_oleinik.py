@@ -20,9 +20,13 @@ from mfglab.lax_oleinik import (
     semiconcavity_upper_bound,
     slice_count,
     sweep,
-    weak_kam_solution,
 )
-from mfglab.torus import grid, periodic_interp, periodic_second_difference
+from mfglab.torus import (
+    grid,
+    periodic_gradient,
+    periodic_interp,
+    periodic_second_difference,
+)
 
 
 def _slices(phi, steps, model, dt):
@@ -388,10 +392,14 @@ def test_uniform_step_writes_no_cost_row(qd_model, cosine_model):
 
 
 class _ConstantPotential:
-    """A model's kinetic part with V = value at every node."""
+    """A model's kinetic part with V = value at every node; the model's own
+    V must be zero."""
 
     def __init__(self, model, value):
         self.model, self.value = model, value
+
+    def h(self, xs, ps):
+        return self.model.h(xs, ps) + self.value
 
     def lagrangian_parts(self, xs, vs):
         kinetic, potential = self.model.lagrangian_parts(xs, vs)
@@ -724,9 +732,11 @@ def test_critical_value_grid_refinement(cosine_model):
 
 
 def test_probe_reads_its_sweep_at_one_half_and_end():
-    """A potential that is not uniform takes the sweep path: c0, the
-    oscillation, the semiconcavity and w_final equal those read from a
-    plain step loop at k_one = 1/dt, half = steps // 2 and steps."""
+    """A potential that is not uniform takes the sweep path: c0 and the
+    oscillation equal those read from a plain step loop at half = steps // 2
+    and steps, and u0, its kink mask and its residual equal those built from
+    the loop's slices at k_one = 1/dt (the semiconcavity) and steps, bit for
+    bit."""
     model, n, dt, t_probe = Mechanical(1.6, Potential.cosine()), 128, 5e-3, 20.0
     stepper = HopfLaxStepper(model, n, dt)
     assert np.ptp(stepper.potential) > 0.0
@@ -744,26 +754,32 @@ def test_probe_reads_its_sweep_at_one_half_and_end():
     probe = critical_value(model, t_probe, n, dt)
     assert probe.c0 == c0
     assert probe.oscillation == float(np.max(shifted) - np.min(shifted))
-    assert probe.semiconcavity == semiconcavity_upper_bound(read[k_one], stepper.dx)
-    assert np.array_equal(probe.w_final, w)
+    u0 = w + c0 * t_probe
+    u0 = u0 - float(np.min(u0))
+    c_sc = semiconcavity_upper_bound(read[k_one], stepper.dx)
+    kinks = periodic_second_difference(u0, stepper.dx) < -max(c_sc, 1.0)
+    residuals = np.abs(model.h(grid(n), periodic_gradient(u0, stepper.dx)) - c0)
+    assert np.array_equal(probe.u0, u0)
+    assert np.array_equal(probe.kink_mask, kinks)
+    assert probe.residual == float(np.max(residuals[~kinks]))
 
 
 def test_weak_kam_quadratic_drift(qd_model):
-    wk = weak_kam_solution(qd_model, critical_value(qd_model, 20.0, 256, 2e-3))
-    assert np.max(np.abs(wk.u0)) < 1e-12
-    assert wk.max_residual() < 1e-12
+    probe = critical_value(qd_model, 20.0, 256, 2e-3)
+    assert np.max(np.abs(probe.u0)) < 1e-12
+    assert probe.residual < 1e-12
 
 
 def test_weak_kam_free(free_model):
-    wk = weak_kam_solution(free_model, critical_value(free_model, 20.0, 256, 2e-3))
-    assert np.max(np.abs(wk.u0)) < 1e-12
+    probe = critical_value(free_model, 20.0, 256, 2e-3)
+    assert np.max(np.abs(probe.u0)) < 1e-12
 
 
 def test_weak_kam_cosine_closed_form(cosine_weak_kam):
     xs = grid(cosine_weak_kam.u0.size)
     exact = (2.0 / np.pi) * (1.0 - np.abs(np.cos(np.pi * xs)))
     assert np.max(np.abs(cosine_weak_kam.u0 - exact)) < 5e-3
-    assert cosine_weak_kam.max_residual() <= 5e-2
+    assert cosine_weak_kam.residual <= 5e-2
     kinks = np.where(cosine_weak_kam.kink_mask)[0]
     assert kinks.size >= 1
     assert np.all(np.abs(xs[kinks] - 0.5) < 2.0 / xs.size)  # concave kink at 1/2
@@ -814,8 +830,7 @@ def test_evolve_rejects_off_grid_horizon():
 
 
 def test_kink_detection_skips_smooth_fields(free_model):
-    wk = weak_kam_solution(free_model, critical_value(free_model, 20.0, 256, 2e-3))
-    assert not np.any(wk.kink_mask)
+    assert not np.any(critical_value(free_model, 20.0, 256, 2e-3).kink_mask)
 
 
 @settings(max_examples=300, deadline=None)
