@@ -306,7 +306,8 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
     report = long_time_convergence_experiment(
         cfg.build_phi(), m_t, model, regime, functional, cfg.horizons,
         window=cfg.window, dt=cfg.dt)
-    table = [[T, d, u] for T, d, u in report.rows()]
+    table = [list(row) for row in zip(report.horizons, report.d1_deviation,
+                                      report.u_deviation)]
     _write_csv(out / "converge.csv", "horizon,d1_deviation,u_deviation", table)
     slack = 1.0 + CONVERGE_SLACK
     rises = [(f"{name} at T = {now[0]:g} vs {slack:g} x its T = {before[0]:g} value",
@@ -317,7 +318,7 @@ def run_converge(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:
                                  table[-1][1], "<=", cfg.tol_converge_final)])
     return _write_summary(out, "converge", cfg, failure,
                           {"convergence_table": table, "c_mT": report.c_mt},
-                          {"window": report.window})
+                          {"window": cfg.window})
 
 
 def run_wasserstein(cfg: RunConfig, out: Path, _args: argparse.Namespace) -> int:

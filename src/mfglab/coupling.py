@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MAX_RUN_BYTES
 from .measures import CircleMeasure
 
 
@@ -43,7 +44,13 @@ class CouplingFunctional:
     @classmethod
     def fourier(cls, coefficients) -> "CouplingFunctional":
         """f = sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x) from the flat
-        coefficient list (a1, b1, a2, b2, ...)."""
+        coefficient list (a1, b1, a2, b2, ...).
+
+        Refused unless its Lipschitz constant is finite and so is the bound
+        sum_k hypot(a_k, b_k) on sup|f| times MAX_RUN_BYTES / 8, the most
+        samples one store may hold: every sum a run takes of f's values
+        (an F series, a period integral, a transport mean) has at most that
+        many terms, so none of them overflows."""
         coeffs = [float(c) for c in coefficients]
         if len(coeffs) % 2 != 0 or not coeffs:
             raise ValueError("need an even, nonempty coefficient list (a1, b1, ...)")
@@ -64,6 +71,10 @@ class CouplingFunctional:
         if not math.isfinite(lip):
             raise ValueError(f"custom-fourier needs a finite Lipschitz constant, "
                              f"got {lip} for {name!r}")
+        sup_bound, samples = sum(math.hypot(a, b) for a, b in pairs), MAX_RUN_BYTES // 8
+        if not math.isfinite(sup_bound * samples):
+            raise ValueError(f"custom-fourier needs a sup|f| bound that stays finite over "
+                             f"{samples} samples, got {sup_bound:g} for {name!r}")
         return cls(name, f, lip)
 
     @classmethod

@@ -15,7 +15,8 @@ the periodic solution and the Lipschitz experiment, and for the
 convergence experiment one over a period, reduced at once to F, and one
 over its window.  The finite-horizon solution and the
 convergence experiment walk m_T back along the argmin chains with one
-row-by-row walker.  Each of the four refuses the store it is about to
+row-by-row walker; the experiment records one sweep per window and drops
+its origins once walked.  Each of the four refuses the store it is about to
 allocate when its own count of it exceeds MAX_RUN_BYTES (require_store).
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .characteristics import DriftField, FlowMap, drift_field, flow_lipschitz_constant
 from .coupling import CouplingFunctional
-from .errors import ConfigError, MFGLabError
+from .errors import MAX_RUN_BYTES, ConfigError, MFGLabError
 from .hamiltonians import VELOCITY_CUTOFF, HamiltonianModel
 from .lax_oleinik import CriticalValueResult, HopfLaxStepper, slice_count, sweep
 from .measures import (
@@ -47,7 +48,6 @@ from .torus import cumulative_trapezoid, grid, periodic_interp, trapezoid, wrap
 CALIBRATION_FACTOR = 1.5
 # round-off slack of the Lipschitz check: a ratio over Lip(f) K1 + this fails
 LIPSCHITZ_SLACK = 1e-9
-MAX_RUN_BYTES = 2**32  # largest float64 store a run may ask for
 
 
 def require_store(command: str, nbytes: int) -> None:
@@ -270,27 +270,7 @@ class ConvergenceReport:
     horizons: list
     d1_deviation: list   # sup over the window of d1(m(s), m_bar(s))
     u_deviation: list    # sup over the window and x of the adjusted value gap
-    window: float
     c_mt: float
-
-    def rows(self):
-        return list(zip(self.horizons, self.d1_deviation, self.u_deviation))
-
-
-def _window_segments(horizons, window: float, dt: float) -> list:
-    """The sweep segments of the convergence experiment at step dt: for
-    each run of trailing windows [T - window, T] of the sorted horizons
-    that share a step, (first step, last step, the first step of each
-    window in the run), in order."""
-    w_steps = slice_count(window, dt)
-    segments = []
-    for end in sorted(slice_count(T, dt) for T in horizons):
-        if segments and end - w_steps < segments[-1][1]:
-            first, _, starts = segments[-1]
-            segments[-1] = (first, end, starts + [end - w_steps])
-        else:
-            segments.append((end - w_steps, end, [end - w_steps]))
-    return segments
 
 
 def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
@@ -304,17 +284,19 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     m_bar depends on t only through the time-to-go T - t, so one transport
     table over a period of spans, reduced at once to the period integral
     of F, and one over the window spans serve every horizon.  One Hopf-Lax
-    sweep at dt then runs from phi to T_cal = CALIBRATION_FACTOR times the
-    largest horizon, in segments that end where a window ends (windows
-    sharing a step share a segment).  As each segment ends, m_T is
-    backtracked across its windows one row at a time, taking F and
-    d1(m(s), m_bar(s)) at each slice, and the argmin origins are dropped;
+    evolution at dt then runs from phi to T_cal = CALIBRATION_FACTOR times
+    the largest horizon, recording one sweep per window.  A window that
+    starts inside the one recorded before it (an overlapping or repeated
+    horizon) restarts from that window's kept value slice at its start, so
+    the overlap is stepped again.  As each window's sweep ends, m_T is
+    backtracked across it one row at a time, taking F and
+    d1(m(s), m_bar(s)) at each slice, and its argmin origins are dropped;
     a window keeps only its value slices, its F integral from the window
     start (the u gap is taken relative to it, so the earlier path cancels)
     and its worst d1.  The final slice calibrates the additive constant of
     the stationary solution entering u_bar: u0_phi = w_phi(., T_cal) +
     c0 T_cal, at dt like the evolution it is compared with, so the u gaps
-    are taken after the last segment.  The regime's probe may run at its
+    are taken after the last window.  The regime's probe may run at its
     own step; only c0, the drift and its period enter here.
     """
     horizons = sorted(float(T) for T in horizons)
@@ -328,12 +310,10 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     t_cal = CALIBRATION_FACTOR * horizons[-1]
     cal_steps = slice_count(t_cal, dt)
     w_steps = slice_count(window, dt)
-    segments = _window_segments(horizons, window, dt)
-    # rows of n float64: each horizon's value window, the origins of the
-    # longest sweep segment, the window and period tables' spans, and the
-    # one position row a backtrack walks
-    longest = max(last - first for first, last, _ in segments)
-    rows = len(horizons) * (w_steps + 1) + longest + (w_steps + 1) + (k_per + 1) + 1
+    # rows of n float64: each horizon's value window, one window's origins,
+    # the window and period tables' spans, and the one position row a
+    # backtrack walks
+    rows = len(horizons) * (w_steps + 1) + w_steps + (w_steps + 1) + (k_per + 1) + 1
     require_store("converge", rows * m_t.n * 8)
 
     # m_bar at the spans T - t over one period (dt_p grid), kept only as
@@ -352,25 +332,26 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
     w, done = phi, 0
     kept = []   # per horizon: window start, value slices, int F from the start
     d1_dev = []
-    for first, last, starts in segments:
-        w, _ = sweep(stepper, w, first - done)
-        w, rec = sweep(stepper, w, last - first, record=True)
-        done = last
-        for start in starts:
-            lo = start - first
-            f_series = np.empty(w_steps + 1)
-            worst_d1 = 0.0
-            # row j of the walk lies a time-to-go j dt before T
-            for j, positions in enumerate(_backtrack(m_t, rec.origins[lo:lo + w_steps],
-                                                     stepper)):
-                f_series[w_steps - j] = _coupling(m_t, functional, positions)
-                worst_d1 = max(worst_d1, wasserstein1(
-                    CircleMeasure(PARTICLES, positions, m_t.weights),
-                    CircleMeasure(DENSITY, nodes, m_bar_window[j])))
-            kept.append((start, rec.w[lo:lo + w_steps + 1],
-                         cumulative_trapezoid(f_series, dt)))
-            d1_dev.append(worst_d1)
-        del rec  # the segment's origins; its value slices live on in kept
+    for T in horizons:
+        start = slice_count(T, dt) - w_steps
+        if start >= done:
+            w, _ = sweep(stepper, w, start - done)
+        else:  # inside the window recorded just before
+            prev_start, values, _ = kept[-1]
+            w = values[start - prev_start]
+        w, rec = sweep(stepper, w, w_steps, record=True)
+        done = start + w_steps
+        f_series = np.empty(w_steps + 1)
+        worst_d1 = 0.0
+        # row j of the walk lies a time-to-go j dt before T
+        for j, positions in enumerate(_backtrack(m_t, rec.origins, stepper)):
+            f_series[w_steps - j] = _coupling(m_t, functional, positions)
+            worst_d1 = max(worst_d1, wasserstein1(
+                CircleMeasure(PARTICLES, positions, m_t.weights),
+                CircleMeasure(DENSITY, nodes, m_bar_window[j])))
+        kept.append((start, rec.w, cumulative_trapezoid(f_series, dt)))
+        d1_dev.append(worst_d1)
+        del rec  # the window's origins; its value slices live on in kept
     w_cal, _ = sweep(stepper, w, cal_steps - done)
     u0_phi = w_cal + c0 * t_cal
 
@@ -392,4 +373,4 @@ def long_time_convergence_experiment(phi: np.ndarray, m_t: CircleMeasure,
             worst_u = max(worst_u, float(np.max(np.abs(u_slice - u_bar_slice))))
         u_dev.append(worst_u)
     return ConvergenceReport(horizons=horizons, d1_deviation=d1_dev,
-                             u_deviation=u_dev, window=window, c_mt=float(c_mt))
+                             u_deviation=u_dev, c_mt=float(c_mt))

@@ -186,6 +186,9 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         "fourier_nan.ini": "[coupling]\nf = custom-fourier(nan,0)\n",
         "fourier_inf.ini": "[coupling]\nf = custom-fourier(inf,0)\n",
         "fourier_huge.ini": "[coupling]\nf = custom-fourier(1e308,1e308)\n",
+        # a finite Lipschitz constant, but a sum of f over the largest store overflows
+        "fourier_1e307.ini": "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\n"
+                             "[coupling]\nf = custom-fourier(1e307,0)\n",
         # an empty or unparsable argument is refused, never dropped
         "fourier_empty_middle.ini": "[coupling]\nf = custom-fourier(1,,0)\n",
         "fourier_empty_last.ini": "[coupling]\nf = custom-fourier(1,0,)\n",
@@ -288,6 +291,8 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
              "fourier_nan.ini": "custom-fourier needs finite coefficients",
              "fourier_inf.ini": "custom-fourier needs finite coefficients",
              "fourier_huge.ini": "custom-fourier needs a finite Lipschitz constant",
+             "fourier_1e307.ini": "custom-fourier needs a sup|f| bound that stays finite "
+                                  "over 536870912 samples, got 1e+307",
              "dim_two.ini": "unknown config key [model] dim",
              "bad_tol.ini": "tolerance invariant violated: tol_converge_final",
              "nan_tol.ini": "tolerance invariant violated: tol_converge_final",
@@ -335,6 +340,12 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         if name.startswith("off_grid"):
             assert "time-grid invariant" in err, name
     assert not (tmp_path / "out" / "u.csv").exists()
+    for command in ("converge", "lipschitz-c"):  # the other runners of that coupling
+        code = main([command, "--config", str(tmp_path / "fourier_1e307.ini"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named["fourier_1e307.ini"] in err, command
     binary = tmp_path / "binary.ini"
     binary.write_bytes(b"\xec\x80[grid]\n")
     assert main(["critical-value", "--config", str(binary), "--out", str(tmp_path / "out")]) == 2
@@ -382,24 +393,26 @@ def test_converge_estimate_covers_its_traced_peak(tmp_path, monkeypatch):
     block's temporaries and the stepper's cost block, which add at most
     2.4 MB at n <= 512: so at n <= 256 its peak is above its estimate
     (0.77 MB estimated against 1.60 MB traced at n = 128), as periodic's,
-    lipschitz-c's and solve's are at small n."""
+    lipschitz-c's and solve's are at small n.  It holds for windows that do
+    not overlap and for windows that do (1 and 1.2 with a window of 0.5)."""
     import mfglab.mfg as mfg
-    estimates = []
     require = mfg.require_store
-    monkeypatch.setattr(mfg, "require_store",
-                        lambda label, nbytes: estimates.append(nbytes) or require(label, nbytes))
-    cfg = tmp_path / "converge.ini"
-    cfg.write_text(QD_CONFIG.replace("n = 256", "n = 512").replace("dt = 0.002", "dt = 0.004")
-                   + "horizons = 1 2\nwindow = 0.5\nphi = cosine\n"
-                   + "tol_converge_final = 0.5\n")
-    tracemalloc.start()
-    try:
-        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert len(estimates) == 1 and estimates[0] >= peak, (estimates, peak)
+    for horizons in ("1 2", "1 1.2 2"):
+        estimates = []
+        monkeypatch.setattr(mfg, "require_store", lambda label, nbytes:
+                            estimates.append(nbytes) or require(label, nbytes))
+        cfg = tmp_path / "converge.ini"
+        cfg.write_text(QD_CONFIG.replace("n = 256", "n = 512").replace("dt = 0.002", "dt = 0.004")
+                       + f"horizons = {horizons}\nwindow = 0.5\nphi = cosine\n"
+                       + "tol_converge_final = 0.5\n")
+        tracemalloc.start()
+        try:
+            code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, horizons
+        assert len(estimates) == 1 and estimates[0] >= peak, (horizons, estimates, peak)
 
 
 def test_solve_memory_invariant_is_solve_s_own(tmp_path, capsys):
@@ -444,10 +457,9 @@ def test_every_field_is_a_key_of_its_declared_type(tmp_path):
     assert sorted(read_summary(out)["config"]) == sorted(spec.name for spec in fields)
 
 
-def test_tol_c0_reaches_the_periodic_runners(tmp_path, monkeypatch, capsys):
+def test_probe_tol_holds_in_the_periodic_runners(tmp_path, monkeypatch, capsys):
     """The probe behind periodic, lipschitz-c and converge is held to
-    PROBE_TOL (the bound once set by the tol_c0 key), as the critical-value
-    subcommand's is."""
+    PROBE_TOL, as the critical-value subcommand's is."""
     import mfglab.lax_oleinik as lax_oleinik
 
     monkeypatch.setattr(lax_oleinik, "PROBE_TOL", 1e-9)

@@ -462,25 +462,36 @@ def _frozen_convergence(phi, m_t, model, regime, functional, horizons, window, d
 
 
 @pytest.mark.parametrize("horizons, window", [
-    ((3.0, 3.0), 0.5),          # one window twice: one segment
-    ((3.0, 3.2), 0.5),          # windows that overlap share a segment
+    ((3.0, 3.0), 0.5),          # one window twice: the second restarts at its start
+    ((3.0, 3.2), 0.5),          # the second window restarts inside the first
     ((2.0, 2.1, 2.2), 0.5),     # a chain of three overlapping windows
     ((2.0, 2.5, 3.0), 0.5),     # windows that meet at one slice
     ((2.0, 3.0), 0.004),        # a one-step window
     ((2.0, 3.0), 2.0),          # the window is the whole smallest horizon
+    ((2.0, 2.2, 3.0), 0.5),     # a restart inside the first window, then a gap
 ])
 def test_streamed_experiment_bit_equals_frozen_oracle(coupling_cos, cosine_shifted,
-                                                      horizons, window):
+                                                      monkeypatch, horizons, window):
     """Every report entry of the streamed experiment equals the frozen
-    oracle's exactly, on a drift whose period is off the dt grid."""
+    oracle's exactly, on a drift whose period is off the dt grid.  The
+    experiment steps to T_cal once, plus the steps from each window's start
+    to the end of the window before it when the two overlap."""
     model, regime = cosine_shifted
     n, dt = 256, 0.004
     phi = np.cos(2 * np.pi * grid(n))
     m_t = CircleMeasure.from_name("gaussian-bump(0.3,0.2)", n)
     d1_ref, u_ref, c_ref = _frozen_convergence(phi, m_t, model, regime, coupling_cos,
                                                horizons, window, dt)
+    calls = []
+    step = HopfLaxStepper.step
+    monkeypatch.setattr(HopfLaxStepper, "step",
+                        lambda self, *a, **k: calls.append(1) or step(self, *a, **k))
     report = long_time_convergence_experiment(phi, m_t, model, regime, coupling_cos,
                                               horizons, window=window, dt=dt)
+    ends = [slice_count(T, dt) for T in sorted(horizons)]
+    w_steps = slice_count(window, dt)
+    overlap = sum(max(0, before - (end - w_steps)) for before, end in zip(ends, ends[1:]))
+    assert len(calls) == slice_count(CALIBRATION_FACTOR * max(horizons), dt) + overlap
     assert report.d1_deviation == d1_ref
     assert report.u_deviation == u_ref
     assert report.c_mt == c_ref
