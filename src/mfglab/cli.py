@@ -5,6 +5,9 @@ with a fixed schema plus CSV artifacts and a plotting script into the
 output directory, and exits 0 on success, 1 on a numerical-tolerance
 failure, 2 on invalid input.  Identical configs produce byte-identical
 summaries; the only randomness (measure-pair generation) is seeded.
+lipschitz-c's --seed draws NumPy's default_rng(seed) PCG64 stream,
+reproduced bit for bit by measures.PCG64Stream without loading NumPy's
+random subpackage, so every seed gives the same pairs as that generator.
 
 The pass/fail bounds are the constants below; only converge's final d1
 bound is a config key.  A run that fails a check still writes its summary
@@ -28,7 +31,7 @@ from . import explicit_solution as explicit
 from .config import RunConfig
 from .errors import ConfigError, MFGLabError
 from .lax_oleinik import alpha_function, critical_value
-from .measures import random_fourier_density, wasserstein1
+from .measures import PCG64Stream, random_fourier_density, wasserstein1
 from .mfg import (
     LIPSCHITZ_SLACK,
     PeriodicRegime,
@@ -281,7 +284,7 @@ def run_lipschitz(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     # the 2 pairs measures built here, five n-vectors each, before the probe
     require_store("lipschitz-c", 2 * cfg.pairs * 5 * cfg.n * 8)
     regime = _regime(cfg, model)
-    rng = np.random.default_rng(args.seed)
+    rng = PCG64Stream(args.seed)
     pairs = [(random_fourier_density(cfg.n, rng), random_fourier_density(cfg.n, rng))
              for _ in range(cfg.pairs)]
     report = lipschitz_c_experiment(pairs, regime, functional, dt=cfg.dt)

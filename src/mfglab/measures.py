@@ -229,9 +229,85 @@ def invariant_density(df) -> CircleMeasure:
     return CircleMeasure.from_density_values(1.0 / np.abs(df.v))
 
 
+MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _seed_hash(init: int, mult: int):
+    """SeedSequence's 32-bit hash: each call xors its word with a running
+    constant (first init), steps the constant by mult and multiplies the
+    word by the new constant."""
+    const = init
+
+    def hash_word(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & MASK32
+        value = value * const & MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+class PCG64Stream:
+    """The uniform doubles of NumPy's default_rng(seed), bit for bit, from
+    the standard library alone: NumPy's random subpackage also loads secrets
+    and hashlib, several MiB of memory for a few hundred draws.
+
+    NumPy's stream policy (NEP 19) keeps these stages fixed: SeedSequence
+    hashes the seed's little-endian 32-bit words into a 4-word pool and
+    draws generate_state(4, uint64) from it; PCG64 (O'Neill 2014) seeds
+    its 128-bit state and increment from those words, steps
+    state * PCG64_MULTIPLIER + inc and outputs the XSL-RR 128/64 of the
+    new state; a double is its top 53 bits times 2^-53.
+    """
+
+    def __init__(self, seed: int):
+        # SeedSequence(seed): hashmix (INIT_A, MULT_A) and mix (MIX_MULT_L,
+        # MIX_MULT_R) fold the entropy words into the pool; generate_state
+        # hashes the pool again (INIT_B, MULT_B) into 8 words
+        entropy = [seed >> shift & MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
+
+        def mix(x, y):
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
+            return value ^ value >> 16
+
+        pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:  # a seed of more than 128 bits
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        generate = _seed_hash(0x8B51F9DD, 0x58F38DED)
+        words = [generate(pool[i % 4]) for i in range(8)]
+        # pairs of 32-bit words read little-endian as the four 64-bit words
+        # s_hi, s_lo, i_hi, i_lo of PCG64's initial state and sequence
+        s_hi, s_lo, i_hi, i_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
+        # srandom: one step from state 0 (which gives inc), add the seed, step
+        self.state = (self.inc + (s_hi << 64 | s_lo)) & MASK128
+        self.state = (self.state * PCG64_MULTIPLIER + self.inc) & MASK128
+
+    def next_double(self) -> float:
+        """One PCG64 step and its XSL-RR output, as a double in [0, 1)."""
+        self.state = (self.state * PCG64_MULTIPLIER + self.inc) & MASK128
+        xored, rot = (self.state >> 64) ^ (self.state & MASK64), self.state >> 122
+        out = (xored >> rot | xored << (-rot & 63)) & MASK64
+        return (out >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """Generator.uniform(low, high, size): size doubles low + (high - low) u."""
+        span = high - low
+        return np.array([low + span * self.next_double() for _ in range(size)])
+
+
 def random_fourier_density(n: int, rng) -> CircleMeasure:
     """Smooth random density: 1 + Fourier noise in the modes 1 ..
-    RANDOM_MODES, floored at RANDOM_FLOOR and renormalised."""
+    RANDOM_MODES, floored at RANDOM_FLOOR and renormalised.  rng is any
+    object with Generator's uniform(low, high, size), such as a
+    PCG64Stream or a numpy Generator."""
     xs = grid(n)
     values = np.ones(n)
     for k in range(1, RANDOM_MODES + 1):

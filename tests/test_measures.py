@@ -12,6 +12,7 @@ from mfglab.measures import (
     BLOCK_POINTS,
     PARTICLES,
     CircleMeasure,
+    PCG64Stream,
     TransportTable,
     invariant_density,
     pushforward,
@@ -390,3 +391,24 @@ def test_random_fourier_density_valid():
         m = random_fourier_density(128, rng)
         assert np.all(m.weights >= 0.0)
         assert abs(float(np.sum(m.weights)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [*range(64), 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**160 + 7])
+def test_pcg64_stream_bit_equals_default_rng(seed):
+    """PCG64Stream(seed) draws NumPy's default_rng(seed) stream bit for bit.
+    The seeds from 2**32 on have two to six 32-bit words, and 2**160 + 7
+    has more words than SeedSequence's 4-word pool."""
+    stream, rng = PCG64Stream(seed), np.random.default_rng(seed)
+    for _ in range(1000):
+        ours, numpy_draw = stream.uniform(-1.0, 1.0, size=2), rng.uniform(-1.0, 1.0, size=2)
+        assert ours.dtype == numpy_draw.dtype and ours.tobytes() == numpy_draw.tobytes()
+
+
+@pytest.mark.parametrize("pair_seed", range(16))
+def test_random_fourier_density_bit_equal_on_either_stream(pair_seed):
+    """The 20 measure pairs of each benchmark pair seed at n = 512 are the
+    same bytes whether drawn from PCG64Stream or from a numpy Generator."""
+    stream, rng = PCG64Stream(pair_seed), np.random.default_rng(pair_seed)
+    for _ in range(40):
+        ours, theirs = random_fourier_density(512, stream), random_fourier_density(512, rng)
+        assert ours.weights.tobytes() == theirs.weights.tobytes()

@@ -201,6 +201,57 @@ def test_critical_value_imports_no_numpy_ma():
     assert run.stdout.strip() == "False"
 
 
+def _numpy_random_names(source: str) -> list[str]:
+    """Each name of np.random or numpy.random in source, as an attribute or
+    an import in any form; a mention inside a string is not a name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names if name.split(".")[:2] in (["np", "random"],
+                                                              ["numpy", "random"])]
+
+
+def test_package_names_no_numpy_random():
+    """The package draws lipschitz-c's measure pairs from its own
+    PCG64Stream; numpy.random is for the tests."""
+    sources = sorted(Path(mfglab.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        assert _numpy_random_names(path.read_text()) == [], path.name
+    # the guard itself: each spelling is caught, and a string is not a name
+    assert _numpy_random_names(
+        "import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+        "from numpy.random import default_rng\nrng = np.random.default_rng(0)\n"
+        "s = 'np.random'\n") == ["numpy.random", "numpy.random",
+                                  "numpy.random.default_rng", "np.random"]
+
+
+def test_lipschitz_c_imports_no_numpy_random(tmp_path):
+    """lipschitz-c draws its pairs without numpy.random, whose import also
+    loads secrets and hashlib (several MiB of peak RSS).  The run gets past
+    the probe and the draws; at n = 64 it may then stop on the push-forward
+    mass drift (exit 1)."""
+    config = tmp_path / "run.ini"
+    config.write_text("[model]\nfamily = mechanical\npotential = cosine\nshift = 1.6\n"
+                      "[grid]\nn = 64\ndt = 0.004\n[run]\ndt_probe = 0.004\npairs = 2\n")
+    script = ("import sys\n"
+              "from mfglab import cli\n"
+              f"code = cli.main(['lipschitz-c', '--config', {str(config)!r}, '--seed', '3',"
+              f" '--out', {str(tmp_path / 'out')!r}])\n"
+              "print(code, [name for name in ('numpy.random', 'secrets', 'hashlib')"
+              " if name in sys.modules])\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    code, loaded = run.stdout.split(" ", 1)
+    assert code in ("0", "1") and loaded.strip() == "[]", run.stdout + run.stderr
+
+
 def _benchmark_configs(monkeypatch) -> list[str]:
     """The config text of every variant of every benchmark workload."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
