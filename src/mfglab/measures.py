@@ -19,7 +19,17 @@ MASS_TOL = 1e-12
 MASS_DRIFT_TOL = 1e-4  # largest renormalisation a push-forward may need
 RANDOM_MODES = 4       # Fourier modes of random_fourier_density
 RANDOM_FLOOR = 0.1     # its smallest density value before renormalising
-BLOCK_POINTS = 2**14   # inverse-flow points a TransportTable push holds at once
+# Inverse-flow points a TransportTable push holds at once.  A push's working
+# set beyond its result is about a dozen float64 and int64 arrays of this
+# size (32 KB each): 0.4 MB for masses at any row count, against 1.3 MB with
+# 2**14 points.  2**12 is one span row on the largest grid, n = 4096, and
+# smaller blocks gave no lower peak RSS on lipschitz-cos512.
+BLOCK_POINTS = 2**12
+# Pulled-back points per matmul of TransportTable.means.  BLAS picks its
+# kernel by the matmul's shape, so the rounding of a mean depends on the row
+# count; keeping the rows of the earlier 2**14-point blocks keeps every
+# mean's bits.  Its two pull-back buffers hold 0.26 MB.
+MATMUL_POINTS = 2**14
 
 
 class CircleMeasure:
@@ -120,11 +130,13 @@ class TransportTable:
     n-node grid.
 
     The table holds only the grid, the flow and the spans; each push
-    streams the spans in blocks of BLOCK_POINTS // n rows, building a
-    block's interpolation stencil and centered-difference Jacobian from
-    one phi_inverse call and dropping them after the block.  So no
-    (rows, n) array is held beyond the result, and each push calls the
-    flow once per block.
+    streams the spans in blocks of BLOCK_POINTS // n rows (at least one),
+    building a block's interpolation stencil and centered-difference
+    Jacobian from one phi_inverse call and dropping them after the block.
+    So no (rows, n) array is held beyond the result, each push calls the
+    flow once per block, and a push's working set beyond its result is
+    the same at any row count: about 0.4 MB for masses and 0.75 MB for
+    means at n <= 4096 (tracemalloc).
     """
 
     def __init__(self, fm, spans, n: int):
@@ -132,14 +144,15 @@ class TransportTable:
         self.flow = fm
         self.spans = np.asarray(spans, dtype=float)
 
-    def _blocks(self):
-        """Each block of spans: its row slice, the interp_stencil cell and
-        fraction of its inverse-flow nodes, and their Jacobian."""
+    def _blocks(self, spans):
+        """Each block of the given spans: its row slice among them, the
+        interp_stencil cell and fraction of its inverse-flow nodes, and
+        their Jacobian."""
         n = self.nodes.size
         rows = max(1, BLOCK_POINTS // n)
-        for first in range(0, self.spans.size, rows):
+        for first in range(0, spans.size, rows):
             block = slice(first, first + rows)
-            column = self.spans[block, None]
+            column = spans[block, None]
             # a column of spans gives one row per span, each bit-equal to a
             # one-span call; a flow that gives one row broadcasts
             xinv = np.empty((column.shape[0], n))
@@ -164,10 +177,10 @@ class TransportTable:
         d_next = np.roll(d, -1)
         values = np.empty((self.spans.size, self.nodes.size))
         totals = np.empty(self.spans.size)
-        for block, cell, frac, jac in self._blocks():
+        for block, cell, frac, jac in self._blocks(self.spans):
             np.multiply((1.0 - frac) * d[cell] + frac * d_next[cell], jac, out=values[block])
             totals[block] = values[block].mean(axis=1)
-        worst = float(np.max(np.abs(totals - 1.0)))
+        worst = float(np.max(np.abs(totals - 1.0), initial=0.0))
         if worst >= MASS_DRIFT_TOL:
             raise MFGLabError(
                 f"push-forward mass drift {worst:.3g} exceeds {MASS_DRIFT_TOL:.3g}"
@@ -183,24 +196,32 @@ class TransportTable:
 
         The push is linear in the density, so each block of rows takes
         one bincount of the stencil weights to pull f back onto the grid
-        and one to pull back unit mass, and two matmuls then serve every
-        density at once; no (rows, n) array is held.
+        and one to pull back unit mass, and per MATMUL_POINTS // n rows two
+        matmuls then serve every density at once; no (rows, n) array is
+        held.
         """
         n = self.nodes.size
         columns = np.asarray(densities, dtype=float).reshape(-1, n).T.copy()   # (n, M)
         mass = np.empty((self.spans.size, columns.shape[1]))  # sums of the pushed values
         integral = np.empty_like(mass)                       # the same sums weighted by f
-        for block, cell, frac, jac in self._blocks():
-            base = n * np.arange(cell.shape[0])[:, None]
-            left = (cell + base).ravel()
-            right = ((cell + 1) % n + base).ravel()
-            low, high = (1.0 - frac) * jac, frac * jac   # the stencil's weights
-            unit = np.bincount(left, low.ravel(), base.size * n)
-            unit += np.bincount(right, high.ravel(), base.size * n)
-            pulled = np.bincount(left, (low * f_nodes).ravel(), base.size * n)
-            pulled += np.bincount(right, (high * f_nodes).ravel(), base.size * n)
-            mass[block] = unit.reshape(-1, n) @ columns
-            integral[block] = pulled.reshape(-1, n) @ columns
+        group = max(1, MATMUL_POINTS // n)
+        for first in range(0, self.spans.size, group):
+            rows = slice(first, first + group)
+            spans = self.spans[rows]
+            unit = np.empty((spans.size, n))   # unit mass pulled back, one row per span
+            pulled = np.empty_like(unit)       # f pulled back
+            for block, cell, frac, jac in self._blocks(spans):
+                base = n * np.arange(cell.shape[0])[:, None]
+                left = (cell + base).ravel()
+                right = ((cell + 1) % n + base).ravel()
+                low, high = (1.0 - frac) * jac, frac * jac   # the stencil's weights
+                shape, size = cell.shape, cell.size
+                unit[block] = np.bincount(left, low.ravel(), size).reshape(shape)
+                unit[block] += np.bincount(right, high.ravel(), size).reshape(shape)
+                pulled[block] = np.bincount(left, (low * f_nodes).ravel(), size).reshape(shape)
+                pulled[block] += np.bincount(right, (high * f_nodes).ravel(), size).reshape(shape)
+            mass[rows] = unit @ columns
+            integral[rows] = pulled @ columns
         worst = float(np.max(np.abs(mass / n - 1.0), initial=0.0))
         if worst >= MASS_DRIFT_TOL:
             raise MFGLabError(
